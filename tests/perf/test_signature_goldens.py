@@ -1,0 +1,103 @@
+"""Golden campaign signatures.
+
+Each case runs one fixed-seed campaign and hashes its deterministic
+witness -- ``CampaignStats.signature()``, plus the sorted corpus
+fingerprints and arm schedules for the guided fleet -- against
+``fixtures/signatures.json``.  Anything that changes what a campaign
+observes (result rows, coverage tags, fired faults, plan fingerprints,
+errors) changes a digest, so evaluator and executor rewrites that must
+be invisible are held to the recorded behaviour.
+
+Regenerate the fixture only for a change that is meant to alter
+campaign outcomes::
+
+    PYTHONPATH=src python tests/perf/test_signature_goldens.py --regenerate
+"""
+
+from __future__ import annotations
+
+import functools
+import hashlib
+import json
+import pathlib
+import sys
+
+import pytest
+
+from repro import CoddTestOracle, MiniDBAdapter, make_engine
+from repro.baselines import DQEOracle, EETOracle, NoRECOracle, TLPOracle
+from repro.fleet import BugCorpus, FleetConfig, run_fleet
+from repro.runner.campaign import run_campaign
+
+FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "signatures.json"
+
+ORACLES = {
+    "coddtest": CoddTestOracle,
+    "norec": NoRECOracle,
+    "tlp": TLPOracle,
+    "dqe": DQEOracle,
+    "eet": EETOracle,
+}
+
+
+def _oracle_witness(name: str) -> dict:
+    adapter = MiniDBAdapter(make_engine("sqlite", with_catalog_faults=True))
+    return run_campaign(ORACLES[name](), adapter, n_tests=120, seed=11).signature()
+
+
+def _diff_witness() -> dict:
+    config = FleetConfig(
+        oracle="differential",
+        backend_pair=("minidb", "sqlite3"),
+        buggy=True,
+        workers=1,
+        seed=3,
+        n_tests=80,
+    )
+    return run_fleet(config).merged.signature()
+
+
+def _guided_witness() -> dict:
+    config = FleetConfig(
+        oracle="coddtest",
+        buggy=True,
+        workers=2,
+        seed=5,
+        n_tests=200,
+        guidance="plan-coverage",
+    )
+    corpus = BugCorpus()
+    result = run_fleet(config, corpus=corpus)
+    return {
+        "merged": result.merged.signature(),
+        "corpus": sorted(corpus.entries),
+        "arms": result.arm_schedules,
+    }
+
+
+CASES = {
+    **{
+        f"{name}-buggy-sqlite": functools.partial(_oracle_witness, name)
+        for name in ORACLES
+    },
+    "diff-minidb-sqlite3": _diff_witness,
+    "guided-fleet-2w": _guided_witness,
+}
+
+
+def _digest(witness) -> str:
+    return hashlib.sha256(json.dumps(witness, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_campaign_signature_matches_golden(case):
+    golden = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    assert _digest(CASES[case]()) == golden[case]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regenerate"]:
+        raise SystemExit(f"usage: {sys.argv[0]} --regenerate")
+    digests = {case: _digest(CASES[case]()) for case in sorted(CASES)}
+    FIXTURE.write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {len(digests)} digests to {FIXTURE}")
