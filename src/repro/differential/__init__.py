@@ -32,7 +32,6 @@ from repro.differential.compat import (
     capabilities,
 )
 from repro.differential.oracle import (
-    BACKEND_NAMES,
     DifferentialOracle,
     build_backend,
     build_pair_adapter,
@@ -67,7 +66,6 @@ def run_differential_campaign(
 
 
 __all__ = [
-    "BACKEND_NAMES",
     "BackendCaps",
     "CompatPolicy",
     "CompatSkip",

@@ -29,11 +29,6 @@ from repro.generator.expr_gen import ExprGenerator
 from repro.generator.query_gen import QueryGenerator, replace_join_on
 from repro.oracles_base import Oracle, TestOutcome, TestReport
 
-#: The historical seed pair.  Kept for backward compatibility only:
-#: the registry (:mod:`repro.backends`) is the source of truth for
-#: which backends exist -- use :func:`repro.backends.backend_names`.
-BACKEND_NAMES = ("minidb", "sqlite3")
-
 
 def build_backend(
     name: str, dialect: str = "sqlite", buggy: bool = False

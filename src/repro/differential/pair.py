@@ -102,10 +102,6 @@ class DifferentialAdapter(EngineAdapter):
         self.primary.attach_profiler(profiler)
         self.secondary.attach_profiler(profiler)
 
-    def set_vector_eval(self, enabled: bool) -> None:
-        self.primary.set_vector_eval(enabled)
-        self.secondary.set_vector_eval(enabled)
-
     def prime_parse(self, sql: str, ast) -> None:
         self.primary.prime_parse(sql, ast)
         self.secondary.prime_parse(sql, ast)

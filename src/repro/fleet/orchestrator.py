@@ -104,11 +104,6 @@ class FleetConfig:
     #: cache-on campaigns are bit-identical to cache-off ones (gated by
     #: the perf-smoke CI job); ``coddtest ... --no-cache`` turns it off.
     use_cache: bool = True
-    #: Column-at-a-time expression evaluation in worker engines.  On by
-    #: default for the same reason as ``use_cache``: vector-on campaigns
-    #: are bit-identical to vector-off ones (same perf-smoke gate);
-    #: ``coddtest ... --no-vector`` turns it off.
-    use_vector: bool = True
     #: Structured trace output (``--trace out.jsonl``): workers write
     #: per-shard part files, the orchestrator merges them plus its own
     #: events into one JSONL stream sorted by timestamp.  None traces
@@ -151,7 +146,8 @@ class FleetConfig:
                 "('minidb', 'sqlite3')"
             )
         # Fail fast on optional backends that cannot build here (for
-        # example duckdb without the package) -- not in a worker.
+        # example a driver package that is not installed) -- not in a
+        # worker.
         for name in self.backend_pair or (self.adapter,):
             reason = get_backend(name).why_unavailable()
             if reason is not None:
@@ -210,17 +206,39 @@ def _shard_trace_path(config: FleetConfig, shard_index: int) -> "str | None":
     return shard_part_path(config.trace_path, shard_index)
 
 
-def build_shards(config: FleetConfig) -> list[ShardSpec]:
-    """Deterministic shard plan for *config*."""
+def build_shards(
+    config: FleetConfig,
+    round_index: int = 0,
+    *,
+    n_tests: int | None = None,
+    seconds: float | None = None,
+    policy_states: "list[dict | None] | None" = None,
+    coverage: CoverageMap | None = None,
+    saturated: frozenset[str] = frozenset(),
+    epoch: str = "",
+    max_reports: int | None = None,
+) -> list[ShardSpec]:
+    """Deterministic shard plan for one round of *config*.
+
+    The defaults plan an unguided fleet: round 0 (whose seeds are the
+    shard seeds themselves) over the whole budget.  A guided round
+    passes its slice of the budget (None keeps the config's), the
+    policy states carried from the previous round, the merged coverage
+    snapshot, the saturated faults, the coverage-source epoch, and the
+    report cap still remaining.
+    """
     seeds = derive_shard_seeds(config.seed, config.workers)
-    quotas = split_tests(config.n_tests, config.workers)
+    quotas = split_tests(
+        config.n_tests if n_tests is None else n_tests, config.workers
+    )
+    snapshot = None if coverage is None else coverage.to_dict()
     return [
         ShardSpec(
             shard_index=i,
             workers=config.workers,
-            seed=seeds[i],
+            seed=derive_round_seed(seeds[i], round_index),
             n_tests=quotas[i],
-            seconds=config.seconds,
+            seconds=config.seconds if seconds is None else seconds,
             oracle=config.oracle,
             oracle_kwargs=dict(config.oracle_kwargs),
             adapter=config.adapter,
@@ -229,10 +247,17 @@ def build_shards(config: FleetConfig) -> list[ShardSpec]:
             tests_per_state=config.tests_per_state,
             # Each shard stays within the fleet-wide bound; the merge
             # truncates again, and the stop event ends the other shards.
-            max_reports=config.max_reports,
+            max_reports=(
+                config.max_reports if max_reports is None else max_reports
+            ),
             backend_pair=config.backend_pair,
+            guidance=config.guidance,
+            round_index=round_index,
+            policy_state=policy_states[i] if policy_states else None,
+            coverage_snapshot=snapshot,
+            saturated_faults=tuple(sorted(saturated)),
+            coverage_source=f"{config.seed}:{i}/{config.workers}{epoch}",
             use_cache=config.use_cache,
-            use_vector=config.use_vector,
             trace_path=_shard_trace_path(config, i),
         )
         for i in range(config.workers)
@@ -326,7 +351,6 @@ def _run_shard(
         on_progress=on_progress,
         policy=policy,
         cache=cache,
-        vector=spec.use_vector,
         tracer=tracer,
     )
     try:
@@ -673,50 +697,6 @@ def _coverage_epoch(initial: CoverageMap) -> str:
     return "@" + hashlib.blake2b(payload.encode(), digest_size=4).hexdigest()
 
 
-def _build_guided_shards(
-    config: FleetConfig,
-    round_index: int,
-    round_tests: int | None,
-    round_seconds: float | None,
-    policy_states: "list[dict | None]",
-    coverage: CoverageMap,
-    saturated: frozenset[str],
-    epoch: str = "",
-    max_reports: int | None = None,
-) -> list[ShardSpec]:
-    seeds = derive_shard_seeds(config.seed, config.workers)
-    quotas = split_tests(round_tests, config.workers)
-    snapshot = coverage.to_dict()
-    report_cap = config.max_reports if max_reports is None else max_reports
-    return [
-        ShardSpec(
-            shard_index=i,
-            workers=config.workers,
-            seed=derive_round_seed(seeds[i], round_index),
-            n_tests=quotas[i],
-            seconds=round_seconds,
-            oracle=config.oracle,
-            oracle_kwargs=dict(config.oracle_kwargs),
-            adapter=config.adapter,
-            dialect=config.dialect,
-            buggy=config.buggy,
-            tests_per_state=config.tests_per_state,
-            max_reports=report_cap,
-            backend_pair=config.backend_pair,
-            guidance=config.guidance,
-            round_index=round_index,
-            policy_state=policy_states[i],
-            coverage_snapshot=snapshot,
-            saturated_faults=tuple(sorted(saturated)),
-            coverage_source=f"{config.seed}:{i}/{config.workers}{epoch}",
-            use_cache=config.use_cache,
-            use_vector=config.use_vector,
-            trace_path=_shard_trace_path(config, i),
-        )
-        for i in range(config.workers)
-    ]
-
-
 def _progress_base(per_shard: "list[list[CampaignStats]]") -> dict:
     """Earlier rounds' cumulative counters, so mid-round progress lines
     keep counting up across guided round barriers."""
@@ -786,15 +766,15 @@ def _run_guided(
         # by at most the same race window as an unguided one.
         remaining_reports = max(0, config.max_reports - reports_so_far)
         sink.start_round()
-        specs = _build_guided_shards(
+        specs = build_shards(
             config,
             round_index,
-            round_tests,
-            round_seconds,
-            policy_states,
-            coverage,
-            saturated,
-            epoch,
+            n_tests=round_tests,
+            seconds=round_seconds,
+            policy_states=policy_states,
+            coverage=coverage,
+            saturated=saturated,
+            epoch=epoch,
             max_reports=remaining_reports,
         )
         progress_base = _progress_base(per_shard)
@@ -1161,8 +1141,6 @@ def make_replay_reducer(config: FleetConfig) -> ReduceFn | None:
             )
             if cache is not None:
                 adapter.attach_eval_cache(cache)
-            if config.use_vector:
-                adapter.set_vector_eval(True)
             fired: set[str] = set()
             for sql in stmts:
                 try:

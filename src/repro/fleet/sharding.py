@@ -121,9 +121,6 @@ class ShardSpec:
     #: the flag travels instead of the cache; shard results are
     #: bit-identical either way.
     use_cache: bool = False
-    #: Column-at-a-time evaluation in this shard's engines (bit-identical
-    #: to scalar evaluation; a pure throughput lever like ``use_cache``).
-    use_vector: bool = False
     #: Per-shard trace part file (``<trace>.shardN.part``); the worker
     #: appends structured events here and the orchestrator merges every
     #: part into the final trace.  None disables tracing for the shard.

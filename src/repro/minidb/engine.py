@@ -102,12 +102,6 @@ class Engine:
         #: :class:`repro.perf.cache.CacheStats`); None disables the memo
         #: and keeps the historical evaluation path bit-for-bit.
         self.eval_stats = None
-        #: Column-at-a-time evaluation toggle (see
-        #: :func:`repro.minidb.evaluator.evaluate_vector`).  Off by
-        #: default so a bare Engine keeps the historical scalar path;
-        #: campaigns turn it on and the perf-smoke gate holds the two
-        #: paths bit-identical.
-        self.vector_eval = False
         self._feature_cache: dict[int, dict] = {}
         self._subplan_cache: dict[int, object] = {}
         self._subquery_result_cache: dict[int, Materialized] = {}

@@ -80,8 +80,10 @@ Row = tuple[SqlValue, ...]
 #: Smallest batch worth vectorizing.  Below this the _VecState setup and
 #: side-effect snapshot cost more than the per-row dispatch they avoid
 #: (fig2 batches are frequently 1-2 rows); the scalar loop is used
-#: instead.  Purely a throughput knob: both paths are observationally
-#: identical, so the threshold never changes campaign signatures.
+#: instead.  Batch size and ``vector_safe`` are the only selectors of
+#: the column-at-a-time path.  Both paths are observationally identical,
+#: so the threshold never changes campaign signatures; tests raise it
+#: to ``sys.maxsize`` to run the scalar reference loop everywhere.
 _VECTOR_MIN_ROWS = 3
 
 
@@ -225,11 +227,7 @@ def _filter_rows(
         fire_features["in_subquery"] = ctx.in_subquery
     mode = engine.mode
 
-    if (
-        engine.vector_eval
-        and len(rows) >= _VECTOR_MIN_ROWS
-        and vector_safe(where, engine)
-    ):
+    if len(rows) >= _VECTOR_MIN_ROWS and vector_safe(where, engine):
         # Speculative: any engine error during the batch (row-dependent
         # type errors, injected crash faults) aborts with different
         # partial side effects than the row-major scalar loop, so roll
@@ -295,10 +293,8 @@ def _execute_projection(
     else:
         item_features = [None] * len(plan.items)
 
-    if (
-        engine.vector_eval
-        and len(rows) >= _VECTOR_MIN_ROWS
-        and any(vector_safe(item.expr, engine) for item in plan.items)
+    if len(rows) >= _VECTOR_MIN_ROWS and any(
+        vector_safe(item.expr, engine) for item in plan.items
     ):
         result = _vector_projection(
             plan, schema, rows, ctx, fire, item_features, need_frames
@@ -401,10 +397,8 @@ def _execute_grouped(
     if plan.group_by:
         key_ctx = ctx.with_clause("group_by")
         keys: list[tuple] | None = None
-        if (
-            engine.vector_eval
-            and len(rows) >= _VECTOR_MIN_ROWS
-            and all(vector_safe(e, engine) for e in plan.group_by)
+        if len(rows) >= _VECTOR_MIN_ROWS and all(
+            vector_safe(e, engine) for e in plan.group_by
         ):
             keys = _vector_group_keys(plan.group_by, schema, rows, key_ctx)
         if keys is None:

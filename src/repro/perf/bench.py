@@ -25,27 +25,21 @@ from repro.runner.campaign import Campaign, CampaignStats
 
 #: Bump when the BENCH_perf.json layout changes.  v2 added the
 #: per-phase wall-clock breakdown (``phases`` per sweep record and the
-#: aggregated ``phase_totals``) from :mod:`repro.obs.phases`; still v2,
-#: sweep records additionally carry the vectorized-evaluation split
-#: (``tests_per_second_vector_off`` / ``vector_speedup``) and the
-#: payload a ``history`` trajectory of prior per-commit runs.
-BENCH_SCHEMA_VERSION = 2
+#: aggregated ``phase_totals``) from :mod:`repro.obs.phases` and the
+#: ``history`` trajectory of prior runs.  v3 measures two modes,
+#: cache-off and the shipped configuration, with ``speedup`` between
+#: them, and stamps history records with ``commit`` and ``dirty``.
+BENCH_SCHEMA_VERSION = 3
 
 
 def run_fig2_campaign(
-    depth: int,
-    tests: int,
-    seed: int,
-    use_cache: bool,
-    use_vector: bool = False,
+    depth: int, tests: int, seed: int, use_cache: bool
 ) -> tuple[CampaignStats, float]:
     """One fig2-workload campaign; returns (stats, wall seconds)."""
     oracle = CoddTestOracle(max_depth=depth, expression_only=True)
     adapter = MiniDBAdapter(make_engine("sqlite"))
     cache = EvalCache() if use_cache else None
-    campaign = Campaign(
-        oracle, adapter, seed=seed, cache=cache, vector=use_vector
-    )
+    campaign = Campaign(oracle, adapter, seed=seed, cache=cache)
     start = time.perf_counter()
     stats = campaign.run(n_tests=tests)
     return stats, time.perf_counter() - start
@@ -54,57 +48,37 @@ def run_fig2_campaign(
 def measure_depth(
     depth: int, tests: int = 400, seed: int = 17, repeats: int = 2
 ) -> dict:
-    """Three-way measurement of one MaxDepth point.
+    """Two-way measurement of one MaxDepth point.
 
-    Runs the fig2 workload cache-off (the uncached reference), cache-on
-    with scalar evaluation, and cache-on with vectorized evaluation
-    (the production configuration).  The returned record carries all
-    three throughputs, the cache speedup, the incremental vector
-    speedup on top of the cache, and -- load-bearing for the CI gate --
-    whether all three campaigns produced identical deterministic
-    signatures.
+    Runs the fig2 workload cache-off (the uncached reference) and as
+    shipped (cache on).  The returned record carries both throughputs,
+    the speedup, and -- load-bearing for the CI gate -- whether both
+    campaigns produced identical deterministic signatures.
 
     Each mode runs *repeats* times interleaved and keeps its best wall
     time: the campaigns are deterministic, so repeats differ only by
     scheduler/allocator noise, and best-of-N is the standard way to
-    strip that noise from the gated speedup ratios.
+    strip that noise from the speedup ratio.
     """
-    off_seconds = scalar_seconds = on_seconds = float("inf")
+    off_seconds = on_seconds = float("inf")
     for _ in range(max(1, repeats)):
         off_stats, seconds = run_fig2_campaign(depth, tests, seed, False)
         off_seconds = min(off_seconds, seconds)
-        scalar_stats, seconds = run_fig2_campaign(
-            depth, tests, seed, True, use_vector=False
-        )
-        scalar_seconds = min(scalar_seconds, seconds)
-        on_stats, seconds = run_fig2_campaign(
-            depth, tests, seed, True, use_vector=True
-        )
+        on_stats, seconds = run_fig2_campaign(depth, tests, seed, True)
         on_seconds = min(on_seconds, seconds)
-    off_sig = off_stats.signature()
     return {
         "max_depth": depth,
         "tests": tests,
         "seed": seed,
         "tests_per_second_cache_off": round(tests / max(off_seconds, 1e-9), 2),
-        "tests_per_second_vector_off": round(
-            tests / max(scalar_seconds, 1e-9), 2
-        ),
         "tests_per_second_cache_on": round(tests / max(on_seconds, 1e-9), 2),
         "speedup": round(off_seconds / max(on_seconds, 1e-9), 3),
-        "vector_speedup": round(
-            scalar_seconds / max(on_seconds, 1e-9), 3
-        ),
         "cache_hit_rate": round(on_stats.cache_hit_rate, 4),
         "cache_stats": dict(on_stats.cache_stats),
-        "signatures_identical": (
-            off_sig == scalar_stats.signature()
-            and off_sig == on_stats.signature()
-        ),
+        "signatures_identical": off_stats.signature() == on_stats.signature(),
         # Where the wall-clock goes, per mode: the cache should shrink
-        # the parse/execute share, vectorization the execute share, and
-        # the per-phase trajectory across PRs shows which phase a
-        # regression landed in.
+        # the parse/execute share, and the per-phase trajectory across
+        # PRs shows which phase a regression landed in.
         "phases": {
             "cache_off": _round_phases(off_stats.phase_stats),
             "cache_on": _round_phases(on_stats.phase_stats),
@@ -126,11 +100,6 @@ def bench_payload(
     from repro.obs.phases import merge_phase_totals
 
     deep = [r["speedup"] for r in sweep if r["max_depth"] >= 5]
-    deep_vector = [
-        r["vector_speedup"]
-        for r in sweep
-        if r["max_depth"] >= 5 and "vector_speedup" in r
-    ]
     phase_totals: dict = {"cache_off": {}, "cache_on": {}}
     for record in sweep:
         for mode in phase_totals:
@@ -146,9 +115,6 @@ def bench_payload(
             for mode, totals in phase_totals.items()
         },
         "min_speedup_at_depth_ge_5": round(min(deep), 3) if deep else None,
-        "min_vector_speedup_at_depth_ge_5": (
-            round(min(deep_vector), 3) if deep_vector else None
-        ),
         "all_signatures_identical": all(
             r["signatures_identical"] for r in sweep
         )

@@ -177,7 +177,6 @@ class Campaign:
         on_progress: Callable[[CampaignStats], None] | None = None,
         policy=None,
         cache=None,
-        vector: bool = False,
         profiler: PhaseProfiler | None = None,
         tracer=None,
     ) -> None:
@@ -192,12 +191,6 @@ class Campaign:
         self.cache = cache
         if cache is not None:
             adapter.attach_eval_cache(cache)
-        #: Column-at-a-time evaluation toggle, forwarded to the adapter
-        #: (no-op for adapters without a vector path).  Same contract as
-        #: the cache: bit-identical results, only wall-clock differs.
-        self.vector = vector
-        if vector:
-            adapter.set_vector_eval(True)
         self.rng = random.Random(seed)
         self.tests_per_state = tests_per_state
         self.state_gen = state_gen or StateGenerator(
@@ -398,15 +391,14 @@ def run_campaign(
     seed: int = 0,
     tests_per_state: int = 25,
     max_reports: int = 1000,
-    use_cache: bool = False,
-    use_vector: bool = False,
+    use_cache: bool = True,
 ) -> CampaignStats:
     """Convenience wrapper around :class:`Campaign`.
 
-    *use_cache* attaches a fresh worker-local
-    :class:`repro.perf.EvalCache`; *use_vector* enables column-at-a-time
-    evaluation.  Results are bit-identical either way, only throughput
-    and ``stats.cache_stats`` differ.
+    Runs the configuration ``coddtest`` ships: *use_cache* attaches a
+    fresh worker-local :class:`repro.perf.EvalCache` unless turned off.
+    Results are bit-identical either way, only throughput and
+    ``stats.cache_stats`` differ.
     """
     cache = None
     if use_cache:
@@ -420,6 +412,5 @@ def run_campaign(
         tests_per_state=tests_per_state,
         max_reports=max_reports,
         cache=cache,
-        vector=use_vector,
     )
     return campaign.run(n_tests=n_tests, seconds=seconds)

@@ -2,20 +2,35 @@
 
 from __future__ import annotations
 
-import importlib.util
 import json
 
 import pytest
 
+from repro.adapters.sqlite3_adapter import Sqlite3Adapter
+from repro.backends import register_backend, unregister_backend
 from repro.cli import main as cli_main
 
-_DUCKDB_INSTALLED = importlib.util.find_spec("duckdb") is not None
+
+@pytest.fixture
+def offline_backend():
+    """A registered backend whose driver is reported missing."""
+    name = "offline-backend"
+    register_backend(
+        name,
+        lambda dialect, buggy: Sqlite3Adapter(),
+        version=lambda dialect: "0.0-test",
+        unavailable=lambda: "driver not installed",
+    )
+    try:
+        yield name
+    finally:
+        unregister_backend(name)
 
 
 def test_backends_list(capsys):
     assert cli_main(["backends", "list"]) == 0
     out = capsys.readouterr().out
-    for name in ("minidb", "minidb@alt", "sqlite3", "duckdb"):
+    for name in ("minidb", "minidb@alt", "sqlite3"):
         assert name in out
     assert "available" in out
 
@@ -42,9 +57,8 @@ def test_backends_probe_unknown_name_exits_2(capsys):
     assert "unknown backend 'nosuch'" in capsys.readouterr().err
 
 
-@pytest.mark.skipif(_DUCKDB_INSTALLED, reason="duckdb installed here")
-def test_backends_probe_unavailable_exits_2(capsys):
-    assert cli_main(["backends", "probe", "duckdb"]) == 2
+def test_backends_probe_unavailable_exits_2(offline_backend, capsys):
+    assert cli_main(["backends", "probe", offline_backend]) == 2
     assert "unavailable" in capsys.readouterr().err
 
 

@@ -42,7 +42,7 @@ def scratch_backend():
 
 
 def test_builtins_discovered():
-    assert set(backend_names()) >= {"minidb", "minidb@alt", "sqlite3", "duckdb"}
+    assert set(backend_names()) >= {"minidb", "minidb@alt", "sqlite3"}
 
 
 def test_names_sorted_and_available_subset():

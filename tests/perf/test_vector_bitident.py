@@ -1,22 +1,28 @@
 """Bit-identity of vectorized evaluation and the plan-skeleton cache.
 
 Two throughput levers landed together and share one contract with the
-evaluation cache: they must be observationally invisible.  For any
-seed, a vector-on campaign produces the identical
-``CampaignStats.signature()`` and report sequence as vector-off, and a
-plan-memo hit leaves exactly the side effects re-planning would have.
-The property test at the bottom pins the vector/scalar equivalence at
-the evaluator level -- values, coverage tags, fired fault ids, and
-error behaviour -- over seeded random expressions.
+evaluation cache: they must be observationally invisible.  The executor
+evaluates every batch of at least ``_VECTOR_MIN_ROWS`` rows
+column-at-a-time; raising that threshold to ``sys.maxsize`` (the test
+seam :func:`_vectorize`) sends every batch through the scalar reference
+loop instead.  For any seed, a campaign on the shipped path produces the
+identical ``CampaignStats.signature()`` and report sequence as one on
+the scalar loop, and a plan-memo hit leaves exactly the side effects
+re-planning would have.  The property test at the bottom pins the
+vector/scalar equivalence at the evaluator level -- values, coverage
+tags, fired fault ids, and error behaviour -- over seeded random
+expressions.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import repro.minidb.executor
 from repro import CoddTestOracle, MiniDBAdapter, make_engine
 from repro.baselines import DQEOracle, EETOracle, NoRECOracle, TLPOracle
 from repro.errors import ReproError
@@ -34,13 +40,24 @@ from repro.minidb.values import SqlType
 from repro.perf import EvalCache
 from repro.runner.campaign import Campaign
 
+#: The executor's batch threshold as shipped.
+_SHIPPED_MIN_ROWS = repro.minidb.executor._VECTOR_MIN_ROWS
 
-def _run(oracle_factory, seed, vector, tests=120, cache=None):
+
+def _vectorize(patch: pytest.MonkeyPatch, enabled: bool) -> None:
+    """Restore the shipped batch threshold, or raise it past any batch
+    so only the scalar reference loop runs."""
+    patch.setattr(
+        repro.minidb.executor,
+        "_VECTOR_MIN_ROWS",
+        _SHIPPED_MIN_ROWS if enabled else sys.maxsize,
+    )
+
+
+def _run(oracle_factory, seed, tests=120, cache=None):
     oracle = oracle_factory()
     adapter = MiniDBAdapter(make_engine("sqlite", with_catalog_faults=True))
-    campaign = Campaign(
-        oracle, adapter, seed=seed, cache=cache, vector=vector
-    )
+    campaign = Campaign(oracle, adapter, seed=seed, cache=cache)
     return campaign.run(n_tests=tests)
 
 
@@ -55,20 +72,22 @@ ORACLES = {
 
 
 @pytest.mark.parametrize("name", sorted(ORACLES))
-def test_vector_on_matches_vector_off(name):
-    off = _run(ORACLES[name], seed=11, vector=False)
-    on = _run(ORACLES[name], seed=11, vector=True)
+def test_vector_on_matches_vector_off(name, monkeypatch):
+    on = _run(ORACLES[name], seed=11)
+    _vectorize(monkeypatch, False)
+    off = _run(ORACLES[name], seed=11)
     assert on.signature() == off.signature()
     assert [r.to_dict() for r in on.reports] == [
         r.to_dict() for r in off.reports
     ]
 
 
-def test_vector_with_cache_matches_plain():
-    """The production configuration (cache + vector + plan memo) against
+def test_vector_with_cache_matches_plain(monkeypatch):
+    """The shipped configuration (cache + vector + plan memo) against
     the fully unaccelerated campaign."""
-    off = _run(ORACLES["coddtest"], seed=13, vector=False)
-    on = _run(ORACLES["coddtest"], seed=13, vector=True, cache=EvalCache())
+    on = _run(ORACLES["coddtest"], seed=13, cache=EvalCache())
+    _vectorize(monkeypatch, False)
+    off = _run(ORACLES["coddtest"], seed=13)
     assert on.signature() == off.signature()
 
 
@@ -173,31 +192,33 @@ def test_plan_memo_replays_coverage_like_a_fresh_engine():
 
 
 def _run_toggled(seed: int, schedule, tests: int = 100):
-    """*schedule* is a list of (use_cache, use_vector) pairs cycled at
+    """*schedule* is a list of (use_cache, vectorize) pairs cycled at
     every campaign progress tick."""
     oracle = CoddTestOracle(max_depth=4)
     adapter = MiniDBAdapter(make_engine("sqlite", with_catalog_faults=True))
     cache = EvalCache()
     step = {"i": 0}
 
-    def apply(mode) -> None:
-        use_cache, use_vector = mode
-        if use_cache:
-            adapter.attach_eval_cache(cache)
-        else:
-            adapter._cache = None
-            adapter.engine.eval_stats = None
-        adapter.set_vector_eval(use_vector)
+    with pytest.MonkeyPatch.context() as patch:
 
-    def toggle(_stats) -> None:
-        step["i"] += 1
-        apply(schedule[step["i"] % len(schedule)])
+        def apply(mode) -> None:
+            use_cache, vectorize = mode
+            if use_cache:
+                adapter.attach_eval_cache(cache)
+            else:
+                adapter._cache = None
+                adapter.engine.eval_stats = None
+            _vectorize(patch, vectorize)
 
-    campaign = Campaign(
-        oracle, adapter, seed=seed, tests_per_state=10, on_progress=toggle
-    )
-    apply(schedule[0])
-    return campaign.run(n_tests=tests)
+        def toggle(_stats) -> None:
+            step["i"] += 1
+            apply(schedule[step["i"] % len(schedule)])
+
+        campaign = Campaign(
+            oracle, adapter, seed=seed, tests_per_state=10, on_progress=toggle
+        )
+        apply(schedule[0])
+        return campaign.run(n_tests=tests)
 
 
 @settings(max_examples=8, deadline=None)

@@ -4,25 +4,22 @@ Two duties:
 
 1. **Correctness gate** -- run fixed-seed campaigns over every cached
    code path (single-engine hunt with injected faults, cross-backend
-   differential, plan-coverage-guided fleet) three ways -- cache-on
-   with vectorized evaluation, cache-on scalar, and cache-off -- and
-   fail (exit 1) unless every mode produced identical deterministic
+   differential, plan-coverage-guided fleet) as shipped and cache-off,
+   and fail (exit 1) unless both produced identical deterministic
    campaign signatures, corpus fingerprints, and guided arm schedules.
    This is the bit-identity promise of :mod:`repro.perf`, checked end
    to end on every push.
 2. **Bench artifact** -- sweep the fig2 workload over MaxDepth 3/5/7
-   in all three modes and write ``BENCH_perf.json``
+   in both modes and write ``BENCH_perf.json``
    (:mod:`repro.perf.bench` schema) with tests/sec, speedup, and hit
-   rates.  Each run *appends* a per-commit record to the ``history``
-   trajectory carried in the file, so the perf trajectory is
+   rates.  Each run *appends* a record to the ``history`` trajectory
+   carried in the file, stamped with the commit and whether ``src/``
+   or ``tools/`` differed from it, so the perf trajectory is
    machine-readable across commits, not just for the latest one.
 
-The signature checks always gate.  Of the speedups, only the
-vector-vs-scalar ratio at MaxDepth >= 5 gates (it is a same-process
-A/B, so CI noise largely cancels); absolute cache speedups are
-recorded, not asserted, because shared CI hardware is noisy
-(benchmarks/test_cache_speedup.py asserts the speedup shape on
-quieter boxes).
+Only the signature checks gate.  Speedups are recorded, not asserted,
+because shared CI hardware is noisy (benchmarks/test_cache_speedup.py
+asserts the speedup shape on quieter boxes).
 
 Usage::
 
@@ -52,15 +49,6 @@ _HISTORY_CAP = 200
 #: smoke run was launched from, so CI and local runs update one file.
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-#: The gated workload modes: (label, use_cache, use_vector).  The first
-#: entry is the production configuration; the others are the references
-#: it must bit-match.
-_MODES = (
-    ("cache+vector", True, True),
-    ("cache", True, False),
-    ("off", False, False),
-)
-
 
 def _fleet_signature(config: FleetConfig) -> dict:
     """Deterministic witness of one fleet run: merged campaign
@@ -75,63 +63,63 @@ def _fleet_signature(config: FleetConfig) -> dict:
 
 
 def _gate(name: str, make_config) -> dict:
-    """Run one workload in every perf mode and require identical
-    signatures.  *make_config* takes ``(use_cache, use_vector)``."""
-    signatures = {
-        label: _fleet_signature(make_config(cache, vector))
-        for label, cache, vector in _MODES
-    }
-    reference_label, _, _ = _MODES[-1]
-    reference = signatures[reference_label]
-    identical = all(sig == reference for sig in signatures.values())
+    """Run one workload as shipped and cache-off and require identical
+    signatures.  *make_config* takes ``use_cache``."""
+    shipped = _fleet_signature(make_config(True))
+    reference = _fleet_signature(make_config(False))
+    identical = shipped == reference
     status = "identical" if identical else "MISMATCH"
-    print(f"[perf-smoke] {name:20s} cache+vector vs cache vs off: {status}")
+    print(f"[perf-smoke] {name:20s} shipped vs cache-off: {status}")
     if not identical:
-        for label, sig in signatures.items():
-            for key in sig:
-                if sig[key] != reference[key]:
-                    print(f"  {label} differs from off in {key!r}:")
-                    print(f"    {label}: {str(sig[key])[:300]}")
-                    print(f"    off: {str(reference[key])[:300]}")
+        for key in shipped:
+            if shipped[key] != reference[key]:
+                print(f"  shipped differs from cache-off in {key!r}:")
+                print(f"    shipped: {str(shipped[key])[:300]}")
+                print(f"    cache-off: {str(reference[key])[:300]}")
     return {"name": name, "identical": identical}
 
 
-def _git_commit() -> str:
-    """Short hash of HEAD, or "unknown" outside a git checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=_REPO_ROOT,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except OSError:
-        return "unknown"
-    return out.stdout.strip() or "unknown"
+def tree_provenance(root: str = _REPO_ROOT) -> dict:
+    """The tree a record measures: ``commit`` is HEAD's short hash
+    ("unknown" outside a git checkout) and ``dirty`` says whether
+    ``src/`` or ``tools/`` differ from it (None when git cannot tell).
+    A run before the measured change is committed is then stamped
+    with its base commit *and* ``dirty: true``."""
+
+    def git(*args: str) -> "str | None":
+        try:
+            out = subprocess.run(
+                ["git", *args],
+                cwd=root,
+                capture_output=True,
+                text=True,
+                timeout=10,
+            )
+        except OSError:
+            return None
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    status = git("status", "--porcelain", "--", "src", "tools")
+    return {
+        "commit": git("rev-parse", "--short", "HEAD") or "unknown",
+        "dirty": None if status is None else bool(status),
+    }
 
 
 def _history_record(payload: dict) -> dict:
-    """Compact per-commit summary appended to the trajectory."""
+    """Compact summary of one run, appended to the trajectory."""
     return {
-        "commit": _git_commit(),
+        **tree_provenance(),
         "timestamp": int(time.time()),
         "schema_version": payload["schema_version"],
         "min_speedup_at_depth_ge_5": payload["min_speedup_at_depth_ge_5"],
-        "min_vector_speedup_at_depth_ge_5": payload[
-            "min_vector_speedup_at_depth_ge_5"
-        ],
         "all_signatures_identical": payload["all_signatures_identical"],
         "sweep": [
             {
                 "max_depth": r["max_depth"],
                 "tests_per_second_cache_off": r["tests_per_second_cache_off"],
-                "tests_per_second_vector_off": r.get(
-                    "tests_per_second_vector_off"
-                ),
                 "tests_per_second_cache_on": r["tests_per_second_cache_on"],
                 "speedup": r["speedup"],
-                "vector_speedup": r.get("vector_speedup"),
             }
             for r in payload["maxdepth_sweep"]
         ],
@@ -139,8 +127,9 @@ def _history_record(payload: dict) -> dict:
 
 
 def _load_history(path: str) -> list:
-    """Prior trajectory from an existing artifact (tolerates the pre-
-    trajectory layout and a missing or corrupt file)."""
+    """Prior trajectory from an existing artifact, records of earlier
+    schema versions included as written (tolerates the pre-trajectory
+    layout and a missing or corrupt file)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             previous = json.load(fh)
@@ -165,19 +154,18 @@ def main(argv: "list[str] | None" = None) -> int:
     workloads = [
         _gate(
             "hunt (buggy)",
-            lambda cache, vector: FleetConfig(
+            lambda cache: FleetConfig(
                 oracle="coddtest",
                 buggy=True,
                 workers=2,
                 seed=args.seed,
                 n_tests=args.tests,
                 use_cache=cache,
-                use_vector=vector,
             ),
         ),
         _gate(
             "diff minidb/sqlite3",
-            lambda cache, vector: FleetConfig(
+            lambda cache: FleetConfig(
                 oracle="differential",
                 backend_pair=("minidb", "sqlite3"),
                 buggy=True,
@@ -185,12 +173,11 @@ def main(argv: "list[str] | None" = None) -> int:
                 seed=args.seed,
                 n_tests=max(100, args.tests // 2),
                 use_cache=cache,
-                use_vector=vector,
             ),
         ),
         _gate(
             "guided fleet",
-            lambda cache, vector: FleetConfig(
+            lambda cache: FleetConfig(
                 oracle="coddtest",
                 buggy=True,
                 workers=2,
@@ -198,7 +185,6 @@ def main(argv: "list[str] | None" = None) -> int:
                 n_tests=args.tests,
                 guidance="plan-coverage",
                 use_cache=cache,
-                use_vector=vector,
             ),
         ),
     ]
@@ -210,10 +196,8 @@ def main(argv: "list[str] | None" = None) -> int:
         print(
             f"[perf-smoke] fig2 MaxDepth {depth}: "
             f"{record['tests_per_second_cache_off']:.0f} -> "
-            f"{record['tests_per_second_vector_off']:.0f} -> "
             f"{record['tests_per_second_cache_on']:.0f} tests/s "
             f"(cache {record['speedup']:.2f}x, "
-            f"vector {record['vector_speedup']:.2f}x, "
             f"hit rate {100 * record['cache_hit_rate']:.1f}%, "
             f"signatures {'identical' if record['signatures_identical'] else 'MISMATCH'})"
         )
@@ -233,28 +217,14 @@ def main(argv: "list[str] | None" = None) -> int:
         f"({len(payload['history'])} history record(s))"
     )
 
-    failed = False
     if not payload["all_signatures_identical"]:
         print(
-            "[perf-smoke] FAIL: perf modes are not bit-identical "
-            "(cache+vector vs cache vs off)",
+            "[perf-smoke] FAIL: shipped and cache-off runs are not "
+            "bit-identical",
             file=sys.stderr,
         )
-        failed = True
-    min_vector = payload["min_vector_speedup_at_depth_ge_5"]
-    if min_vector is not None and min_vector < 1.0:
-        print(
-            f"[perf-smoke] FAIL: vector path is a slowdown at "
-            f"MaxDepth >= 5 ({min_vector:.3f}x vs scalar)",
-            file=sys.stderr,
-        )
-        failed = True
-    if failed:
         return 1
-    print(
-        "[perf-smoke] OK: every perf mode is bit-identical and the "
-        "vector path pays for itself"
-    )
+    print("[perf-smoke] OK: shipped and cache-off runs are bit-identical")
     return 0
 
 
