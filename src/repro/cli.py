@@ -39,7 +39,7 @@ from repro.fleet import (
     make_replay_reducer,
     run_fleet,
 )
-from repro.fleet.orchestrator import ORACLE_FACTORIES as ORACLES
+from repro.fleet.orchestrator import ORACLE_FACTORIES as ORACLES, check_budget
 from repro.guidance import GUIDANCE_MODES, CoverageMap
 
 #: Oracles usable against a single backend (``hunt``/``fleet``/
@@ -977,6 +977,8 @@ def _corpus_replay(args) -> int:
 
 
 def _sqlite3(args) -> int:
+    # The only subcommand that builds no FleetConfig; same budget rule.
+    check_budget(args.tests, None)
     adapter = Sqlite3Adapter()
     oracle = CoddTestOracle(relation_mode_prob=0.0)
     stats = run_campaign(

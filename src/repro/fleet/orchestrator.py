@@ -70,6 +70,16 @@ ORACLE_FACTORIES: dict[str, Callable[..., Oracle]] = {
 PROGRESS_EVERY = 0.5
 
 
+def check_budget(n_tests: int | None, seconds: float | None) -> None:
+    """Reject a missing budget, or a set one that could run no test."""
+    if n_tests is None and seconds is None:
+        raise ValueError("specify n_tests and/or seconds")
+    if n_tests is not None and n_tests < 1:
+        raise ValueError(f"n_tests must be >= 1, got {n_tests}")
+    if seconds is not None and not seconds > 0:
+        raise ValueError(f"seconds must be > 0, got {seconds}")
+
+
 @dataclass
 class FleetConfig:
     """One fleet invocation, fully picklable."""
@@ -125,8 +135,7 @@ class FleetConfig:
             )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.n_tests is None and self.seconds is None:
-            raise ValueError("specify n_tests and/or seconds")
+        check_budget(self.n_tests, self.seconds)
         if self.backend_pair is not None:
             self.backend_pair = tuple(self.backend_pair)
             if len(self.backend_pair) != 2 or any(

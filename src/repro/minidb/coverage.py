@@ -65,17 +65,6 @@ class CoverageTracker:
         self._hits = saved
         return captured
 
-    def snapshot(self) -> set[str]:
-        """Copy of the *active* hit set (the capture set inside a
-        :meth:`begin_capture` scope), for speculative evaluation."""
-        return set(self._hits)
-
-    def rollback(self, snap: set[str]) -> None:
-        """Drop tags added since *snap* was taken.  Mutates the active
-        set in place -- capture scopes hold a reference to it -- and is
-        valid because ``hit`` only ever adds."""
-        self._hits.intersection_update(snap)
-
     @property
     def hits(self) -> frozenset[str]:
         return frozenset(self._hits)

@@ -109,11 +109,11 @@ class Engine:
         #: Per-statement memo of row-independent subtree values (keyed by
         #: (node id, clause, in_subquery) -- clause-conditioned fault
         #: triggers make the same node context-sensitive) and the
-        #: row-independence / vector-safety classifications
-        #: (see repro.minidb.evaluator).
+        #: row-independence classification it consults first.  Only
+        #: row-independent nodes are ever stored; both are cleared
+        #: together per statement (see repro.minidb.evaluator.evaluate).
         self._const_value_cache: dict[tuple[int, str, bool], SqlValue] = {}
         self._const_class_cache: dict[int, bool] = {}
-        self._vector_class_cache: dict[int, bool] = {}
         self._extra_fingerprints: set[str] = set()
         #: Cross-statement plan-skeleton memo for FROM-clause planning,
         #: shared across the O/F oracle pair (the folding oracle never
@@ -155,7 +155,6 @@ class Engine:
         self._correlated_cache.clear()
         self._const_value_cache.clear()
         self._const_class_cache.clear()
-        self._vector_class_cache.clear()
         self._extra_fingerprints.clear()
         if not isinstance(stmt, A.Select):
             # Conservative: even a statement that then fails bumps the

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import CatalogError, ReproError, TypeError_, UnsupportedError, ValueError_
+from repro.errors import CatalogError, TypeError_, UnsupportedError, ValueError_
 from repro.minidb import ast_nodes as A
 from repro.minidb import values as V
 from repro.minidb.coverage import register_tags
@@ -94,7 +94,7 @@ class EvalCtx:
 
     # Direct positional construction: dataclasses.replace() pays for a
     # fields() walk plus a kwargs dict on every call, and these two run
-    # on the executor's per-batch paths.
+    # inside the executor's row and group loops.
 
     def with_frame(self, frame: Frame | None) -> "EvalCtx":
         return EvalCtx(
@@ -133,7 +133,10 @@ def _site_features(ctx: EvalCtx, expr: A.Expr, extra: dict | None = None) -> dic
 
 
 def evaluate(expr: A.Expr, ctx: EvalCtx) -> SqlValue:
-    """Evaluate *expr* to a SQL value under *ctx*.
+    """Evaluate *expr* to a SQL value under *ctx*, one row at a time.
+
+    This tree walker is MiniDB's only evaluator: the executor calls it
+    once per row (or group) with the row bound in ``ctx.frame``.
 
     With an evaluation cache attached to the engine
     (``engine.eval_stats`` non-None), **row-independent** subtrees --
@@ -144,7 +147,9 @@ def evaluate(expr: A.Expr, ctx: EvalCtx) -> SqlValue:
     values are deterministic, coverage tags are a set (idempotent), and
     fault triggers are pure functions of per-node features, so the
     first evaluation already fired and recorded everything later rows
-    would.
+    would.  Row independence is checked before the memo key is built,
+    so row-dependent nodes -- most of the per-row work -- never pay for
+    a key or a probe.
 
     The memo key includes the clause and subquery contexts, not just the
     node identity: fault triggers consume ``clause``/``in_subquery``
@@ -153,17 +158,17 @@ def evaluate(expr: A.Expr, ctx: EvalCtx) -> SqlValue:
     different values under clause-conditioned faults.
     """
     engine = ctx.engine
-    if engine.eval_stats is not None:
+    stats = engine.eval_stats
+    if stats is not None and _row_independent(expr, engine):
         key = (id(expr), ctx.clause, ctx.in_subquery)
         memo = engine._const_value_cache
         if key in memo:
-            engine.eval_stats.eval_hits += 1
+            stats.eval_hits += 1
             return memo[key]
-        if _row_independent(expr, engine):
-            engine.eval_stats.eval_misses += 1
-            value = _evaluate(expr, ctx)
-            memo[key] = value
-            return value
+        stats.eval_misses += 1
+        value = _evaluate(expr, ctx)
+        memo[key] = value
+        return value
     return _evaluate(expr, ctx)
 
 
@@ -660,8 +665,7 @@ def _quantified_value(
     rows: list[tuple[SqlValue, ...]],
     mode: TypingMode,
 ) -> V.Ternary:
-    """ANY/ALL fold over the subquery rows (shared by the scalar and
-    vector paths so their semantics cannot drift)."""
+    """ANY/ALL fold of *operand* against the subquery rows."""
     quant = expr.quantifier.upper()
     op = expr.op
     results: list[V.Ternary] = []
@@ -701,536 +705,3 @@ def _subquery_rows(
     if require_columns is not None and len(result.columns) != require_columns:
         raise ValueError_(f"operand should contain {require_columns} column(s)")
     return result.rows
-
-
-# ---------------------------------------------------------------------------
-# Column-at-a-time (vector) evaluation
-# ---------------------------------------------------------------------------
-#
-# The executor's filter/projection/group paths evaluate one expression
-# over many rows.  The scalar path above walks the tree once per row;
-# the vector path walks it once per *batch*, computing a whole column at
-# each node.  The contract is bit-identity: when `evaluate_vector`
-# returns, the produced values AND every observable side effect
-# (coverage tags, fired fault ids, the engine's subquery caches) are
-# exactly what the per-row scalar loop would have left behind.  That
-# holds because every side-effect store is an idempotent set and every
-# fault trigger is a pure function of row-independent site features.
-#
-# Errors are the one observable that is *not* order-insensitive: the
-# scalar path aborts row-major, the vector path node-major, so their
-# partial side effects differ.  Vector evaluation is therefore
-# speculative -- callers take a `SideEffectSnapshot` first, and on any
-# `ReproError` roll back and re-run the authoritative scalar loop.
-
-_VECTOR_NODE_TYPES = (
-    A.Literal,
-    A.ColumnRef,
-    A.Unary,
-    A.Binary,
-    A.IsNull,
-    A.Between,
-    A.InList,
-    A.InSubquery,
-    A.Case,
-    A.Cast,
-    A.FuncCall,
-    A.Exists,
-    A.ScalarSubquery,
-    A.Quantified,
-)
-
-
-def vector_safe(expr: A.Expr, engine: "Engine") -> bool:
-    """Whether *expr* may take the vector path.
-
-    Excluded: aggregate-named function calls (their dispatch depends on
-    grouping context the batch does not model) and correlated subqueries
-    (their value genuinely varies per row).  Uncorrelated subqueries are
-    fine -- they are computed once and broadcast, exactly like the
-    engine's per-statement subquery result cache already does for the
-    scalar path.  Classified post-order and memoized per statement in
-    ``engine._vector_class_cache``.
-    """
-    cache = engine._vector_class_cache
-    key = id(expr)
-    cached = cache.get(key)
-    if cached is None:
-        cached = _classify_vector_safe(expr, engine, cache)
-        cache[key] = cached
-    return cached
-
-
-def _classify_vector_safe(
-    expr: A.Expr, engine: "Engine", cache: dict[int, bool]
-) -> bool:
-    if not isinstance(expr, _VECTOR_NODE_TYPES):
-        return False
-    if isinstance(expr, A.FuncCall) and expr.name.upper() in AGGREGATE_NAMES:
-        return False
-    if isinstance(expr, (A.Exists, A.ScalarSubquery, A.InSubquery, A.Quantified)):
-        if engine.select_is_correlated(expr.query):
-            return False
-    result = True
-    for child in expr.children():
-        child_key = id(child)
-        ok = cache.get(child_key)
-        if ok is None:
-            ok = _classify_vector_safe(child, engine, cache)
-            cache[child_key] = ok
-        if not ok:
-            result = False
-    return result
-
-
-class SideEffectSnapshot:
-    """Captured engine side-effect state for speculative evaluation.
-
-    All captured stores only grow within a statement, so rollback is
-    pruning: drop whatever was added since the snapshot, **in place**
-    (coverage capture scopes and the fault injector hold references to
-    the live sets, so they must never be replaced wholesale).
-
-    The subquery/subplan caches and the row-independent value memo must
-    roll back too: a speculatively warmed cache would otherwise let the
-    scalar re-run skip work whose side effects (the ``eval.subquery.cached``
-    tag, re-fired memoized faults, subplan fingerprints) are part of the
-    bit-identity contract.
-    """
-
-    __slots__ = ("engine", "cov", "fired", "subq", "subplan", "prints", "memo")
-
-    def __init__(self, engine: "Engine") -> None:
-        self.engine = engine
-        self.cov = engine.coverage.snapshot()
-        self.fired = set(engine.faults.fired)
-        self.subq = set(engine._subquery_result_cache)
-        self.subplan = set(engine._subplan_cache)
-        self.prints = set(engine._extra_fingerprints)
-        self.memo = set(engine._const_value_cache)
-
-    def rollback(self) -> None:
-        engine = self.engine
-        engine.coverage.rollback(self.cov)
-        engine.faults.fired.intersection_update(self.fired)
-        engine._extra_fingerprints.intersection_update(self.prints)
-        for cache, keys in (
-            (engine._subquery_result_cache, self.subq),
-            (engine._subplan_cache, self.subplan),
-            (engine._const_value_cache, self.memo),
-        ):
-            stale = [k for k in cache if k not in keys]
-            for k in stale:
-                del cache[k]
-
-
-def evaluate_vector(
-    expr: A.Expr, rows: list[tuple[SqlValue, ...]], ctx: EvalCtx
-) -> list[SqlValue]:
-    """Evaluate *expr* once per row of *rows*, column-at-a-time.
-
-    ``ctx.frame`` must be a template :class:`Frame` whose schema
-    describes the batch rows and whose parent chain is the (fixed) outer
-    scope shared by the whole batch; the template's own ``row`` is never
-    read.  *expr* must be :func:`vector_safe`.
-
-    Callers must wrap the call (and any per-row consumption loop that
-    can raise) in a :class:`SideEffectSnapshot` scope and fall back to
-    the scalar loop on :class:`~repro.errors.ReproError` -- see the
-    module comment on error ordering.
-    """
-    if ctx.depth > 200:
-        raise ValueError_("expression nesting too deep")
-    return _VecState(ctx, rows).eval(expr, list(range(len(rows))))
-
-
-class _VecState:
-    """One batch evaluation: the rows plus the shared evaluation scope."""
-
-    __slots__ = ("ctx", "engine", "mode", "rows", "schema", "parent")
-
-    def __init__(self, ctx: EvalCtx, rows: list[tuple[SqlValue, ...]]) -> None:
-        assert ctx.frame is not None, "evaluate_vector needs a template frame"
-        self.ctx = ctx
-        self.engine = ctx.engine
-        self.mode = ctx.engine.mode
-        self.rows = rows
-        self.schema = ctx.frame.schema
-        self.parent = ctx.frame.parent
-
-    def eval(self, expr: A.Expr, active: list[int]) -> list[SqlValue]:
-        """Column of values for the rows in *active* (row indexes into
-        the batch), in *active* order.  Callers never pass an empty
-        *active* list: a subtree no row reaches is not evaluated at all,
-        mirroring scalar short-circuiting."""
-        engine = self.engine
-        if _row_independent(expr, engine):
-            # One scalar evaluation, broadcast.  Observationally equal
-            # to the per-row scalar loop: values are deterministic and
-            # side effects idempotent (this is the same argument the
-            # row-independent memo in `evaluate` rests on).
-            value = evaluate(expr, self.ctx)
-            return [value] * len(active)
-        if isinstance(expr, A.ColumnRef):
-            return self._column(expr, active)
-        if isinstance(expr, A.Unary):
-            mode = self.mode
-            if expr.op.upper() == "NOT":
-                engine.cov("eval.unary.not")
-                return [
-                    V.not3(V.truth(v, mode))
-                    for v in self.eval(expr.operand, active)
-                ]
-            engine.cov("eval.unary.neg")
-            return [V.negate(v, mode) for v in self.eval(expr.operand, active)]
-        if isinstance(expr, A.Binary):
-            return self._binary(expr, active)
-        if isinstance(expr, A.IsNull):
-            engine.cov("eval.is_null")
-            negated = expr.negated
-            return [
-                (v is not None) if negated else (v is None)
-                for v in self.eval(expr.operand, active)
-            ]
-        if isinstance(expr, A.Between):
-            return self._between(expr, active)
-        if isinstance(expr, A.InList):
-            return self._in_list(expr, active)
-        if isinstance(expr, A.InSubquery):
-            return self._in_subquery(expr, active)
-        if isinstance(expr, A.Case):
-            return self._case(expr, active)
-        if isinstance(expr, A.Cast):
-            engine.cov("eval.cast")
-            target = _cast_target(expr.type_name)
-            mode = self.mode
-            return [
-                V.cast(v, target, mode) for v in self.eval(expr.operand, active)
-            ]
-        if isinstance(expr, A.FuncCall):
-            return self._func(expr, active)
-        if isinstance(expr, A.Exists):
-            return self._exists(expr, active)
-        if isinstance(expr, A.ScalarSubquery):
-            return self._scalar_subquery(expr, active)
-        if isinstance(expr, A.Quantified):
-            return self._quantified(expr, active)
-        raise ValueError_(
-            f"cannot vector-evaluate expression node {type(expr).__name__}"
-        )
-
-    # -- leaves -------------------------------------------------------------
-
-    def _column(self, ref: A.ColumnRef, active: list[int]) -> list[SqlValue]:
-        engine = self.engine
-        matches = self.schema.matches(ref.table, ref.column)
-        if len(matches) == 1:
-            engine.cov("eval.column")
-            idx = matches[0]
-            rows = self.rows
-            return [rows[i][idx] for i in active]
-        if len(matches) > 1:
-            raise CatalogError(f"ambiguous column name: {ref.to_sql()}")
-        frame = self.parent
-        while frame is not None:
-            matches = frame.schema.matches(ref.table, ref.column)
-            if len(matches) == 1:
-                # Outer frames are fixed for the batch: one value.
-                engine.cov("eval.column.outer")
-                return [frame.row[matches[0]]] * len(active)
-            if len(matches) > 1:
-                raise CatalogError(f"ambiguous column name: {ref.to_sql()}")
-            frame = frame.parent
-        raise CatalogError(f"no such column: {ref.to_sql()}")
-
-    # -- operators ----------------------------------------------------------
-
-    def _binary(self, expr: A.Binary, active: list[int]) -> list[SqlValue]:
-        engine = self.engine
-        mode = self.mode
-        op = expr.op
-
-        if op == "AND" or op == "OR":
-            engine.cov("eval.binary.logic")
-            short = False if op == "AND" else True
-            lefts = [V.truth(v, mode) for v in self.eval(expr.left, active)]
-            taken = [i for i, lt in zip(active, lefts) if lt is not short]
-            rights_by_row: dict[int, SqlValue] = {}
-            if taken:
-                # The right subtree is evaluated only for rows the left
-                # side did not short-circuit -- and not at all when every
-                # row short-circuits, like the scalar path.
-                for i, rv in zip(taken, self.eval(expr.right, taken)):
-                    rights_by_row[i] = rv
-            out: list[SqlValue] = []
-            combine = V.and3 if op == "AND" else V.or3
-            for i, lt in zip(active, lefts):
-                if lt is short:
-                    out.append(short)
-                else:
-                    out.append(combine(lt, V.truth(rights_by_row[i], mode)))
-            return out
-
-        lefts = self.eval(expr.left, active)
-        rights = self.eval(expr.right, active)
-
-        if op in _CMP_OPS:
-            engine.cov("eval.binary.cmp")
-            out = []
-            for lv, rv in zip(lefts, rights):
-                c = V.compare(lv, rv, mode)
-                out.append(None if c is None else _cmp_result(op, c))
-            return out
-        if op in _ARITH_OPS:
-            engine.cov("eval.binary.arith")
-            return [V.arith(op, lv, rv, mode) for lv, rv in zip(lefts, rights)]
-        if op == "||":
-            engine.cov("eval.binary.concat")
-            return [V.concat(lv, rv) for lv, rv in zip(lefts, rights)]
-        if op in ("LIKE", "NOT LIKE"):
-            engine.cov("eval.binary.like")
-            negated = op != "LIKE"
-            fire = engine.faults.has_site("like_result")
-            features = (
-                _site_features(self.ctx, expr, {"negated": negated})
-                if fire
-                else None
-            )
-            out = []
-            for lv, rv in zip(lefts, rights):
-                result = V.like(lv, rv, mode)
-                if negated:
-                    result = V.not3(result)
-                if fire:
-                    result = engine.faults.fire("like_result", features, result)
-                out.append(result)
-            return out
-        if op in ("IS", "IS NOT"):
-            engine.cov("eval.binary.is")
-            if op == "IS":
-                return [V.distinct_eq(lv, rv) for lv, rv in zip(lefts, rights)]
-            return [not V.distinct_eq(lv, rv) for lv, rv in zip(lefts, rights)]
-        raise ValueError_(f"unknown binary operator {op!r}")
-
-    def _between(self, expr: A.Between, active: list[int]) -> list[SqlValue]:
-        engine = self.engine
-        mode = self.mode
-        engine.cov("eval.between")
-        operands = self.eval(expr.operand, active)
-        lows = self.eval(expr.low, active)
-        highs = self.eval(expr.high, active)
-        negated = expr.negated
-        fire = engine.faults.has_site("between_result")
-        features = (
-            _site_features(self.ctx, expr, {"negated": negated}) if fire else None
-        )
-        out = []
-        for ov, lo, hi in zip(operands, lows, highs):
-            lo_cmp = V.compare(ov, lo, mode)
-            hi_cmp = V.compare(ov, hi, mode)
-            ge_low: V.Ternary = None if lo_cmp is None else lo_cmp >= 0
-            le_high: V.Ternary = None if hi_cmp is None else hi_cmp <= 0
-            result = V.and3(ge_low, le_high)
-            if negated:
-                result = V.not3(result)
-            if fire:
-                result = engine.faults.fire("between_result", features, result)
-            out.append(result)
-        return out
-
-    def _in_list(self, expr: A.InList, active: list[int]) -> list[SqlValue]:
-        engine = self.engine
-        mode = self.mode
-        engine.cov("eval.in_list")
-        operands = self.eval(expr.operand, active)
-        item_cols = [self.eval(item, active) for item in expr.items]
-        negated = expr.negated
-        fire = engine.faults.has_site("in_list_result")
-        features = (
-            _site_features(self.ctx, expr, {"negated": negated, "rhs": "list"})
-            if fire
-            else None
-        )
-        out = []
-        for k, ov in enumerate(operands):
-            result = _in_semantics(ov, [col[k] for col in item_cols], mode)
-            if negated:
-                result = V.not3(result)
-            if fire:
-                result = engine.faults.fire("in_list_result", features, result)
-            out.append(result)
-        return out
-
-    # -- subqueries (uncorrelated by the vector_safe contract) ---------------
-
-    def _subquery(
-        self, query: A.Select, active: list[int], require_columns: int | None
-    ) -> list[tuple[SqlValue, ...]]:
-        """Execute the (uncorrelated) subquery once for the batch.
-
-        The scalar loop executes it per row; rows 2..n hit the engine's
-        per-statement result cache, which tags ``eval.subquery.cached``.
-        Replicate that tag whenever more than one row would have asked.
-        """
-        rows_sq = _subquery_rows(query, self.ctx, require_columns)
-        if len(active) > 1:
-            self.engine.cov("eval.subquery.cached")
-        return rows_sq
-
-    def _in_subquery(self, expr: A.InSubquery, active: list[int]) -> list[SqlValue]:
-        engine = self.engine
-        mode = self.mode
-        engine.cov("eval.in_subquery")
-        operands = self.eval(expr.operand, active)
-        rows_sq = self._subquery(expr.query, active, 1)
-        items = [row[0] for row in rows_sq]
-        negated = expr.negated
-        fire = engine.faults.has_site("in_subquery_result")
-        features = (
-            _site_features(self.ctx, expr, {"negated": negated, "rhs": "subquery"})
-            if fire
-            else None
-        )
-        out = []
-        for ov in operands:
-            result = _in_semantics(ov, items, mode)
-            if negated:
-                result = V.not3(result)
-            if fire:
-                result = engine.faults.fire("in_subquery_result", features, result)
-            out.append(result)
-        return out
-
-    def _exists(self, expr: A.Exists, active: list[int]) -> list[SqlValue]:
-        engine = self.engine
-        engine.cov("eval.exists")
-        rows_sq = self._subquery(expr.query, active, None)
-        result: SqlValue = len(rows_sq) > 0
-        if expr.negated:
-            result = not result
-        if engine.faults.has_site("exists_result"):
-            # Same features and value for every row: firing once leaves
-            # the identical fired set and (deterministic) value.
-            result = engine.faults.fire(
-                "exists_result",
-                _site_features(self.ctx, expr, {"negated": expr.negated}),
-                result,
-            )
-        return [result] * len(active)
-
-    def _scalar_subquery(
-        self, expr: A.ScalarSubquery, active: list[int]
-    ) -> list[SqlValue]:
-        engine = self.engine
-        engine.cov("eval.scalar_subquery")
-        rows_sq = self._subquery(expr.query, active, 1)
-        if not rows_sq:
-            engine.cov("eval.scalar_subquery.empty")
-            value: SqlValue = None
-        else:
-            if len(rows_sq) > 1:
-                if engine.profile.scalar_subquery_multi_row == "error":
-                    raise ValueError_("subquery returns more than 1 row")
-            value = rows_sq[0][0]
-        if engine.faults.has_site("scalar_subquery"):
-            correlated = engine.select_is_correlated(expr.query)
-            value = engine.faults.fire(
-                "scalar_subquery",
-                _site_features(self.ctx, expr, {"correlated": correlated}),
-                value,
-            )
-        return [value] * len(active)
-
-    def _quantified(self, expr: A.Quantified, active: list[int]) -> list[SqlValue]:
-        engine = self.engine
-        mode = self.mode
-        if not engine.profile.supports_any_all:
-            raise UnsupportedError("ANY/ALL operators are not supported")
-        quant = expr.quantifier.upper()
-        engine.cov(
-            "eval.quantified.any" if quant in ("ANY", "SOME") else "eval.quantified.all"
-        )
-        operands = self.eval(expr.operand, active)
-        rows_sq = self._subquery(expr.query, active, 1)
-        fire = engine.faults.has_site("quantified_result")
-        features = (
-            _site_features(self.ctx, expr, {"quantifier": quant}) if fire else None
-        )
-        out = []
-        for ov in operands:
-            value = _quantified_value(expr, ov, rows_sq, mode)
-            if fire:
-                value = engine.faults.fire("quantified_result", features, value)
-            out.append(value)
-        return out
-
-    # -- control flow -------------------------------------------------------
-
-    def _case(self, expr: A.Case, active: list[int]) -> list[SqlValue]:
-        engine = self.engine
-        mode = self.mode
-        fire = engine.faults.has_site("case_result")
-        out: dict[int, SqlValue] = {}
-        if expr.operand is not None:
-            engine.cov("eval.case.simple")
-            form = "simple"
-            subjects: dict[int, SqlValue] | None = dict(
-                zip(active, self.eval(expr.operand, active))
-            )
-        else:
-            engine.cov("eval.case.searched")
-            form = "searched"
-            subjects = None
-        remaining = active
-        for arm in expr.whens:
-            if not remaining:
-                break
-            conds = self.eval(arm.condition, remaining)
-            matched: list[int] = []
-            still: list[int] = []
-            for i, cv in zip(remaining, conds):
-                if subjects is not None:
-                    hit = V.eq3(subjects[i], cv, mode) is True
-                else:
-                    hit = V.truth(cv, mode) is True
-                (matched if hit else still).append(i)
-            if matched:
-                values = self.eval(arm.result, matched)
-                if fire:
-                    features = _site_features(self.ctx, expr, {"form": form})
-                    values = [
-                        engine.faults.fire("case_result", features, v)
-                        for v in values
-                    ]
-                for i, v in zip(matched, values):
-                    out[i] = v
-            remaining = still
-        if remaining:
-            # Only rows that fall through every arm take the ELSE branch
-            # (and only then does its subtree evaluate or its tag fire).
-            engine.cov("eval.case.else")
-            if expr.else_ is not None:
-                values = self.eval(expr.else_, remaining)
-            else:
-                values = [None] * len(remaining)
-            if fire:
-                features = _site_features(self.ctx, expr, {"form": "else"})
-                values = [
-                    engine.faults.fire("case_result", features, v) for v in values
-                ]
-            for i, v in zip(remaining, values):
-                out[i] = v
-        return [out[i] for i in active]
-
-    def _func(self, expr: A.FuncCall, active: list[int]) -> list[SqlValue]:
-        # Aggregate-named calls never reach here (vector_safe rejects
-        # them), so this is always the scalar-function path.
-        engine = self.engine
-        engine.cov("eval.func.scalar")
-        name = expr.name.upper()
-        mode = engine.mode
-        arg_cols = [self.eval(a, active) for a in expr.args]
-        return [
-            call_scalar(name, [col[k] for col in arg_cols], mode)
-            for k in range(len(active))
-        ]

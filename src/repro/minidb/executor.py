@@ -12,17 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.errors import ReproError, SqlError, ValueError_
+from repro.errors import SqlError, ValueError_
 from repro.minidb import ast_nodes as A
 from repro.minidb.coverage import register_tags
-from repro.minidb.evaluator import (
-    EvalCtx,
-    Frame,
-    SideEffectSnapshot,
-    evaluate,
-    evaluate_vector,
-    vector_safe,
-)
+from repro.minidb.evaluator import EvalCtx, Frame, evaluate
 from repro.minidb.plan import (
     CteScan,
     JoinPlan,
@@ -76,15 +69,6 @@ register_tags(
 )
 
 Row = tuple[SqlValue, ...]
-
-#: Smallest batch worth vectorizing.  Below this the _VecState setup and
-#: side-effect snapshot cost more than the per-row dispatch they avoid
-#: (fig2 batches are frequently 1-2 rows); the scalar loop is used
-#: instead.  Batch size and ``vector_safe`` are the only selectors of
-#: the column-at-a-time path.  Both paths are observationally identical,
-#: so the threshold never changes campaign signatures; tests raise it
-#: to ``sys.maxsize`` to run the scalar reference loop everywhere.
-_VECTOR_MIN_ROWS = 3
 
 
 @dataclass
@@ -227,32 +211,7 @@ def _filter_rows(
         fire_features["in_subquery"] = ctx.in_subquery
     mode = engine.mode
 
-    if len(rows) >= _VECTOR_MIN_ROWS and vector_safe(where, engine):
-        # Speculative: any engine error during the batch (row-dependent
-        # type errors, injected crash faults) aborts with different
-        # partial side effects than the row-major scalar loop, so roll
-        # back and let the scalar loop below be the authority.
-        snap = SideEffectSnapshot(engine)
-        try:
-            template = Frame(schema, (), ctx.frame)
-            verdicts = evaluate_vector(
-                where, rows, ctx.with_clause("where").with_frame(template)
-            )
-            kept: list[Row] = []
-            for row, value in zip(rows, verdicts):
-                verdict = truth(value, mode)
-                if fire:
-                    verdict = engine.faults.fire(site, fire_features, verdict)
-                if verdict is True:
-                    engine.cov("exec.filter.keep")
-                    kept.append(row)
-                else:
-                    engine.cov("exec.filter.drop")
-            return kept
-        except ReproError:
-            snap.rollback()
-
-    kept = []
+    kept: list[Row] = []
     # One frame/ctx pair reused across rows: nothing retains the frame
     # past each evaluate() call, so mutating ``frame.row`` is safe and
     # avoids two dataclass allocations per row.
@@ -293,15 +252,6 @@ def _execute_projection(
     else:
         item_features = [None] * len(plan.items)
 
-    if len(rows) >= _VECTOR_MIN_ROWS and any(
-        vector_safe(item.expr, engine) for item in plan.items
-    ):
-        result = _vector_projection(
-            plan, schema, rows, ctx, fire, item_features, need_frames
-        )
-        if result is not None:
-            return result
-
     fetch_ctx = ctx.with_clause("fetch")
     out: list[Row] = []
     frames: list[Frame] = []
@@ -332,61 +282,6 @@ def _execute_projection(
     return out, frames
 
 
-def _vector_projection(
-    plan: SelectPlan,
-    schema: Schema,
-    rows: list[Row],
-    ctx: EvalCtx,
-    fire: bool,
-    item_features: list[dict | None],
-    need_frames: bool,
-) -> tuple[list[Row], list[Frame]] | None:
-    """Column-at-a-time projection; None on rollback (caller re-runs
-    the scalar loop).  Vector-safe items evaluate as whole columns;
-    the rest (correlated subqueries, variadic MIN/MAX) evaluate per
-    row against the same frames."""
-    engine = ctx.engine
-    snap = SideEffectSnapshot(engine)
-    try:
-        fetch_ctx = ctx.with_clause("fetch")
-        template = Frame(schema, (), ctx.frame)
-        vec_ctx = fetch_ctx.with_frame(template)
-        frames: list[Frame] = []
-        if need_frames:
-            frames = [Frame(schema, row, ctx.frame) for row in rows]
-        scalar_ctx = None
-        columns: list[list[SqlValue]] = []
-        for item in plan.items:
-            if vector_safe(item.expr, engine):
-                columns.append(evaluate_vector(item.expr, rows, vec_ctx))
-                continue
-            col: list[SqlValue] = []
-            if need_frames:
-                for frame in frames:
-                    col.append(evaluate(item.expr, fetch_ctx.with_frame(frame)))
-            else:
-                if scalar_ctx is None:
-                    scalar_frame = Frame(schema, (), ctx.frame)
-                    scalar_ctx = fetch_ctx.with_frame(scalar_frame)
-                for row in rows:
-                    scalar_ctx.frame.row = row
-                    col.append(evaluate(item.expr, scalar_ctx))
-            columns.append(col)
-        out: list[Row] = []
-        for k in range(len(rows)):
-            values = []
-            for col, feats in zip(columns, item_features):
-                value = col[k]
-                if fire:
-                    value = engine.faults.fire("fetch_value", feats, value)
-                values.append(value)
-            out.append(tuple(values))
-        return out, frames
-    except ReproError:
-        snap.rollback()
-        return None
-
-
 def _execute_grouped(
     plan: SelectPlan, schema: Schema, rows: list[Row], ctx: EvalCtx
 ) -> tuple[list[Row], list[Frame]]:
@@ -395,26 +290,14 @@ def _execute_grouped(
 
     groups: list[list[Row]]
     if plan.group_by:
-        key_ctx = ctx.with_clause("group_by")
-        keys: list[tuple] | None = None
-        if len(rows) >= _VECTOR_MIN_ROWS and all(
-            vector_safe(e, engine) for e in plan.group_by
-        ):
-            keys = _vector_group_keys(plan.group_by, schema, rows, key_ctx)
-        if keys is None:
-            frame = Frame(schema, (), ctx.frame)
-            row_ctx = key_ctx.with_frame(frame)
-            keys = []
-            for row in rows:
-                frame.row = row
-                keys.append(
-                    tuple(
-                        row_sort_key((evaluate(e, row_ctx),))
-                        for e in plan.group_by
-                    )
-                )
+        frame = Frame(schema, (), ctx.frame)
+        row_ctx = ctx.with_clause("group_by").with_frame(frame)
         keyed: dict[tuple, list[Row]] = {}
-        for row, key in zip(rows, keys):
+        for row in rows:
+            frame.row = row
+            key = tuple(
+                row_sort_key((evaluate(e, row_ctx),)) for e in plan.group_by
+            )
             keyed.setdefault(key, []).append(row)
         groups = list(keyed.values())
         if not rows:
@@ -490,26 +373,6 @@ def _execute_grouped(
         out.append(tuple(values))
         frames.append(frame)
     return out, frames
-
-
-def _vector_group_keys(
-    exprs: tuple[A.Expr, ...], schema: Schema, rows: list[Row], key_ctx: EvalCtx
-) -> list[tuple] | None:
-    """Grouping keys column-at-a-time; None on rollback (caller re-runs
-    the scalar key loop)."""
-    engine = key_ctx.engine
-    snap = SideEffectSnapshot(engine)
-    try:
-        template = Frame(schema, (), key_ctx.frame)
-        vec_ctx = key_ctx.with_frame(template)
-        cols = [evaluate_vector(e, rows, vec_ctx) for e in exprs]
-        return [
-            tuple(row_sort_key((col[k],)) for col in cols)
-            for k in range(len(rows))
-        ]
-    except ReproError:
-        snap.rollback()
-        return None
 
 
 def _distinct(

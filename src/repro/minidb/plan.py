@@ -30,23 +30,34 @@ class Schema:
     """Ordered list of (binding, column-name) pairs describing a row."""
 
     entries: tuple[tuple[str | None, str], ...]
+    #: :meth:`matches` results by ``(table, column)``.  ``entries`` never
+    #: change, so an entry can never go stale.
+    _matches: dict[tuple[str | None, str], tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def matches(self, table: str | None, column: str) -> list[int]:
-        """Indexes of entries matching a (possibly unqualified) reference."""
-        col = column.lower()
-        out: list[int] = []
-        for i, (binding, name) in enumerate(self.entries):
-            if name.lower() != col:
-                continue
-            if table is not None and (
-                binding is None or binding.lower() != table.lower()
-            ):
-                continue
-            out.append(i)
-        return out
+    def matches(self, table: str | None, column: str) -> tuple[int, ...]:
+        """Indexes of entries matching a (possibly unqualified) reference.
+
+        The evaluator resolves a column reference on every row, so each
+        ``(table, column)`` is resolved once per schema and memoized.
+        """
+        key = (table, column)
+        found = self._matches.get(key)
+        if found is None:
+            col = column.lower()
+            tab = table.lower() if table is not None else None
+            found = tuple(
+                i
+                for i, (binding, name) in enumerate(self.entries)
+                if name.lower() == col
+                and (tab is None or (binding is not None and binding.lower() == tab))
+            )
+            self._matches[key] = found
+        return found
 
     def column_names(self) -> list[str]:
         return [name for _, name in self.entries]

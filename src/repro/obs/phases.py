@@ -2,7 +2,7 @@
 
 The campaign hot path decomposes into four phases (the ones the paper's
 Figure 2-style throughput claims and the engine's evaluation work --
-caching, batch evaluation -- need to see separately):
+caching -- need to see separately):
 
 * ``generate`` -- random state construction plus query/expression
   generation (hooked in :class:`repro.runner.campaign.Campaign` and the

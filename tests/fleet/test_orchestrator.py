@@ -43,6 +43,27 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             FleetConfig(workers=0, n_tests=10)
 
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            dict(n_tests=0),
+            dict(n_tests=-5),
+            dict(seconds=0.0),
+            dict(seconds=-1.0),
+            dict(seconds=float("nan")),
+            dict(n_tests=0, seconds=5.0),
+            dict(n_tests=10, seconds=-1.0),
+        ],
+    )
+    def test_rejects_non_positive_budget(self, budget):
+        with pytest.raises(ValueError, match="must be"):
+            FleetConfig(**budget)
+
+    def test_more_workers_than_tests_is_valid(self):
+        # Some shards get a 0-test quota; the fleet budget is positive.
+        shards = build_shards(fleet_config(workers=4, n_tests=2))
+        assert sorted(s.n_tests for s in shards) == [0, 0, 1, 1]
+
 
 class TestBuildShards:
     def test_single_worker_keeps_seed_and_budget(self):

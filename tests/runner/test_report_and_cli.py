@@ -1,5 +1,7 @@
 """Report rendering and CLI tests."""
 
+import pytest
+
 from repro.cli import main as cli_main
 from repro.report import (
     render_detection_table,
@@ -154,6 +156,21 @@ class TestCli:
         assert (
             cli_main(["diff", "--backends", "minidb,nope", "--tests", "5"]) == 2
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hunt", "--tests", "0"],
+            ["fleet", "--seconds", "-1"],
+            # Builds no FleetConfig, so it checks the budget itself.
+            ["sqlite3", "--tests", "-2"],
+        ],
+    )
+    def test_rejects_non_positive_budget(self, argv, capsys):
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("coddtest: error:")
+        assert captured.out == ""
 
     def test_hunt_accepts_workers(self, capsys):
         rc = cli_main(
