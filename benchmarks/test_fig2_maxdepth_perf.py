@@ -35,10 +35,8 @@ def _campaign(depth: int) -> Campaign:
     oracle = CoddTestOracle(max_depth=depth, expression_only=True)
     adapter = MiniDBAdapter(make_engine("sqlite"))
     # The paper times the DBMS, so this times the engine without the
-    # evaluation cache.  The cache memoizes deep row-independent
-    # subtrees and halves the depth effect (median of 5 interleaved
-    # runs on a 2-core VM, depth 1 -> 15: x1.33 uncached, x1.16
-    # cached), which this machine's noise envelope cannot resolve.
+    # evaluation cache, whose parse and statement memos skip part of
+    # the per-query work the paper measures.
     return Campaign(oracle, adapter, seed=17)
 
 

@@ -1,12 +1,12 @@
 """Adapter exposing a MiniDB engine through the black-box protocol.
 
 With an attached :class:`repro.perf.EvalCache` the adapter memoizes on
-three levels -- parsed statements (optionally primed by the oracles
-with parser-normal ASTs), whole read-only statement outcomes keyed by a
-state-token hash chain, and row-independent subtrees inside the
-evaluator -- while staying observationally identical to the uncached
-path: statement-result replays restore fired fault ids, coverage tags,
-``statements_executed``, and re-raise recorded errors.
+two levels -- parsed statements (optionally primed by the oracles with
+parser-normal ASTs) and whole read-only statement outcomes keyed by a
+state-token hash chain -- while staying observationally identical to
+the uncached path: statement-result replays restore fired fault ids,
+coverage tags, ``statements_executed``, and re-raise recorded errors.
+The engine underneath runs the same code either way.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ class MiniDBAdapter(EngineAdapter):
             if self.engine.statements_executed == 0
             else cache.unique_token()
         )
-        self.engine.eval_stats = cache.stats
 
     def prime_parse(self, sql: str, ast) -> None:
         # Membership check first: the normalization walk would be

@@ -650,8 +650,7 @@ def _print_cache_line(stats) -> None:
         f"eval cache: {stats.cache_hits} hits / {stats.cache_misses} "
         f"misses ({100 * stats.cache_hit_rate:.1f}% hit rate; "
         f"parse {cs.get('parse_hits', 0)}/{cs.get('parse_hits', 0) + cs.get('parse_misses', 0)}, "
-        f"stmt {cs.get('stmt_hits', 0)}/{cs.get('stmt_hits', 0) + cs.get('stmt_misses', 0)}, "
-        f"expr {cs.get('eval_hits', 0)}/{cs.get('eval_hits', 0) + cs.get('eval_misses', 0)})"
+        f"stmt {cs.get('stmt_hits', 0)}/{cs.get('stmt_hits', 0) + cs.get('stmt_misses', 0)})"
     )
 
 

@@ -13,7 +13,6 @@ through their SQL interfaces.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.errors import SqlError, ValueError_
@@ -98,29 +97,11 @@ class Engine:
         #: "did DML/DDL invalidate?" observable per engine and is what
         #: the invalidation tests assert against.
         self.state_version = 0
-        #: Hit/miss sink for the expression memo (a
-        #: :class:`repro.perf.cache.CacheStats`); None disables the memo
-        #: and keeps the historical evaluation path bit-for-bit.
-        self.eval_stats = None
         self._feature_cache: dict[int, dict] = {}
         self._subplan_cache: dict[int, object] = {}
         self._subquery_result_cache: dict[int, Materialized] = {}
         self._correlated_cache: dict[int, bool] = {}
-        #: Per-statement memo of row-independent subtree values (keyed by
-        #: (node id, clause, in_subquery) -- clause-conditioned fault
-        #: triggers make the same node context-sensitive) and the
-        #: row-independence classification it consults first.  Only
-        #: row-independent nodes are ever stored; both are cleared
-        #: together per statement (see repro.minidb.evaluator.evaluate).
-        self._const_value_cache: dict[tuple[int, str, bool], SqlValue] = {}
-        self._const_class_cache: dict[int, bool] = {}
         self._extra_fingerprints: set[str] = set()
-        #: Cross-statement plan-skeleton memo for FROM-clause planning,
-        #: shared across the O/F oracle pair (the folding oracle never
-        #: rewrites the FROM clause, so the folded query replays the
-        #: original's source planning).  Keyed by (state_version,
-        #: skeleton, cte schemas); see repro.minidb.planner.
-        self._plan_memo: "OrderedDict[tuple, tuple]" = OrderedDict()
 
     # -- hooks used by evaluator/executor/planner ---------------------------
 
@@ -153,8 +134,6 @@ class Engine:
         self._subplan_cache.clear()
         self._subquery_result_cache.clear()
         self._correlated_cache.clear()
-        self._const_value_cache.clear()
-        self._const_class_cache.clear()
         self._extra_fingerprints.clear()
         if not isinstance(stmt, A.Select):
             # Conservative: even a statement that then fails bumps the
@@ -322,17 +301,16 @@ class Engine:
         frame = Frame(plan_schema, ())
         where_ctx = ctx.with_frame(frame).with_clause("where")
         set_ctx = ctx.with_frame(frame).with_clause("set")
-        fire_where = self.faults.has_site("update_where_result")
+        # Decided once: the feature dict is the same for every row.
+        where_faults = self.faults.matching("update_where_result", features)
         new_rows: list[tuple[SqlValue, ...]] = []
         affected = 0
         for row in table.rows:
             frame.row = row
             if stmt.where is not None:
                 verdict = truth(evaluate(stmt.where, where_ctx), self.mode)
-                if fire_where:
-                    verdict = self.faults.fire(
-                        "update_where_result", features, verdict
-                    )
+                if where_faults:
+                    verdict = self.faults.apply(where_faults, verdict)
             else:
                 verdict = True
             if verdict is not True:
@@ -365,7 +343,7 @@ class Engine:
 
         frame = Frame(plan_schema, ())
         where_ctx = ctx.with_frame(frame).with_clause("where")
-        fire_where = self.faults.has_site("delete_where_result")
+        where_faults = self.faults.matching("delete_where_result", features)
         kept: list[tuple[SqlValue, ...]] = []
         deleted = 0
         for row in table.rows:
@@ -374,8 +352,8 @@ class Engine:
                 continue
             frame.row = row
             verdict = truth(evaluate(stmt.where, where_ctx), self.mode)
-            if fire_where:
-                verdict = self.faults.fire("delete_where_result", features, verdict)
+            if where_faults:
+                verdict = self.faults.apply(where_faults, verdict)
             if verdict is True:
                 deleted += 1
             else:

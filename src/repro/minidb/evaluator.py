@@ -137,82 +137,9 @@ def evaluate(expr: A.Expr, ctx: EvalCtx) -> SqlValue:
 
     This tree walker is MiniDB's only evaluator: the executor calls it
     once per row (or group) with the row bound in ``ctx.frame``.
-
-    With an evaluation cache attached to the engine
-    (``engine.eval_stats`` non-None), **row-independent** subtrees --
-    no column references, no subqueries, no aggregates -- are evaluated
-    once per statement and memoized by node identity (the memo is
-    cleared per statement, so ``id()`` reuse across statements is
-    harmless).  Replays are observationally identical to re-evaluation:
-    values are deterministic, coverage tags are a set (idempotent), and
-    fault triggers are pure functions of per-node features, so the
-    first evaluation already fired and recorded everything later rows
-    would.  Row independence is checked before the memo key is built,
-    so row-dependent nodes -- most of the per-row work -- never pay for
-    a key or a probe.
-
-    The memo key includes the clause and subquery contexts, not just the
-    node identity: fault triggers consume ``clause``/``in_subquery``
-    site features, so the same AST node reused across clauses (the
-    folding oracle does exactly this) may legitimately evaluate to
-    different values under clause-conditioned faults.
+    Expression-level fault sites fire on every evaluation, with the
+    clause and subquery context in their features.
     """
-    engine = ctx.engine
-    stats = engine.eval_stats
-    if stats is not None and _row_independent(expr, engine):
-        key = (id(expr), ctx.clause, ctx.in_subquery)
-        memo = engine._const_value_cache
-        if key in memo:
-            stats.eval_hits += 1
-            return memo[key]
-        stats.eval_misses += 1
-        value = _evaluate(expr, ctx)
-        memo[key] = value
-        return value
-    return _evaluate(expr, ctx)
-
-
-def _row_independent(expr: A.Expr, engine: "Engine") -> bool:
-    """Whether *expr*'s value is the same for every row and group of the
-    current statement.  Purely syntactic and conservative: subqueries
-    are opaque (the engine's own per-statement subquery result cache
-    already covers the uncorrelated ones) and aggregate-named functions
-    are excluded because their dispatch depends on grouping context.
-
-    Classified post-order with the whole subtree memoized in one pass,
-    so the per-statement cost is linear in the expression size rather
-    than quadratic in walk-per-node.
-    """
-    cache = engine._const_class_cache
-    key = id(expr)
-    cached = cache.get(key)
-    if cached is None:
-        cached = _classify_row_independent(expr, cache)
-        cache[key] = cached
-    return cached
-
-
-def _classify_row_independent(expr: A.Expr, cache: dict[int, bool]) -> bool:
-    if isinstance(expr, A.ColumnRef):
-        return False
-    if isinstance(
-        expr, (A.Exists, A.ScalarSubquery, A.InSubquery, A.Quantified)
-    ):
-        return False
-    if isinstance(expr, A.FuncCall) and expr.name.upper() in AGGREGATE_NAMES:
-        return False
-    result = True
-    for child in expr.children():
-        child_key = id(child)
-        child_ok = cache.get(child_key)
-        if child_ok is None:
-            child_ok = _classify_row_independent(child, cache)
-            cache[child_key] = child_ok
-        result = result and child_ok
-    return result
-
-
-def _evaluate(expr: A.Expr, ctx: EvalCtx) -> SqlValue:
     engine = ctx.engine
     mode = engine.mode
     if ctx.depth > 200:

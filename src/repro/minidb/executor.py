@@ -3,8 +3,12 @@
 Row-at-a-time interpreter over :class:`~repro.minidb.plan.SelectPlan`.
 All joins are nested loops (tables are small in testing workloads); outer
 joins null-extend the non-preserved side.  Fault hooks fire at the sites
-documented in :mod:`repro.minidb.faults`; coverage probes tag each
-executed operator so campaigns can report branch coverage (Table 3).
+documented in :mod:`repro.minidb.faults`.  A row-loop site (WHERE, JOIN
+ON, HAVING, fetch) has one feature dict for the whole loop, so which
+faults hold there is decided once per loop
+(:meth:`~repro.minidb.faults.FaultInjector.matching`) and applied per
+row.  Coverage probes tag each executed operator so campaigns can report
+branch coverage (Table 3).
 """
 
 from __future__ import annotations
@@ -195,20 +199,21 @@ def _filter_rows(
     ctx: EvalCtx,
 ) -> list[Row]:
     engine = ctx.engine
+    faults = engine.faults
     site = {
         "SELECT": "where_result",
         "UPDATE": "update_where_result",
         "DELETE": "delete_where_result",
         "INSERT_SELECT": "where_result",
     }.get(ctx.statement, "where_result")
-    fire = engine.faults.has_site(site)
-    fire_features: dict | None = None
-    if fire:
+    matched = ()
+    if faults.has_site(site):
         fire_features = dict(features)
         fire_features.update(ctx.flags)
         fire_features["statement"] = ctx.statement
         fire_features["clause"] = "where"
         fire_features["in_subquery"] = ctx.in_subquery
+        matched = faults.matching(site, fire_features)
     mode = engine.mode
 
     kept: list[Row] = []
@@ -220,8 +225,8 @@ def _filter_rows(
     for row in rows:
         frame.row = row
         verdict = truth(evaluate(where, where_ctx), mode)
-        if fire:
-            verdict = engine.faults.fire(site, fire_features, verdict)
+        if matched:
+            verdict = faults.apply(matched, verdict)
         if verdict is True:
             engine.cov("exec.filter.keep")
             kept.append(row)
@@ -238,19 +243,8 @@ def _execute_projection(
     # Per-row frames are only ever consumed by non-positional ORDER BY
     # (via _CoreResult.frames); skip building them otherwise.
     need_frames = bool(plan.order_by)
-    fire = engine.faults.has_site("fetch_value")
-    if fire:
-        item_features: list[dict | None] = [
-            {
-                **item.features,
-                "statement": ctx.statement,
-                "clause": "fetch",
-                "in_subquery": ctx.in_subquery,
-            }
-            for item in plan.items
-        ]
-    else:
-        item_features = [None] * len(plan.items)
+    faults = engine.faults
+    item_faults = _fetch_faults(plan, ctx)
 
     fetch_ctx = ctx.with_clause("fetch")
     out: list[Row] = []
@@ -260,10 +254,10 @@ def _execute_projection(
             frame = Frame(schema, row, ctx.frame)
             item_ctx = fetch_ctx.with_frame(frame)
             values = []
-            for item, feats in zip(plan.items, item_features):
+            for item, matched in zip(plan.items, item_faults):
                 value = evaluate(item.expr, item_ctx)
-                if fire:
-                    value = engine.faults.fire("fetch_value", feats, value)
+                if matched:
+                    value = faults.apply(matched, value)
                 values.append(value)
             out.append(tuple(values))
             frames.append(frame)
@@ -273,13 +267,34 @@ def _execute_projection(
     for row in rows:
         frame.row = row
         values = []
-        for item, feats in zip(plan.items, item_features):
+        for item, matched in zip(plan.items, item_faults):
             value = evaluate(item.expr, item_ctx)
-            if fire:
-                value = engine.faults.fire("fetch_value", feats, value)
+            if matched:
+                value = faults.apply(matched, value)
             values.append(value)
         out.append(tuple(values))
     return out, frames
+
+
+def _fetch_faults(plan: SelectPlan, ctx: EvalCtx) -> list[tuple]:
+    """The ``fetch_value`` faults that hold for each projected item,
+    decided once per loop (an item's site features do not vary by row
+    or group)."""
+    faults = ctx.engine.faults
+    if not faults.has_site("fetch_value"):
+        return [()] * len(plan.items)
+    return [
+        faults.matching(
+            "fetch_value",
+            {
+                **item.features,
+                "statement": ctx.statement,
+                "clause": "fetch",
+                "in_subquery": ctx.in_subquery,
+            },
+        )
+        for item in plan.items
+    ]
 
 
 def _execute_grouped(
@@ -320,29 +335,20 @@ def _execute_grouped(
     out: list[Row] = []
     frames: list[Frame] = []
     width = len(schema)
-    fire_having = engine.faults.has_site("having_result")
-    having_features: dict | None = None
-    if fire_having and plan.having is not None:
-        having_features = {
-            **plan.having_features,
-            **ctx.flags,
-            "statement": ctx.statement,
-            "clause": "having",
-            "in_subquery": ctx.in_subquery,
-        }
-    fire_fetch = engine.faults.has_site("fetch_value")
-    if fire_fetch:
-        item_features: list[dict | None] = [
+    faults = engine.faults
+    having_faults = ()
+    if plan.having is not None and faults.has_site("having_result"):
+        having_faults = faults.matching(
+            "having_result",
             {
-                **item.features,
+                **plan.having_features,
+                **ctx.flags,
                 "statement": ctx.statement,
-                "clause": "fetch",
+                "clause": "having",
                 "in_subquery": ctx.in_subquery,
-            }
-            for item in plan.items
-        ]
-    else:
-        item_features = [None] * len(plan.items)
+            },
+        )
+    item_faults = _fetch_faults(plan, ctx)
     having_ctx = ctx.with_clause("having")
     fetch_ctx = ctx.with_clause("fetch")
     for group in groups:
@@ -355,20 +361,18 @@ def _execute_grouped(
                 evaluate(plan.having, having_ctx.with_frame(frame)),
                 engine.mode,
             )
-            if fire_having:
-                verdict = engine.faults.fire(
-                    "having_result", having_features, verdict
-                )
+            if having_faults:
+                verdict = faults.apply(having_faults, verdict)
             if verdict is not True:
                 engine.cov("exec.having.drop")
                 continue
             engine.cov("exec.having.keep")
         item_ctx = fetch_ctx.with_frame(frame)
         values = []
-        for item, feats in zip(plan.items, item_features):
+        for item, matched in zip(plan.items, item_faults):
             value = evaluate(item.expr, item_ctx)
-            if fire_fetch:
-                value = engine.faults.fire("fetch_value", feats, value)
+            if matched:
+                value = faults.apply(matched, value)
             values.append(value)
         out.append(tuple(values))
         frames.append(frame)
@@ -452,18 +456,22 @@ def _execute_join(join: JoinPlan, ctx: EvalCtx) -> tuple[Schema, list[Row]]:
     left_width = len(left_schema)
     right_width = len(right_schema)
 
-    # Frame/ctx/features hoisted out of the nested loops; the frame is
-    # reused by mutating ``row`` (nothing retains it past evaluate()).
-    fire_on = join.on is not None and engine.faults.has_site("join_on_result")
-    on_features: dict | None = None
-    if fire_on:
-        on_features = {
-            **join.on_features,
-            **ctx.flags,
-            "statement": ctx.statement,
-            "clause": "join_on",
-            "in_subquery": ctx.in_subquery,
-        }
+    # Frame/ctx and the fault decision hoisted out of the nested loops;
+    # the frame is reused by mutating ``row`` (nothing retains it past
+    # evaluate()).
+    faults = engine.faults
+    on_faults = ()
+    if join.on is not None and faults.has_site("join_on_result"):
+        on_faults = faults.matching(
+            "join_on_result",
+            {
+                **join.on_features,
+                **ctx.flags,
+                "statement": ctx.statement,
+                "clause": "join_on",
+                "in_subquery": ctx.in_subquery,
+            },
+        )
     on_frame = Frame(schema, (), ctx.frame)
     on_ctx = ctx.with_frame(on_frame).with_clause("join_on")
     mode = engine.mode
@@ -473,8 +481,8 @@ def _execute_join(join: JoinPlan, ctx: EvalCtx) -> tuple[Schema, list[Row]]:
             return True
         on_frame.row = combined
         verdict = truth(evaluate(join.on, on_ctx), mode)
-        if fire_on:
-            verdict = engine.faults.fire("join_on_result", on_features, verdict)
+        if on_faults:
+            verdict = faults.apply(on_faults, verdict)
         return verdict is True
 
     rows: list[Row] = []

@@ -110,6 +110,11 @@ class Fault:
     status: BugStatus
     description: str
     sites: frozenset[str]
+    #: Must be a pure function of its feature dict: no state, no side
+    #: effects, the same answer for the same features.  The engine
+    #: relies on this to decide a row-loop site once per loop
+    #: (:meth:`FaultInjector.matching`) and apply the decision per row.
+    #: A trigger that raises counts as not matching (:meth:`applies`).
     trigger: Trigger
     effect: str = "identity"
     paper_ref: str = ""
@@ -166,16 +171,27 @@ class FaultInjector:
     def reset_fired(self) -> None:
         self.fired.clear()
 
-    def fire(self, site: str, features: Features, value: Any) -> Any:
-        """Apply every matching fault at *site* to *value* (in order)."""
+    def matching(self, site: str, features: Features) -> tuple[Fault, ...]:
+        """The faults at *site* whose triggers hold for *features*, in
+        catalog order.  Has no side effects, so a row loop whose feature
+        dict is fixed decides its site once and calls :meth:`apply` per
+        row: triggers are pure (see :attr:`Fault.trigger`)."""
         candidates = self._by_site.get(site)
         if not candidates:
-            return value
-        for fault in candidates:
-            if fault.applies(site, features):
-                self.fired.add(fault.fault_id)
-                value = fault.apply_effect(value)
+            return ()
+        return tuple(f for f in candidates if f.applies(site, features))
+
+    def apply(self, faults: tuple[Fault, ...], value: Any) -> Any:
+        """Apply *faults* (a :meth:`matching` result) to *value* in
+        order.  Each id enters ``fired`` before its effect can raise."""
+        for fault in faults:
+            self.fired.add(fault.fault_id)
+            value = fault.apply_effect(value)
         return value
+
+    def fire(self, site: str, features: Features, value: Any) -> Any:
+        """Apply every matching fault at *site* to *value* (in order)."""
+        return self.apply(self.matching(site, features), value)
 
     def has_site(self, site: str) -> bool:
         """Whether any fault listens at *site*.  Hot paths check this

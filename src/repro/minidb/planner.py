@@ -84,7 +84,7 @@ def plan_select(
 
     source = None
     if select.from_clause is not None:
-        source = _plan_source_cached(select.from_clause, engine, cte_env)
+        source = _plan_source(select.from_clause, engine, cte_env)
 
     where = select.where
     where_features = (
@@ -164,106 +164,6 @@ def plan_select(
 # ---------------------------------------------------------------------------
 # FROM clause
 # ---------------------------------------------------------------------------
-
-#: Entries kept in the engine's plan-skeleton memo (LRU).
-_PLAN_MEMO_CAP = 256
-
-
-def _plan_source_cached(
-    ref: A.TableRef, engine: "Engine", cte_env: dict[str, tuple[str, ...]]
-) -> SourcePlan:
-    """FROM-clause planning memoized by statement skeleton.
-
-    CODDTest's folding oracle rewrites only expression subtrees, never
-    the FROM clause, so the folded query's source planning is byte-for-
-    byte the original's -- this memo lets the O/F pair (and every other
-    statement sharing the FROM shape) pay for it once.  It survives
-    across statements, keyed by (state_version, skeleton, CTE schemas):
-    DDL bumps ``state_version``, CTE references plan purely from the
-    environment's column lists, and literal-bearing FROM clauses are
-    never cached because literal values steer planning (VALUES rows,
-    expression-index matching in nested queries).
-
-    Replay is observationally identical to re-planning: the memo records
-    the coverage tags and fired fault ids planning produced (constant
-    folding inside nested derived tables/views can do both) and re-emits
-    them on a hit; mutable scan nodes are cloned both into and out of
-    the memo because ``_choose_access_paths`` mutates them per
-    statement.  Planning errors propagate uncached.  Gated on the perf
-    layer being attached (``engine.eval_stats``), so cache-off campaigns
-    keep the historical planning path exactly.
-    """
-    stats = engine.eval_stats
-    if stats is None:
-        return _plan_source(ref, engine, cte_env)
-    from repro.perf.cache import contains_literal, statement_skeleton
-
-    if contains_literal(ref):
-        stats.plan_misses += 1
-        return _plan_source(ref, engine, cte_env)
-    key = (
-        engine.state_version,
-        statement_skeleton(ref),
-        tuple(sorted(cte_env.items())),
-    )
-    memo = engine._plan_memo
-    entry = memo.get(key)
-    if entry is not None:
-        stats.plan_hits += 1
-        memo.move_to_end(key)
-        plan, cov_tags, fired = entry
-        for tag in cov_tags:
-            engine.cov(tag)
-        engine.faults.fired.update(fired)
-        return _clone_source(plan)
-    stats.plan_misses += 1
-    # Capture the *full* side-effect footprint of planning, not just
-    # what is new to this statement: the entry replays onto statements
-    # whose tracker/fired state differs.  The fired set is swapped (not
-    # diffed) because CTE planning earlier in this statement may already
-    # have fired the same ids.
-    saved_cov = engine.coverage.begin_capture()
-    saved_fired = engine.faults.fired
-    engine.faults.fired = set()
-    try:
-        plan = _plan_source(ref, engine, cte_env)
-    finally:
-        cov_tags = engine.coverage.end_capture(saved_cov)
-        fired = frozenset(engine.faults.fired)
-        saved_fired.update(engine.faults.fired)
-        engine.faults.fired = saved_fired
-    memo[key] = (plan, cov_tags, fired)
-    while len(memo) > _PLAN_MEMO_CAP:
-        memo.popitem(last=False)
-    return _clone_source(plan)
-
-
-def _clone_source(source: SourcePlan) -> SourcePlan:
-    """Copy the mutable spine of a source plan.
-
-    ScanPlan is mutated per statement (access path selection), so every
-    memo store/hit hands out a fresh one; JoinPlan is rebuilt to point
-    at the fresh scans.  Subplan/CTE/VALUES scans are immutable after
-    planning and shared.
-    """
-    if isinstance(source, ScanPlan):
-        return ScanPlan(
-            source.table_name,
-            source.binding,
-            source.schema,
-            source.access_path,
-            source.index_name,
-        )
-    if isinstance(source, JoinPlan):
-        return JoinPlan(
-            source.kind,
-            _clone_source(source.left),
-            _clone_source(source.right),
-            source.on,
-            source.schema,
-            dict(source.on_features),
-        )
-    return source
 
 
 def _plan_source(

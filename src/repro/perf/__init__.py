@@ -3,7 +3,7 @@
 The paper's testbed sustains throughput by running on 64 cores; this
 reproduction additionally avoids *recomputing* work that is provably
 identical across the statements of one campaign (ROADMAP,
-"Worker-local caching").  Three memo domains live behind one
+"Worker-local caching").  Two memo domains live behind one
 :class:`EvalCache`:
 
 * **parse** -- SQL text -> parsed statement AST.  Pure, so entries are
@@ -22,10 +22,10 @@ identical across the statements of one campaign (ROADMAP,
   auxiliary SQL is the canonical phi fingerprint, and caching *below*
   the oracle's bookkeeping keeps queries_ok / statement lists /
   reports bit-identical.
-* **expression** -- per-statement memoization of row-independent
-  subtree values inside :mod:`repro.minidb.evaluator` (no column
-  references, no subqueries, no aggregates), so a deep constant
-  subtree is evaluated once per statement instead of once per row.
+
+Both sit in the adapter, above the engine: MiniDB itself has no
+cache-dependent code, so ``--no-cache`` and the shipped configuration
+run the same engine.
 
 Determinism contract: a campaign with a cache attached is
 **bit-identical** to the same campaign without one --

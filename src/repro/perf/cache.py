@@ -1,17 +1,17 @@
 """The worker-local evaluation cache.
 
-See :mod:`repro.perf` for the memo domains and the determinism
-contract.  The cache is deliberately dumb storage: adapters decide what
-is safe to memoize and how to replay recorded side effects; the cache
-only bounds memory (LRU per domain) and counts hits/misses.
+See :mod:`repro.perf` for its two memo domains, parse and statement,
+and the determinism contract.  The cache is deliberately dumb storage:
+the MiniDB adapter decides what is safe to memoize and how to replay
+recorded side effects; the cache only bounds memory (LRU per domain)
+and counts hits/misses.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from repro.minidb import ast_nodes as A
 from repro.minidb.parser import parse_statement
@@ -50,23 +50,14 @@ class CacheStats:
     parse_misses: int = 0
     stmt_hits: int = 0
     stmt_misses: int = 0
-    eval_hits: int = 0
-    eval_misses: int = 0
-    plan_hits: int = 0
-    plan_misses: int = 0
 
     @property
     def hits(self) -> int:
-        return self.parse_hits + self.stmt_hits + self.eval_hits + self.plan_hits
+        return self.parse_hits + self.stmt_hits
 
     @property
     def misses(self) -> int:
-        return (
-            self.parse_misses
-            + self.stmt_misses
-            + self.eval_misses
-            + self.plan_misses
-        )
+        return self.parse_misses + self.stmt_misses
 
     @property
     def hit_rate(self) -> float:
@@ -85,46 +76,6 @@ class CacheStats:
             other = other.to_dict()
         for name, value in other.items():
             setattr(self, name, getattr(self, name, 0) + int(value))
-
-
-def statement_skeleton(node: object) -> object:
-    """Hashable normalized shape of an AST subtree, literals erased.
-
-    Two subtrees share a skeleton iff they are structurally identical up
-    to literal *values* -- the key property of CODDTest's O/F oracle
-    pair, where folding only swaps expression subtrees for
-    :class:`~repro.minidb.ast_nodes.Literal` constants and leaves the
-    FROM clause untouched.  Used by the planner's plan-skeleton memo
-    (:mod:`repro.minidb.planner`); see :func:`contains_literal` for why
-    literal-bearing shapes are not memoized at all.
-    """
-    if isinstance(node, A.Literal):
-        return ("Literal", "?")
-    if dataclasses.is_dataclass(node) and not isinstance(node, type):
-        return (type(node).__name__,) + tuple(
-            statement_skeleton(getattr(node, f.name))
-            for f in dataclasses.fields(node)
-        )
-    if isinstance(node, (tuple, list)):
-        return tuple(statement_skeleton(item) for item in node)
-    return node
-
-
-def contains_literal(node: object) -> bool:
-    """Whether any :class:`~repro.minidb.ast_nodes.Literal` appears in the
-    subtree.  Literal *values* influence planning (constant folding,
-    expression-index matching, VALUES rows, large-int features), so the
-    plan-skeleton memo refuses to cache shapes that erase them."""
-    if isinstance(node, A.Literal):
-        return True
-    if dataclasses.is_dataclass(node) and not isinstance(node, type):
-        return any(
-            contains_literal(getattr(node, f.name))
-            for f in dataclasses.fields(node)
-        )
-    if isinstance(node, (tuple, list)):
-        return any(contains_literal(item) for item in node)
-    return False
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,14 @@
 
 Three pinned bugs:
 
-1. The row-independent eval memo was keyed by node identity alone, but
-   fault triggers consume the ``clause``/``in_subquery`` site features:
-   the same AST node reused across clauses (the folding oracle does
-   exactly this) could replay a clause-conditioned fault's value into a
-   clause where the fault must not fire.  The key now includes both
-   context fields, and cache-on must bit-match cache-off.
+1. A since-deleted memo of row-independent expression values was keyed
+   by node identity alone, but fault triggers consume the
+   ``clause``/``in_subquery`` site features: the same AST node reused
+   across clauses (the folding oracle does exactly this) could replay a
+   clause-conditioned fault's value into a clause where the fault must
+   not fire.  The engine no longer memoizes expression values; these
+   tests now pin that cache-on still equals cache-off for clause- and
+   subquery-conditioned faults.
 2. Scalar/IN subquery column-count validation used the first row, so a
    zero-row two-column subquery silently yielded NULL where SQLite
    raises "sub-select returns N columns - expected 1".  Validation now

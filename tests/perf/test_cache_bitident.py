@@ -99,7 +99,6 @@ def _run_toggled(seed: int, schedule: "list[bool]", tests: int = 100):
             adapter.attach_eval_cache(cache)
         else:
             adapter._cache = None
-            adapter.engine.eval_stats = None
 
     def toggle(_stats) -> None:
         step["i"] += 1

@@ -1,6 +1,6 @@
 """Unit tests for the worker-local evaluation cache (repro.perf).
 
-Covers the three memo domains (parse, statement, expression), the
+Covers the two memo domains (parse, statement), the
 state-version / state-token invalidation on DML and DDL, side-effect
 replay (fired faults, coverage tags, recorded errors), LRU bounds, and
 cross-adapter sharing rules.
@@ -360,10 +360,10 @@ def test_sqlite3_adapter_caches_and_invalidates():
 
 
 def test_campaign_stats_merge_sums_cache_counters_and_signature_excludes_them():
-    a = CampaignStats(oracle="coddtest", cache_stats={"parse_hits": 3, "eval_misses": 1})
+    a = CampaignStats(oracle="coddtest", cache_stats={"parse_hits": 3, "stmt_misses": 1})
     b = CampaignStats(oracle="coddtest", cache_stats={"parse_hits": 4, "stmt_hits": 2})
     merged = CampaignStats.merge([a, b])
-    assert merged.cache_stats == {"parse_hits": 7, "eval_misses": 1, "stmt_hits": 2}
+    assert merged.cache_stats == {"parse_hits": 7, "stmt_misses": 1, "stmt_hits": 2}
     assert merged.cache_hits == 9
     assert merged.cache_misses == 1
     assert "cache_stats" not in merged.signature()
