@@ -2,7 +2,7 @@
 
 Each case runs one fixed-seed campaign and hashes its deterministic
 witness -- ``CampaignStats.signature()``, plus the sorted corpus
-fingerprints and arm schedules for the guided fleet -- against
+fingerprints and arm schedules for the fleets -- against
 ``fixtures/signatures.json``.  Anything that changes what a campaign
 observes (result rows, coverage tags, fired faults, plan fingerprints,
 errors) changes a digest, so evaluator and executor rewrites that must
@@ -75,6 +75,27 @@ def _guided_witness() -> dict:
     }
 
 
+def _unguided_fleet_witness() -> dict:
+    # Two workers, so the multiprocessing pool path is pinned.  No
+    # max_reports cap: a cap that stops shards mid-run depends on
+    # cross-process timing.
+    config = FleetConfig(
+        oracle="coddtest",
+        buggy=True,
+        workers=2,
+        seed=5,
+        n_tests=200,
+    )
+    corpus = BugCorpus()
+    result = run_fleet(config, corpus=corpus)
+    return {
+        "merged": result.merged.signature(),
+        "corpus": sorted(corpus.entries),
+        "duplicates": result.duplicate_reports,
+        "arms": result.arm_schedules,
+    }
+
+
 CASES = {
     **{
         f"{name}-buggy-sqlite": functools.partial(_oracle_witness, name)
@@ -82,6 +103,7 @@ CASES = {
     },
     "diff-minidb-sqlite3": _diff_witness,
     "guided-fleet-2w": _guided_witness,
+    "unguided-fleet-2w": _unguided_fleet_witness,
 }
 
 
