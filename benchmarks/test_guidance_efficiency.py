@@ -77,8 +77,9 @@ def test_guided_time_to_first_bug_no_worse(benchmark):
     def first_bug_tests(seed, guided):
         # max_reports=1 stops the campaign at the first report; the
         # test counter then reads "tests until the first bug" -- a
-        # deterministic proxy for time-to-first-bug (tests/second is
-        # mode-independent: guidance only mutates generator knobs).
+        # deterministic count, not a time: guided arms pick heavier
+        # queries, so guided fleets run fewer tests per second (22 %
+        # fewer on 1-worker 1,000-test fleets, seeds 1-5, 2-core VM).
         result = run_fleet(
             _config(seed, guided, n_tests=TTFB_BUDGET, max_reports=1)
         )

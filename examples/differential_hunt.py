@@ -4,31 +4,27 @@ real SQLite as the trusted reference.
 Every generated state and query is executed on both engines through a
 ``DifferentialAdapter``; a divergence in the canonical result multisets
 is a bug, attributed to the injected fault that fired on the MiniDB
-side.  Run from the repo root::
+side.  This is the 1-worker fleet ``coddtest diff --buggy --workers 1
+--tests 1000 --seed 7`` runs.  Run from the repo root::
 
     PYTHONPATH=src python examples/differential_hunt.py
 """
 
 from __future__ import annotations
 
-from repro import (
-    DifferentialOracle,
-    MiniDBAdapter,
-    Sqlite3Adapter,
-    make_engine,
-    run_differential_campaign,
-)
+from repro import FleetConfig, run_fleet
 
 
 def main() -> None:
-    stats = run_differential_campaign(
-        (
-            lambda: MiniDBAdapter(make_engine("sqlite", with_catalog_faults=True)),
-            Sqlite3Adapter,
-        ),
-        n_tests=1000,
+    config = FleetConfig(
+        oracle="differential",
+        backend_pair=("minidb", "sqlite3"),
+        buggy=True,
+        workers=1,
         seed=7,
+        n_tests=1000,
     )
+    stats = run_fleet(config).merged
     print(
         f"differential: {stats.tests} tests, {stats.skipped} skipped, "
         f"{len(stats.unique_plans)} unique primary plans, "

@@ -31,7 +31,6 @@ from repro.differential import (
     DifferentialAdapter,
     DifferentialOracle,
     build_pair_adapter,
-    run_differential_campaign,
 )
 from repro.fleet import (
     BugCorpus,
@@ -73,7 +72,6 @@ __all__ = [
     "DifferentialAdapter",
     "CompatPolicy",
     "build_pair_adapter",
-    "run_differential_campaign",
     "BackendInfo",
     "CapabilityVector",
     "available_backend_names",

@@ -22,9 +22,6 @@ the same differential campaign and reports the same divergences; a
 
 from __future__ import annotations
 
-from typing import Callable
-
-from repro.adapters.base import EngineAdapter
 from repro.differential.compat import (
     BackendCaps,
     CompatPolicy,
@@ -37,33 +34,6 @@ from repro.differential.oracle import (
     build_pair_adapter,
 )
 from repro.differential.pair import DifferentialAdapter
-from repro.runner.campaign import Campaign, CampaignStats
-
-
-def run_differential_campaign(
-    factory_pair: "tuple[Callable[[], EngineAdapter], Callable[[], EngineAdapter]]",
-    *,
-    n_tests: int | None = None,
-    seconds: float | None = None,
-    seed: int = 0,
-    tests_per_state: int = 25,
-    max_reports: int = 1000,
-) -> CampaignStats:
-    """Serial differential campaign from an adapter *factory pair*.
-
-    The factories build the primary (under test) and secondary
-    (reference) adapters; everything else matches
-    :func:`repro.runner.campaign.run_campaign`.
-    """
-    campaign = Campaign.from_adapter_factories(
-        DifferentialOracle(),
-        factory_pair,
-        seed=seed,
-        tests_per_state=tests_per_state,
-        max_reports=max_reports,
-    )
-    return campaign.run(n_tests=n_tests, seconds=seconds)
-
 
 __all__ = [
     "BackendCaps",
@@ -74,5 +44,4 @@ __all__ = [
     "build_backend",
     "build_pair_adapter",
     "capabilities",
-    "run_differential_campaign",
 ]

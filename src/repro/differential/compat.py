@@ -71,6 +71,10 @@ def capabilities(adapter: EngineAdapter) -> BackendCaps:
     stdlib ``sqlite3`` backend lacks quantified comparisons and
     ``VERSION()``, renders ``TYPEOF()`` with different type names, and
     supports FULL JOIN only from 3.39.
+
+    Campaigns never use this hand-written table: their pair policy is
+    probe-derived (:func:`repro.backends.pair_policy`).  It stays as
+    the reference the derived policy is checked against.
     """
     engine = getattr(adapter, "engine", None)
     if engine is not None:  # MiniDB profile
@@ -116,6 +120,7 @@ class CompatPolicy:
     def for_pair(
         cls, primary: EngineAdapter, secondary: EngineAdapter
     ) -> "CompatPolicy":
+        """The hand-written intersection (see :func:`capabilities`)."""
         return cls(capabilities(primary), capabilities(secondary))
 
     @property

@@ -52,11 +52,11 @@ class DifferentialAdapter(EngineAdapter):
         self,
         primary: EngineAdapter,
         secondary: EngineAdapter,
-        policy: CompatPolicy | None = None,
+        policy: CompatPolicy,
     ) -> None:
         self.primary = primary
         self.secondary = secondary
-        self.policy = policy or CompatPolicy.for_pair(primary, secondary)
+        self.policy = policy
         self.name = f"diff[{primary.name}|{secondary.name}]"
         self.supports_any_all = self.policy.supports_any_all
         # Generation-side discipline: portable queries are always typed.

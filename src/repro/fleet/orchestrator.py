@@ -9,6 +9,11 @@ recomputed from merged counters), enforces the fleet-wide
 ``max_reports`` bound via a shared stop event, and feeds every report
 through the bug corpus for deduplication.
 
+Every fleet runs one loop of rounds.  An unguided fleet is the
+one-round case: no policy, no coverage map, no barrier events.  A
+guided fleet splits its budget into several rounds and exchanges
+coverage snapshots at the barriers between them.
+
 A 1-worker fleet runs in-process through the same shard code path, so
 ``run_fleet(workers=1, seed=S)`` bit-matches the serial
 ``run_campaign(seed=S)`` (modulo wall-clock timing).
@@ -20,6 +25,7 @@ import multiprocessing
 import queue as queue_mod
 import time
 import traceback
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -435,16 +441,7 @@ def _worker_main(spec: ShardSpec, out_queue, stop_event) -> None:
             (
                 "progress",
                 spec.shard_index,
-                {
-                    "tests": stats.tests,
-                    "skipped": stats.skipped,
-                    "queries_ok": stats.queries_ok,
-                    "queries_err": stats.queries_err,
-                    "reports": len(stats.reports),
-                    "unique_plans": len(stats.unique_plans),
-                    "cache": dict(stats.cache_stats),
-                    "new_reports": new_reports,
-                },
+                {**_progress_payload(stats), "new_reports": new_reports},
             )
         )
 
@@ -513,8 +510,8 @@ class _CorpusSink:
         self.absorb(shard_index, stats.reports[done:])
 
     def start_round(self) -> None:
-        """Reset the per-shard absorption offsets at a guided round
-        barrier: each round's campaigns report from index 0 again, so a
+        """Reset the per-shard absorption offsets at a round barrier:
+        each round's campaigns report from index 0 again, so a
         stale offset would slice past (and silently drop) every report
         the new round finds.  Corpus dedup state is untouched."""
         self.absorbed.clear()
@@ -556,52 +553,9 @@ def run_fleet(
         )
     telemetry.open(config)
     try:
-        if config.guidance is not None:
-            return _run_guided(config, corpus, telemetry, coverage)
-        return _run_unguided(config, corpus, telemetry)
+        return _run_rounds(config, corpus, telemetry, coverage)
     finally:
         telemetry.close()
-
-
-def _run_unguided(
-    config: FleetConfig,
-    corpus: BugCorpus | None,
-    telemetry: FleetTelemetry,
-) -> FleetResult:
-    shards = build_shards(config)
-    sink = _CorpusSink(corpus, config, telemetry)
-    start = time.monotonic()
-    if config.workers == 1:
-        payloads = [_run_one_inprocess(shards[0], sink, telemetry, start)]
-    else:
-        payloads = _run_pool(shards, config, sink, telemetry, start)
-    shard_stats = [p["stats"] for p in payloads]
-    wall = time.monotonic() - start
-
-    # Both collection paths return shards in spec order, so the merge
-    # is deterministic; the corpus, fed in arrival order, holds the
-    # same entry *set* regardless of scheduling.
-    merged = CampaignStats.merge(shard_stats, max_reports=config.max_reports)
-    if config.workers > 1:
-        # Shards ran concurrently: fleet wall-clock, not max shard time.
-        merged.wall_seconds = wall
-
-    result = FleetResult(
-        merged=merged,
-        shards=shard_stats,
-        wall_seconds=wall,
-        corpus=corpus,
-        new_fingerprints=sink.new_fingerprints,
-        duplicate_reports=sink.duplicates,
-        metrics=_merged_metrics(payloads, telemetry),
-    )
-    _attach_clusters(result, corpus)
-    telemetry.finish(
-        _snapshot(shard_stats, config, wall, sink, result.clusters),
-        merged,
-        wall,
-    )
-    return result
 
 
 def _merged_metrics(
@@ -631,7 +585,7 @@ def _attach_clusters(result: FleetResult, corpus: BugCorpus | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Guided fleets: deterministic rounds with snapshot exchange
+# The fleet loop: deterministic rounds with snapshot exchange
 # ---------------------------------------------------------------------------
 
 
@@ -647,10 +601,14 @@ _MIN_SECONDS_PER_ROUND = 2.0
 
 
 def _effective_rounds(config: FleetConfig) -> int:
-    """Clamp the round count so every shard gets a meaningful slice of
-    work per round: at least ``_MIN_TESTS_PER_ROUND`` tests for test
-    budgets, at least ``_MIN_SECONDS_PER_ROUND`` seconds for
-    wall-clock-only budgets (and always at least one round)."""
+    """One round for an unguided fleet (there is nothing to exchange).
+    A guided fleet's round count is clamped so every shard gets a
+    meaningful slice of work per round: at least
+    ``_MIN_TESTS_PER_ROUND`` tests for test budgets, at least
+    ``_MIN_SECONDS_PER_ROUND`` seconds for wall-clock-only budgets (and
+    always at least one round)."""
+    if config.guidance is None:
+        return 1
     if config.n_tests is None:
         return max(
             1,
@@ -706,47 +664,51 @@ def _coverage_epoch(initial: CoverageMap) -> str:
     return "@" + hashlib.blake2b(payload.encode(), digest_size=4).hexdigest()
 
 
-def _progress_base(per_shard: "list[list[CampaignStats]]") -> dict:
-    """Earlier rounds' cumulative counters, so mid-round progress lines
-    keep counting up across guided round barriers."""
-    parts = [stats for rounds in per_shard for stats in rounds]
-    hits, misses = _cache_hits_misses([s.cache_stats for s in parts])
-    return {
-        "tests": sum(s.tests for s in parts),
-        "skipped": sum(s.skipped for s in parts),
-        "queries_ok": sum(s.queries_ok for s in parts),
-        "queries_err": sum(s.queries_err for s in parts),
-        "reports": sum(len(s.reports) for s in parts),
-        "cache_hits": hits,
-        "cache_misses": misses,
-    }
+def _progress_base(per_shard: "list[list[CampaignStats]]") -> Counter:
+    """Earlier rounds' counters, summed like live progress payloads, so
+    progress keeps counting up across round barriers.  Plans sum per
+    shard-round, keeping the live count an upper bound on the merged
+    set-union.  Round 0's base is empty (all zeros)."""
+    base: Counter = Counter()
+    for rounds in per_shard:
+        for stats in rounds:
+            base.update(_progress_payload(stats))
+    return base
 
 
-def _run_guided(
+def _run_rounds(
     config: FleetConfig,
     corpus: BugCorpus | None,
     telemetry: FleetTelemetry,
     coverage: CoverageMap | None,
 ) -> FleetResult:
-    """Guided fleet: the budget is split into rounds; between rounds the
-    orchestrator merges every shard's coverage snapshot (CRDT join, so
-    order and repetition are harmless), recomputes the saturated-fault
-    set from the corpus triage clusters, and rebalances the remaining
-    budget toward under-covered arms by injecting fleet-global arm
-    priors into each shard's bandit.
+    """The fleet loop: the budget is split into rounds, each round's
+    shards run to completion, then their results merge.
+
+    An unguided fleet runs one round with no policy, no coverage map
+    and no saturated faults, and emits no barrier events.  Between the
+    rounds of a guided fleet the orchestrator merges every shard's
+    coverage snapshot (CRDT join, so order and repetition are
+    harmless), recomputes the saturated-fault set from the corpus
+    triage clusters, and rebalances the remaining budget toward
+    under-covered arms by injecting fleet-global arm priors into each
+    shard's bandit.
 
     Exchanging only at round barriers keeps the whole fleet a pure
     function of ``(seed, workers, budget)``: within a round shards are
     independent deterministic campaigns, and the merge is a CRDT join.
     """
-    coverage = coverage if coverage is not None else CoverageMap()
-    epoch = _coverage_epoch(coverage)
+    if config.guidance is None:
+        coverage = None
+    elif coverage is None:
+        coverage = CoverageMap()
+    epoch = "" if coverage is None else _coverage_epoch(coverage)
     sink = _CorpusSink(corpus, config, telemetry)
     start = time.monotonic()
     rounds = _effective_rounds(config)
     policy_states: list[dict | None] = [None] * config.workers
     per_shard: list[list[CampaignStats]] = [[] for _ in range(config.workers)]
-    metric_payloads: list[dict] = []
+    payloads: list[dict] = []
     known_saturated: set[str] = set()
     remaining = config.n_tests
     reports_so_far = 0
@@ -758,18 +720,20 @@ def _run_guided(
         round_seconds = (
             None if config.seconds is None else config.seconds / rounds
         )
-        saturated = _saturated_fault_ids(
-            coverage, corpus, config.saturation_threshold
-        )
-        for fault in sorted(saturated - known_saturated):
-            telemetry.cluster_saturated(fault)
-        known_saturated |= saturated
-        telemetry.round_barrier(
-            round_index,
-            rounds,
-            saturated=len(saturated),
-            plans=len(coverage.seen_plans()),
-        )
+        saturated: frozenset[str] = frozenset()
+        if coverage is not None:
+            saturated = _saturated_fault_ids(
+                coverage, corpus, config.saturation_threshold
+            )
+            for fault in sorted(saturated - known_saturated):
+                telemetry.cluster_saturated(fault)
+            known_saturated |= saturated
+            telemetry.round_barrier(
+                round_index,
+                rounds,
+                saturated=len(saturated),
+                plans=len(coverage.seen_plans()),
+            )
         # The fleet-wide report cap is cumulative across rounds: each
         # round only gets the remainder, so a guided fleet overshoots
         # by at most the same race window as an unguided one.
@@ -786,27 +750,24 @@ def _run_guided(
             epoch=epoch,
             max_reports=remaining_reports,
         )
-        progress_base = _progress_base(per_shard)
+        base = _progress_base(per_shard)
         if config.workers == 1:
-            payloads = [
+            round_payloads = [
                 _run_one_inprocess(
-                    specs[0], sink, telemetry, start,
-                    progress_base=progress_base,
+                    specs[0], config, sink, telemetry, start, base
                 )
             ]
         else:
-            payloads = _run_pool(
-                specs, config, sink, telemetry, start,
-                max_reports=remaining_reports,
-                progress_base=progress_base,
+            round_payloads = _run_pool(
+                specs, config, sink, telemetry, start, remaining_reports, base
             )
-        for i, payload in enumerate(payloads):
+        for i, payload in enumerate(round_payloads):
             per_shard[i].append(payload["stats"])
             policy_states[i] = payload.get("policy")
             shard_coverage = payload.get("coverage")
             if shard_coverage:
                 coverage.update(CoverageMap.from_dict(shard_coverage))
-            metric_payloads.append(payload)
+        payloads += round_payloads
         reports_so_far = sum(
             len(stats.reports) for parts in per_shard for stats in parts
         )
@@ -814,6 +775,9 @@ def _run_guided(
             break
     wall = time.monotonic() - start
 
+    # Both collection paths return shards in spec order, so the merge
+    # is deterministic; the corpus, fed in arrival order, holds the
+    # same entry *set* regardless of scheduling.
     shard_stats: list[CampaignStats] = []
     for parts in per_shard:
         merged_shard = CampaignStats.merge(parts)
@@ -822,6 +786,7 @@ def _run_guided(
         shard_stats.append(merged_shard)
     merged = CampaignStats.merge(shard_stats, max_reports=config.max_reports)
     if config.workers > 1:
+        # Shards ran concurrently: fleet wall-clock, not max shard time.
         merged.wall_seconds = wall
 
     result = FleetResult(
@@ -832,11 +797,15 @@ def _run_guided(
         new_fingerprints=sink.new_fingerprints,
         duplicate_reports=sink.duplicates,
         coverage=coverage,
-        arm_schedules=[
-            list(state["schedule"]) if state else []
-            for state in policy_states
-        ],
-        metrics=_merged_metrics(metric_payloads, telemetry),
+        arm_schedules=(
+            None
+            if coverage is None
+            else [
+                list(state["schedule"]) if state else []
+                for state in policy_states
+            ]
+        ),
+        metrics=_merged_metrics(payloads, telemetry),
     )
     _attach_clusters(result, corpus)
     telemetry.finish(
@@ -849,32 +818,18 @@ def _run_guided(
 
 def _run_one_inprocess(
     spec: ShardSpec,
+    config: FleetConfig,
     sink: _CorpusSink,
     telemetry: FleetTelemetry,
     start: float,
-    progress_base: "dict | None" = None,
+    base: Counter,
 ) -> dict:
-    base = progress_base or _EMPTY_PROGRESS_BASE
     def on_progress(stats: CampaignStats) -> None:
         sink.absorb_remainder(spec.shard_index, stats)
         telemetry.shard_seen(spec.shard_index)
-        hits, misses = _cache_hits_misses([stats.cache_stats])
-        snap = ProgressSnapshot(
-            elapsed=time.monotonic() - start,
-            workers=1,
-            shards_done=0,
-            tests=base["tests"] + stats.tests,
-            skipped=base["skipped"] + stats.skipped,
-            queries_ok=base["queries_ok"] + stats.queries_ok,
-            queries_err=base["queries_err"] + stats.queries_err,
-            reports=base["reports"] + len(stats.reports),
-            unique_reports=sink.unique,
-            cache_hits=base["cache_hits"] + hits,
-            cache_misses=base["cache_misses"] + misses,
-            unique_plans=len(stats.unique_plans),
-        )
+        latest = {spec.shard_index: _progress_payload(stats)}
         telemetry.progress(
-            snap, {spec.shard_index: _final_payload(stats)}
+            _queue_snapshot(latest, config, start, 0, sink, base), latest
         )
 
     payload = _run_shard(spec, on_progress=on_progress)
@@ -889,16 +844,13 @@ def _run_pool(
     sink: _CorpusSink,
     telemetry: FleetTelemetry,
     start: float,
-    max_reports: int | None = None,
-    progress_base: "dict | None" = None,
+    report_cap: int,
+    base: Counter,
 ) -> list[dict]:
-    """*max_reports* overrides the fleet-wide stop threshold for this
-    pool invocation (guided rounds pass the cap *remaining* after
-    earlier rounds; None keeps the config-wide bound).  *progress_base*
-    carries earlier rounds' cumulative counters so progress lines never
-    jump backward at a round barrier."""
-    report_cap = config.max_reports if max_reports is None else max_reports
-    base = progress_base or _EMPTY_PROGRESS_BASE
+    """Run one round's *shards* in worker processes.  *report_cap* is
+    the report bound still remaining after earlier rounds; reaching it
+    sets the stop event.  *base* carries earlier rounds' counters so
+    progress lines never jump backward at a round barrier."""
     ctx = _mp_context()
     out_queue = ctx.Queue()
     stop_event = ctx.Event()
@@ -931,7 +883,7 @@ def _run_pool(
                 telemetry.shard_seen(shard_index)
             elif kind == "result":
                 results[shard_index] = payload
-                latest[shard_index] = _final_payload(payload["stats"])
+                latest[shard_index] = _progress_payload(payload["stats"])
                 sink.absorb_remainder(shard_index, payload["stats"])
                 telemetry.shard_seen(shard_index, done=True)
                 # A result that raced the liveness check wins.
@@ -999,7 +951,10 @@ def _check_liveness(procs, results, errors, dead_since) -> None:
         )
 
 
-def _final_payload(stats: CampaignStats) -> dict:
+def _progress_payload(stats: CampaignStats) -> dict:
+    """One shard's live counters, named after the
+    :class:`ProgressSnapshot` fields they sum into.  Workers stream this
+    dict, and the in-process shard builds the same one."""
     return {
         "tests": stats.tests,
         "skipped": stats.skipped,
@@ -1007,36 +962,13 @@ def _final_payload(stats: CampaignStats) -> dict:
         "queries_err": stats.queries_err,
         "reports": len(stats.reports),
         "unique_plans": len(stats.unique_plans),
-        "cache": dict(stats.cache_stats),
+        "cache_hits": stats.cache_hits,
+        "cache_misses": stats.cache_misses,
     }
-
-
-def _cache_hits_misses(payloads: "list[dict]") -> tuple[int, int]:
-    """Sum hit/miss counters over per-shard ``cache`` payload dicts."""
-    hits = misses = 0
-    for cache in payloads:
-        for key, value in cache.items():
-            if key.endswith("_hits"):
-                hits += value
-            elif key.endswith("_misses"):
-                misses += value
-    return hits, misses
 
 
 def _reports_so_far(latest: dict[int, dict]) -> int:
     return sum(p["reports"] for p in latest.values())
-
-
-#: Zero baseline for single-invocation (unguided) progress reporting.
-_EMPTY_PROGRESS_BASE = {
-    "tests": 0,
-    "skipped": 0,
-    "queries_ok": 0,
-    "queries_err": 0,
-    "reports": 0,
-    "cache_hits": 0,
-    "cache_misses": 0,
-}
 
 
 def _queue_snapshot(
@@ -1045,26 +977,19 @@ def _queue_snapshot(
     start: float,
     done: int,
     sink: _CorpusSink,
-    base: dict = _EMPTY_PROGRESS_BASE,
+    base: Counter,
 ) -> ProgressSnapshot:
-    hits, misses = _cache_hits_misses(
-        [p.get("cache", {}) for p in latest.values()]
-    )
+    """The live fleet snapshot: *base* plus every shard's latest
+    progress payload."""
+    counters = Counter(base)
+    for payload in latest.values():
+        counters.update(payload)
     return ProgressSnapshot(
         elapsed=time.monotonic() - start,
         workers=config.workers,
         shards_done=done,
-        tests=base["tests"] + sum(p["tests"] for p in latest.values()),
-        skipped=base["skipped"] + sum(p["skipped"] for p in latest.values()),
-        queries_ok=base["queries_ok"]
-        + sum(p["queries_ok"] for p in latest.values()),
-        queries_err=base["queries_err"]
-        + sum(p["queries_err"] for p in latest.values()),
-        reports=base["reports"] + _reports_so_far(latest),
         unique_reports=sink.unique,
-        cache_hits=base["cache_hits"] + hits,
-        cache_misses=base["cache_misses"] + misses,
-        unique_plans=sum(p.get("unique_plans", 0) for p in latest.values()),
+        **counters,
     )
 
 

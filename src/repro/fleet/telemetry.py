@@ -106,11 +106,6 @@ class FleetTelemetry:
         """The live status endpoint URL (None when disabled)."""
         return None if self.server is None else self.server.url
 
-    def shard_trace_path(self, shard_index: int) -> "str | None":
-        if self.trace_path is None:
-            return None
-        return shard_part_path(self.trace_path, shard_index)
-
     # -- orchestrator-side trace events --------------------------------------
 
     def emit(self, ev: str, **payload) -> None:

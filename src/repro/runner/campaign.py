@@ -225,26 +225,6 @@ class Campaign:
         self.tracer = tracer
         self.stats = CampaignStats(oracle=oracle.name)
 
-    @classmethod
-    def from_adapter_factories(
-        cls,
-        oracle: Oracle,
-        factory_pair: "tuple[Callable[[], EngineAdapter], Callable[[], EngineAdapter]]",
-        **kwargs,
-    ) -> "Campaign":
-        """Build a differential campaign from an adapter *factory pair*.
-
-        The first factory builds the primary (engine under test), the
-        second the reference; they are combined into a
-        :class:`~repro.differential.pair.DifferentialAdapter` and the
-        campaign otherwise behaves exactly like a single-engine one.
-        """
-        from repro.differential.pair import DifferentialAdapter
-
-        primary_factory, secondary_factory = factory_pair
-        adapter = DifferentialAdapter(primary_factory(), secondary_factory())
-        return cls(oracle, adapter, **kwargs)
-
     def run(
         self, n_tests: int | None = None, seconds: float | None = None
     ) -> CampaignStats:

@@ -218,6 +218,7 @@ class TestPairStateSync:
     def test_engine_property_exposes_primary(self):
         pair = self._pair()
         assert pair.engine is pair.primary.engine
+        primary, secondary = Sqlite3Adapter(), Sqlite3Adapter()
         assert DifferentialAdapter(
-            Sqlite3Adapter(), Sqlite3Adapter()
+            primary, secondary, CompatPolicy.for_pair(primary, secondary)
         ).engine is None

@@ -7,10 +7,10 @@ import pytest
 
 from repro.adapters import MiniDBAdapter
 from repro.differential import (
+    CompatPolicy,
     DifferentialAdapter,
     DifferentialOracle,
     build_pair_adapter,
-    run_differential_campaign,
 )
 from repro.dialects import make_engine
 from repro.dialects.catalog import FAULTS_BY_ID
@@ -29,7 +29,10 @@ def buggy_pair(fault_id: str | None = None):
     )
     from repro.adapters import Sqlite3Adapter
 
-    return DifferentialAdapter(primary, Sqlite3Adapter())
+    secondary = Sqlite3Adapter()
+    return DifferentialAdapter(
+        primary, secondary, CompatPolicy.for_pair(primary, secondary)
+    )
 
 
 class TestCleanPair:
@@ -83,36 +86,6 @@ class TestFaultDetection:
 
 
 class TestFactoryPairEntryPoints:
-    def test_campaign_from_adapter_factories(self):
-        from repro.adapters import Sqlite3Adapter
-
-        campaign = Campaign.from_adapter_factories(
-            DifferentialOracle(),
-            (
-                lambda: MiniDBAdapter(make_engine("sqlite")),
-                Sqlite3Adapter,
-            ),
-            seed=5,
-        )
-        assert isinstance(campaign.adapter, DifferentialAdapter)
-        stats = campaign.run(n_tests=50)
-        assert stats.tests == 50
-        assert stats.reports == []
-
-    def test_run_differential_campaign(self):
-        from repro.adapters import Sqlite3Adapter
-
-        stats = run_differential_campaign(
-            (
-                lambda: MiniDBAdapter(make_engine("sqlite")),
-                Sqlite3Adapter,
-            ),
-            n_tests=50,
-            seed=5,
-        )
-        assert stats.oracle == "differential"
-        assert stats.tests == 50
-
     def test_build_pair_rejects_unknown_backend(self):
         with pytest.raises(ValueError):
             build_pair_adapter(("minidb", "postgres"))

@@ -12,6 +12,8 @@ from __future__ import annotations
 import threading
 import time
 
+import pytest
+
 from repro.adapters.minidb_adapter import MiniDBAdapter
 from repro.core import CoddTestOracle
 from repro.dialects import make_engine
@@ -149,6 +151,41 @@ class TestFleetBitIdentity:
         summary = summarize_trace(read_trace(trace_path))
         assert len(summary["rounds"]) >= 1
         assert summary["tests"] == silent.merged.tests
+
+
+class _RecordingTelemetry(FleetTelemetry):
+    """Keeps every live progress snapshot the orchestrator publishes."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.snapshots = []
+
+    def progress(self, snap, shards=None, done=None) -> None:
+        super().progress(snap, shards, done)
+        self.snapshots.append(snap)
+
+
+class TestLiveProgress:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_counts_never_drop_at_round_barriers(self, workers):
+        telemetry = _RecordingTelemetry()
+        run_fleet(
+            FleetConfig(
+                oracle="coddtest",
+                buggy=True,
+                workers=workers,
+                seed=5,
+                n_tests=600,
+                guidance="plan-coverage",
+                guidance_rounds=3,
+            ),
+            telemetry=telemetry,
+        )
+        snaps = telemetry.snapshots
+        assert {s.round for s in snaps} == {1, 2, 3}
+        for before, after in zip(snaps, snaps[1:]):
+            assert after.tests >= before.tests
+            assert after.unique_plans >= before.unique_plans
 
 
 class TestCampaignPhaseStats:

@@ -211,6 +211,50 @@ class TestFleetCli:
         assert "0 new unique" in second
 
 
+class TestTraceCli:
+    """`coddtest trace report` and `coddtest top` on real fleet traces."""
+
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            ["--tests", "200"],
+            ["--tests", "400", "--guidance", "plan-coverage"],
+        ],
+        ids=["unguided", "guided"],
+    )
+    def test_report_and_top_render_fleet_trace(
+        self, budget, tmp_path, capsys
+    ):
+        from repro.obs import read_trace
+
+        trace = str(tmp_path / "run.trace.jsonl")
+        argv = ["fleet", "--workers", "2", "--buggy", "--quiet"]
+        assert cli_main([*argv, "--trace", trace, *budget]) == 0
+        records = read_trace(trace)
+        rounds = sorted(
+            {r["round"] for r in records if r["ev"] == "shard_start"}
+        )
+        barriers = sorted(
+            r["round"] for r in records if r["ev"] == "round_barrier"
+        )
+        events = {r["ev"] for r in records}
+        if "--guidance" in budget:
+            # 200 tests per worker clamp the default 4 rounds to 3.
+            assert rounds == [0, 1, 2]
+            assert barriers == rounds
+        else:
+            assert rounds == [0]
+            assert barriers == []
+            assert "cluster_saturated" not in events
+
+        capsys.readouterr()
+        assert cli_main(["trace", "report", trace]) == 0
+        report = capsys.readouterr().out
+        assert report.count("round barrier ") == len(barriers)
+        assert cli_main(["top", trace]) == 0
+        assert "done" in capsys.readouterr().out
+
+
 class TestCorpusCli:
     def _seed_corpus(self, tmp_path, workers="2") -> str:
         path = str(tmp_path / "bugs.jsonl")
