@@ -115,8 +115,3 @@ class EngineAdapter(abc.ABC):
         a cached adapter can skip re-parsing text it is about to
         receive.  No-op without an attached cache or for adapters that
         do not parse."""
-
-    def clone(self) -> "EngineAdapter":
-        """Copy of the adapter with identical state (used by DQE-style
-        oracles that mutate data).  Optional."""
-        raise NotImplementedError(f"{self.name} does not support cloning")

@@ -210,8 +210,3 @@ class MiniDBAdapter(EngineAdapter):
 
     def fired_fault_ids(self) -> frozenset[str]:
         return frozenset(self.engine.faults.fired)
-
-    def clone(self) -> "MiniDBAdapter":
-        copy = Engine(profile=self.engine.profile, faults=self.engine.faults.faults)
-        copy.database = self.engine.database.clone()
-        return MiniDBAdapter(copy)

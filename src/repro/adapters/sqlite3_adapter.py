@@ -171,14 +171,3 @@ class Sqlite3Adapter(EngineAdapter):
         self._executed_any = False
         if self._cache is not None:
             self.attach_eval_cache(self._cache, self._cache_ns)
-
-    def clone(self) -> "Sqlite3Adapter":
-        copy = Sqlite3Adapter()
-        self._conn.commit()
-        for line in self._conn.iterdump():
-            try:
-                copy._conn.execute(line)
-            except sqlite3.Error:
-                pass
-        copy._conn.commit()
-        return copy

@@ -954,7 +954,7 @@ def _corpus_replay(args) -> int:
         cache = EvalCache()
     for cluster in clusters:
         verdict = replay_representative(
-            cluster, dialect=args.dialect, cache=cache, use_cache=args.cache
+            cluster, dialect=args.dialect, cache=cache
         )
         if verdict.status == "stale":
             stale += 1

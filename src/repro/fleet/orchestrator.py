@@ -55,7 +55,6 @@ from repro.guidance import (
     GuidedPolicy,
     policy_seed,
 )
-from repro.obs.metrics import MetricsRegistry, merge_all
 from repro.obs.trace import TraceWriter
 from repro.oracles_base import Oracle, TestReport
 from repro.perf import EvalCache
@@ -141,6 +140,16 @@ class FleetConfig:
             )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        # A met report cap runs no test; an empty batch per state never
+        # ends.  Both must fail here, before any worker starts.
+        if self.max_reports < 1:
+            raise ValueError(
+                f"max_reports must be >= 1, got {self.max_reports}"
+            )
+        if self.tests_per_state < 1:
+            raise ValueError(
+                f"tests_per_state must be >= 1, got {self.tests_per_state}"
+            )
         check_budget(self.n_tests, self.seconds)
         if self.backend_pair is not None:
             self.backend_pair = tuple(self.backend_pair)
@@ -201,9 +210,6 @@ class FleetResult:
     #: order) -- the reproducibility witness: same seed + workers must
     #: yield identical schedules.  None when unguided.
     arm_schedules: "list[list[str]] | None" = None
-    #: CRDT-merged metrics of the run: per-shard counters/gauges/timers
-    #: plus the orchestrator's own stream (see :mod:`repro.obs.metrics`).
-    metrics: MetricsRegistry | None = None
 
     @property
     def arm_summary(self) -> "list[tuple[str, int, int]]":
@@ -389,33 +395,7 @@ def _run_shard(
     if policy is not None:
         payload["policy"] = policy.to_state()
         payload["coverage"] = policy.coverage.to_dict()
-    payload["metrics"] = _shard_metrics(spec, stats).to_dict()
     return payload
-
-
-def _shard_metrics(spec: ShardSpec, stats: CampaignStats) -> MetricsRegistry:
-    """One shard-round's metrics stream.
-
-    The source name includes the round index: each guided round is a
-    fresh campaign counting from zero, so giving every round its own
-    single-writer stream lets the CRDT max-join stay idempotent while
-    cross-round totals come from summing the per-source views.
-    """
-    registry = MetricsRegistry(
-        source=f"shard{spec.shard_index}/r{spec.round_index}"
-    )
-    registry.incr("tests", stats.tests)
-    registry.incr("skipped", stats.skipped)
-    registry.incr("queries_ok", stats.queries_ok)
-    registry.incr("queries_err", stats.queries_err)
-    registry.incr("states", stats.states)
-    registry.incr("reports", len(stats.reports))
-    for name, value in stats.cache_stats.items():
-        registry.incr(f"cache/{name}", value)
-    registry.gauge("branch_coverage", stats.branch_coverage)
-    registry.observe("shard_wall", stats.wall_seconds)
-    registry.absorb_phase_totals(stats.phase_stats)
-    return registry
 
 
 def _worker_main(spec: ShardSpec, out_queue, stop_event) -> None:
@@ -558,20 +538,6 @@ def run_fleet(
         telemetry.close()
 
 
-def _merged_metrics(
-    payloads: "list[dict]", telemetry: FleetTelemetry
-) -> MetricsRegistry:
-    """Join every shard's metrics stream with the orchestrator's own."""
-    return merge_all(
-        [
-            MetricsRegistry.from_dict(p["metrics"])
-            for p in payloads
-            if p.get("metrics")
-        ]
-        + [telemetry.metrics]
-    )
-
-
 def _attach_clusters(result: FleetResult, corpus: BugCorpus | None) -> None:
     if corpus is None:
         return
@@ -708,7 +674,6 @@ def _run_rounds(
     rounds = _effective_rounds(config)
     policy_states: list[dict | None] = [None] * config.workers
     per_shard: list[list[CampaignStats]] = [[] for _ in range(config.workers)]
-    payloads: list[dict] = []
     known_saturated: set[str] = set()
     remaining = config.n_tests
     reports_so_far = 0
@@ -767,7 +732,6 @@ def _run_rounds(
             shard_coverage = payload.get("coverage")
             if shard_coverage:
                 coverage.update(CoverageMap.from_dict(shard_coverage))
-        payloads += round_payloads
         reports_so_far = sum(
             len(stats.reports) for parts in per_shard for stats in parts
         )
@@ -805,7 +769,6 @@ def _run_rounds(
                 for state in policy_states
             ]
         ),
-        metrics=_merged_metrics(payloads, telemetry),
     )
     _attach_clusters(result, corpus)
     telemetry.finish(

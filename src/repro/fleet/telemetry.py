@@ -21,7 +21,6 @@ import os
 import time
 
 from repro.fleet.progress import ProgressPrinter, ProgressSnapshot
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.status import StatusBoard, StatusServer, now_monotonic
 from repro.obs.trace import (
     format_record,
@@ -56,9 +55,6 @@ class FleetTelemetry:
         #: Orchestrator-side records, already formatted; merged with the
         #: worker part files by :meth:`close`.
         self._lines: list[str] = []
-        #: Deterministic orchestrator counters (rounds run, clusters
-        #: discovered); merged into the fleet-wide registry.
-        self.metrics = MetricsRegistry(source="orchestrator")
         self._run_meta: dict = {}
         self._workers = 1
         self._round: "int | None" = None
@@ -120,7 +116,6 @@ class FleetTelemetry:
         self, round_index: int, rounds: int, saturated: int, plans: int
     ) -> None:
         self._round, self._rounds = round_index + 1, rounds
-        self.metrics.incr("rounds")
         self.emit(
             "round_barrier",
             round=round_index,
@@ -130,7 +125,6 @@ class FleetTelemetry:
         )
 
     def cluster_new(self, fingerprint: str, kind: str) -> None:
-        self.metrics.incr("clusters_new")
         self.emit("cluster_new", fingerprint=fingerprint, kind=kind)
 
     def cluster_saturated(self, fault: str) -> None:

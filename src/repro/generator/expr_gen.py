@@ -100,12 +100,6 @@ class ExprGenerator:
         expr = self._boolean(scope, self.max_depth, used)
         return GenExpr(expr, _dedupe(used))
 
-    def scalar(self, scope: list[ScopeColumn]) -> GenExpr:
-        """A scalar expression over *scope*."""
-        used: list[ScopeColumn] = []
-        expr = self._scalar(scope, self.max_depth, used)
-        return GenExpr(expr, _dedupe(used))
-
     def independent_predicate(self) -> GenExpr:
         """A predicate with no outer references (constant or built from a
         non-correlated subquery) -- the left branch of Figure 1."""
@@ -116,12 +110,6 @@ class ExprGenerator:
         quantified comparison, or scalar-subquery comparison)."""
         used: list[ScopeColumn] = []
         expr = self._subquery_bool(scope, self.max_depth, used)
-        return GenExpr(expr, _dedupe(used))
-
-    def scalar_subquery(self, scope: list[ScopeColumn]) -> GenExpr:
-        """A bare (possibly correlated) scalar subquery."""
-        used: list[ScopeColumn] = []
-        expr = self._scalar_subquery(scope, used)
         return GenExpr(expr, _dedupe(used))
 
     # -- booleans ---------------------------------------------------------------

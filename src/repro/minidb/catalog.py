@@ -119,10 +119,6 @@ class Database:
     def _key(self, name: str) -> str:
         return name.lower()
 
-    def has_relation(self, name: str) -> bool:
-        k = self._key(name)
-        return k in self.tables or k in self.views
-
     def get_table(self, name: str) -> Table:
         table = self.tables.get(self._key(name))
         if table is None:
@@ -188,18 +184,3 @@ class Database:
             raise CatalogError(f"cannot drop object of kind {kind!r}")
         if not if_exists:
             raise CatalogError(f"no such {kind.lower()}: {name}")
-
-    # -- utilities -----------------------------------------------------------
-
-    def snapshot(self) -> dict[str, list[tuple[SqlValue, ...]]]:
-        """Copy of all table contents (used by tests and the reducer)."""
-        return {name: list(t.rows) for name, t in self.tables.items()}
-
-    def clone(self) -> "Database":
-        """Deep-ish copy: rows copied, ASTs shared (they are immutable)."""
-        db = Database()
-        for k, t in self.tables.items():
-            db.tables[k] = Table(t.name, list(t.columns), list(t.rows))
-        db.views = dict(self.views)
-        db.indexes = dict(self.indexes)
-        return db

@@ -62,10 +62,6 @@ class Schema:
     def column_names(self) -> list[str]:
         return [name for _, name in self.entries]
 
-    def rebind(self, binding: str) -> "Schema":
-        """All columns exposed under a single new binding (derived tables)."""
-        return Schema(tuple((binding, name) for _, name in self.entries))
-
     @staticmethod
     def concat(left: "Schema", right: "Schema") -> "Schema":
         return Schema(left.entries + right.entries)

@@ -1,18 +1,15 @@
-"""Unified telemetry: metrics, traces, phase profiling, live status.
+"""Unified telemetry: traces, phase profiling, live status.
 
 The observability layer of the reproduction (ROADMAP
 "fuzzing-as-a-service"), with one hard contract inherited from the perf
 layer: **telemetry-on and telemetry-off runs are bit-identical on every
 deterministic output** -- stats signatures, corpus bytes, rendered
 tables.  Wall-clock measurements exist only inside this package
-(timers, trace timestamps, status snapshots) and never feed back into
+(phase timers, trace timestamps, status snapshots) and never feed back into
 generation, scheduling, or results.
 
-Four building blocks:
+Three building blocks:
 
-* :mod:`repro.obs.metrics` -- :class:`MetricsRegistry`, a CRDT of
-  per-source counters/gauges (deterministic) and timers (wall-clock),
-  merged across shards like the guidance CoverageMap;
 * :mod:`repro.obs.phases`  -- :class:`PhaseProfiler`, scoped timers
   around the generate / parse / execute / compare hot-path phases;
 * :mod:`repro.obs.trace`   -- schema-versioned JSONL trace events with
@@ -22,7 +19,6 @@ Four building blocks:
   :mod:`repro.obs.report`'s offline ``trace report`` / ``top`` views.
 """
 
-from repro.obs.metrics import MetricsRegistry, TimerSlot, merge_all
 from repro.obs.phases import (
     PHASES,
     PhaseProfiler,
@@ -55,19 +51,16 @@ from repro.obs.trace import (
 
 __all__ = [
     "EVENT_SCHEMA",
-    "MetricsRegistry",
     "PHASES",
     "PhaseProfiler",
     "STATUS_SCHEMA_VERSION",
     "StatusBoard",
     "StatusServer",
     "TRACE_SCHEMA_VERSION",
-    "TimerSlot",
     "TraceWriter",
     "fetch_status",
     "format_phase_breakdown",
     "format_record",
-    "merge_all",
     "merge_phase_totals",
     "merge_trace_files",
     "read_trace",

@@ -70,13 +70,6 @@ class CacheStats:
     def to_dict(self) -> dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def merge(self, other: "CacheStats | dict[str, int]") -> None:
-        """Accumulate *other*'s counters (dict form crosses processes)."""
-        if isinstance(other, CacheStats):
-            other = other.to_dict()
-        for name, value in other.items():
-            setattr(self, name, getattr(self, name, 0) + int(value))
-
 
 @dataclass(frozen=True)
 class CachedStatement:

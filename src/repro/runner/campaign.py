@@ -180,6 +180,11 @@ class Campaign:
         profiler: PhaseProfiler | None = None,
         tracer=None,
     ) -> None:
+        # An empty batch per state would generate states forever.
+        if tests_per_state < 1:
+            raise ValueError(
+                f"tests_per_state must be >= 1, got {tests_per_state}"
+            )
         self.oracle = oracle
         self.adapter = adapter
         #: Worker-local evaluation cache (:class:`repro.perf.EvalCache`)

@@ -29,7 +29,6 @@ same verdicts.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -115,8 +114,6 @@ def replay_representative(
     cluster: Cluster,
     dialect: "str | None" = None,
     cache=None,
-    use_cache: bool = True,
-    metrics=None,
 ) -> ReplayVerdict:
     """Replay *cluster*'s best witness on a freshly built engine (pair).
 
@@ -124,38 +121,14 @@ def replay_representative(
     recorded program (a too-aggressive past reduction must not condemn
     a live bug as stale).
 
-    *cache* (a :class:`repro.perf.EvalCache`, created here when not
-    supplied and *use_cache* holds) is attached to every freshly built
-    engine, so the state-building DDL prefix the reduced and full
-    witnesses share is parsed once instead of once per verification --
-    and once per *corpus* when :func:`replay_clusters` shares one cache
-    across clusters.  Verdicts are identical with or without the
-    cache; ``use_cache=False`` forces the uncached reference path (the
-    CLI's ``--no-cache``).
-
-    *metrics* (a :class:`repro.obs.metrics.MetricsRegistry`) receives
-    deterministic replay counters -- ``replay/clusters`` plus one
-    ``replay/verdict/<status>`` per verdict -- and the wall-clock
-    ``replay_wall`` timer; verdicts never depend on it.
+    *cache* (a :class:`repro.perf.EvalCache`) is attached to every
+    freshly built engine, so the state-building DDL prefix the reduced
+    and full witnesses share is parsed once instead of once per
+    verification -- and once per *corpus* when :func:`replay_clusters`
+    shares one cache across clusters.  Verdicts are identical with or
+    without the cache; None replays uncached (the CLI's
+    ``--no-cache``).
     """
-    if cache is None and use_cache:
-        from repro.perf import EvalCache
-
-        cache = EvalCache()
-    t0 = time.perf_counter() if metrics is not None else 0.0
-    verdict = _replay_representative(cluster, dialect, cache)
-    if metrics is not None:
-        metrics.incr("replay/clusters")
-        metrics.incr(f"replay/verdict/{verdict.status}")
-        if verdict.witness != "-":
-            metrics.incr(f"replay/witness/{verdict.witness}")
-        metrics.observe("replay_wall", time.perf_counter() - t0)
-    return verdict
-
-
-def _replay_representative(
-    cluster: Cluster, dialect: "str | None", cache
-) -> ReplayVerdict:
     rep = cluster.representative
     target = set(cluster.faults)
     pair: "tuple[str, str] | None" = None
@@ -208,7 +181,6 @@ def replay_clusters(
     clusters: Iterable[Cluster],
     dialect: "str | None" = None,
     use_cache: bool = True,
-    metrics=None,
 ) -> dict[str, ReplayVerdict]:
     """Verdict per :attr:`Cluster.cluster_id` for every cluster."""
     cache = None
@@ -217,13 +189,7 @@ def replay_clusters(
 
         cache = EvalCache()
     return {
-        c.cluster_id: replay_representative(
-            c,
-            dialect=dialect,
-            cache=cache,
-            use_cache=use_cache,
-            metrics=metrics,
-        )
+        c.cluster_id: replay_representative(c, dialect=dialect, cache=cache)
         for c in clusters
     }
 

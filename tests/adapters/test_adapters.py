@@ -32,15 +32,6 @@ class TestMiniDBAdapter:
         adapter.reset()
         assert adapter.schema().tables == []
 
-    def test_clone_isolates_state(self):
-        adapter = MiniDBAdapter(Engine())
-        adapter.execute("CREATE TABLE t (a INT)")
-        adapter.execute("INSERT INTO t VALUES (1)")
-        copy = adapter.clone()
-        copy.execute("DELETE FROM t")
-        assert adapter.execute("SELECT COUNT(*) FROM t").rows == [(1,)]
-        assert copy.execute("SELECT COUNT(*) FROM t").rows == [(0,)]
-
     def test_fired_faults_surface(self):
         from repro.dialects.catalog import FAULTS_BY_ID
         from repro.dialects.base import get_dialect

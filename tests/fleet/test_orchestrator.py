@@ -53,6 +53,9 @@ class TestConfigValidation:
             dict(seconds=float("nan")),
             dict(n_tests=0, seconds=5.0),
             dict(n_tests=10, seconds=-1.0),
+            # A met report cap runs nothing; an empty batch never ends.
+            dict(n_tests=10, max_reports=0),
+            dict(n_tests=10, tests_per_state=0),
         ],
     )
     def test_rejects_non_positive_budget(self, budget):

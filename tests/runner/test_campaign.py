@@ -35,6 +35,12 @@ class TestCampaign:
         with pytest.raises(ValueError):
             campaign.run()
 
+    def test_rejects_empty_batch_per_state(self):
+        # Only constructs: a campaign that accepted 0 would loop forever.
+        adapter = MiniDBAdapter(make_engine("sqlite"))
+        with pytest.raises(ValueError, match="tests_per_state"):
+            Campaign(CoddTestOracle(), adapter, tests_per_state=0)
+
     def test_collects_plans_and_coverage(self):
         adapter = MiniDBAdapter(make_engine("sqlite"))
         stats = run_campaign(CoddTestOracle(), adapter, n_tests=100, seed=0)

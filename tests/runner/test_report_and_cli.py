@@ -162,6 +162,8 @@ class TestCli:
         [
             ["hunt", "--tests", "0"],
             ["fleet", "--seconds", "-1"],
+            ["fleet", "--tests", "50", "--max-reports", "0"],
+            ["diff", "--tests", "50", "--max-reports", "0"],
             # Builds no FleetConfig, so it checks the budget itself.
             ["sqlite3", "--tests", "-2"],
         ],

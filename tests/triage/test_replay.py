@@ -215,27 +215,3 @@ class TestRepresentativeSelectionDeterminism:
             vb.detail,
         )
 
-
-class TestReplayMetrics:
-    def test_metrics_count_verdicts_without_changing_them(self):
-        from repro.obs import MetricsRegistry
-
-        entries = [
-            make_entry(),  # reproduces (fault fires)
-            make_entry(fingerprint="e000000000000002", faults=()),  # unverif.
-        ]
-        clusters = cluster_corpus(entries)
-        baseline = replay_clusters(clusters)
-        metrics = MetricsRegistry(source="triage")
-        counted = replay_clusters(clusters, metrics=metrics)
-        assert {cid: v.status for cid, v in counted.items()} == {
-            cid: v.status for cid, v in baseline.items()
-        }
-        totals = metrics.counter_totals()
-        assert totals["replay/clusters"] == len(clusters)
-        assert sum(
-            n for name, n in totals.items()
-            if name.startswith("replay/verdict/")
-        ) == len(clusters)
-        # Wall-clock goes to the timer surface, not the counters.
-        assert "replay_wall" in metrics.timer_totals()

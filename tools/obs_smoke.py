@@ -14,7 +14,7 @@ from the outside, the way a user would hit it:
    event schema (``tools/trace_check.py``), render a deterministic
    ``coddtest trace report``, and reconstruct a ``top`` snapshot.
 
-Exit 1 on any violation.  CI runs this as the non-blocking obs-smoke
+Exit 1 on any violation.  CI runs this as the blocking obs-smoke
 job; it is also a useful local one-shot (``PYTHONPATH=src python
 tools/obs_smoke.py``).
 """
