@@ -2,7 +2,8 @@
 
 Each case runs one fixed-seed campaign and hashes its deterministic
 witness -- ``CampaignStats.signature()``, plus the sorted corpus
-fingerprints and arm schedules for the fleets -- against
+fingerprints and arm schedules for the fleets, and for the reducing
+fleets every entry's reduced witness and replay verdict -- against
 ``fixtures/signatures.json``.  Anything that changes what a campaign
 observes (result rows, coverage tags, fired faults, plan fingerprints,
 errors) changes a digest, so evaluator and executor rewrites that must
@@ -26,8 +27,9 @@ import pytest
 
 from repro import CoddTestOracle, MiniDBAdapter, make_engine
 from repro.baselines import DQEOracle, EETOracle, NoRECOracle, TLPOracle
-from repro.fleet import BugCorpus, FleetConfig, run_fleet
+from repro.fleet import BugCorpus, FleetConfig, make_replay_reducer, run_fleet
 from repro.runner.campaign import run_campaign
+from repro.triage.replay import replay_clusters
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "signatures.json"
 
@@ -96,6 +98,33 @@ def _unguided_fleet_witness() -> dict:
     }
 
 
+def _reducing_fleet_witness(workers: int) -> dict:
+    # ddmin runs on every first-seen report, so the reduced witnesses
+    # and their replay verdicts are pinned along with the campaign.
+    config = FleetConfig(
+        oracle="coddtest",
+        buggy=True,
+        workers=workers,
+        seed=5,
+        n_tests=200,
+        guidance="plan-coverage",
+    )
+    corpus = BugCorpus(reduce_fn=make_replay_reducer(config))
+    result = run_fleet(config, corpus=corpus)
+    verdicts = replay_clusters(result.clusters)
+    return {
+        "merged": result.merged.signature(),
+        "reduced": {
+            fp: entry.reduced_statements for fp, entry in corpus.entries.items()
+        },
+        "duplicates": result.duplicate_reports,
+        "arms": result.arm_schedules,
+        "verdicts": {
+            cid: [v.status, v.witness] for cid, v in sorted(verdicts.items())
+        },
+    }
+
+
 CASES = {
     **{
         f"{name}-buggy-sqlite": functools.partial(_oracle_witness, name)
@@ -104,6 +133,8 @@ CASES = {
     "diff-minidb-sqlite3": _diff_witness,
     "guided-fleet-2w": _guided_witness,
     "unguided-fleet-2w": _unguided_fleet_witness,
+    "reducing-fleet-2w": functools.partial(_reducing_fleet_witness, 2),
+    "reducing-fleet-1w": functools.partial(_reducing_fleet_witness, 1),
 }
 
 
