@@ -735,15 +735,14 @@ def _print_new_entries(
     noun: str,
     with_description: bool = False,
 ) -> None:
-    """Show up to *cap* of this run's newly fingerprinted entries."""
-    shown = 0
-    for entry in corpus.entries.values():
-        if entry.fingerprint not in new:
-            continue
-        if shown >= cap:
-            print(f"\n... and {len(new) - shown} more new {noun}")
+    """Show up to *cap* of this run's newly fingerprinted entries, by
+    fingerprint: the corpus holds them in arrival order, which depends
+    on how the shards were scheduled."""
+    for shown, fingerprint in enumerate(sorted(new)):
+        if shown == cap:
+            print(f"\n... and {len(new) - cap} more new {noun}")
             break
-        shown += 1
+        entry = corpus.entries[fingerprint]
         print(f"\n[{entry.kind}] {entry.fingerprint} ({entry.oracle})")
         if with_description:
             print(f"  {entry.description}")

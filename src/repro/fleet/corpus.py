@@ -5,9 +5,10 @@ superficially different test cases; what makes a fleet's output
 analyzable is the set of *distinct* bugs (QPG, Ba & Rigger 2023, make
 the same observation for query-plan corpora).  This module fingerprints
 each :class:`~repro.oracles_base.TestReport`, keeps one corpus entry per
-fingerprint, reduces the first-seen witness with the existing ddmin
-reducer, and persists everything as one JSON object per line so corpora
-can be appended to, merged, and resumed across fleet invocations.
+fingerprint, stores the first-seen witness reduced by ddmin (in a fleet
+the shard that found the bug reduces it), and persists everything as
+one JSON object per line so corpora can be appended to, merged, and
+resumed across fleet invocations.
 
 Determinism guarantee: fingerprints are pure functions of the
 normalized witness, so the same campaign always produces the same
@@ -38,6 +39,10 @@ _WS = re.compile(r"\s+")
 #: reduced statement list or None when reduction is impossible (e.g. no
 #: ground-truth faults to replay against).
 ReduceFn = Callable[[TestReport], "list[str] | None"]
+
+#: Default of :meth:`BugCorpus.add`'s *reduced*: no witness was reduced
+#: elsewhere, so the corpus reduces first-seen bugs itself.
+_REDUCE_HERE = object()
 
 
 def normalize_statement(sql: str) -> str:
@@ -194,13 +199,17 @@ class BugCorpus:
         shard_index: int | None = None,
         seed: int | None = None,
         dialect: str | None = None,
+        reduced: "list[str] | None | object" = _REDUCE_HERE,
     ) -> bool:
         """Record *report*; True iff its fingerprint is new.
 
         First-seen bugs are reduced (when a reducer is configured)
-        before persisting; duplicates just bump ``times_seen``.  The
-        keyword arguments stamp fleet provenance (first-seen shard,
-        fleet seed, dialect) onto first-seen entries for triage.
+        before persisting; duplicates just bump ``times_seen``.  A
+        witness already reduced elsewhere -- a fleet shard reduces on
+        its own cache -- is passed as *reduced* (None: irreducible or
+        not reduced) and stored instead of calling ``reduce_fn``.  The
+        other keyword arguments stamp fleet provenance (first-seen
+        shard, fleet seed, dialect) onto first-seen entries for triage.
         """
         fp = fingerprint_report(report)
         entry = self.entries.get(fp)
@@ -224,7 +233,9 @@ class BugCorpus:
             first_seen_shard=shard_index,
             first_seen_seed=seed,
         )
-        if self.reduce_fn is not None:
+        if reduced is not _REDUCE_HERE:
+            entry.reduced_statements = reduced
+        elif self.reduce_fn is not None:
             entry.reduced_statements = self.reduce_fn(report)
         self.entries[fp] = entry
         if self.path is not None:

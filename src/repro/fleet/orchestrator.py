@@ -7,7 +7,9 @@ progress plus its final :class:`CampaignStats` back over a queue.  The
 orchestrator merges shard stats (set-union of plans, max coverage, QPT
 recomputed from merged counters), enforces the fleet-wide
 ``max_reports`` bound via a shared stop event, and feeds every report
-through the bug corpus for deduplication.
+through the bug corpus for deduplication.  A shard ddmin-reduces each
+report new to the fleet as its campaign records it, on the shard's own
+cache, so reports reach the corpus with their reduced witness.
 
 Every fleet runs one loop of rounds.  An unguided fleet is the
 one-round case: no policy, no coverage map, no barrier events.  A
@@ -40,7 +42,7 @@ from repro.errors import (
     ReproError,
     SqlError,
 )
-from repro.fleet.corpus import BugCorpus, ReduceFn, fingerprint_report
+from repro.fleet.corpus import BugCorpus, fingerprint_report
 from repro.fleet.progress import ProgressPrinter, ProgressSnapshot
 from repro.fleet.sharding import (
     ShardSpec,
@@ -238,6 +240,8 @@ def build_shards(
     saturated: frozenset[str] = frozenset(),
     epoch: str = "",
     max_reports: int | None = None,
+    reducer: "ReplayReducer | None" = None,
+    known_fingerprints: frozenset[str] = frozenset(),
 ) -> list[ShardSpec]:
     """Deterministic shard plan for one round of *config*.
 
@@ -246,7 +250,8 @@ def build_shards(
     passes its slice of the budget (None keeps the config's), the
     policy states carried from the previous round, the merged coverage
     snapshot, the saturated faults, the coverage-source epoch, and the
-    report cap still remaining.
+    report cap still remaining.  A reducing fleet passes its *reducer*
+    and the fingerprints its corpus holds, which the shards skip.
     """
     seeds = derive_shard_seeds(config.seed, config.workers)
     quotas = split_tests(
@@ -280,6 +285,8 @@ def build_shards(
             coverage_source=f"{config.seed}:{i}/{config.workers}{epoch}",
             use_cache=config.use_cache,
             trace_path=_shard_trace_path(config, i),
+            reducer=reducer,
+            known_fingerprints=known_fingerprints,
         )
         for i in range(config.workers)
     ]
@@ -355,6 +362,18 @@ def _run_shard(
     oracle = ORACLE_FACTORIES[spec.oracle](**spec.oracle_kwargs)
     policy = _build_policy(spec)
     cache = EvalCache() if spec.use_cache else None
+    on_report = None
+    if spec.reducer is not None:
+        # Reduce each bug new to the fleet once, when the campaign
+        # records it: inside Campaign.run, so the reduction's cache
+        # lookups count in this shard's (deterministic) cache stats.
+        skip = set(spec.known_fingerprints)
+
+        def on_report(report: TestReport) -> None:
+            fingerprint = fingerprint_report(report)
+            if fingerprint not in skip:
+                skip.add(fingerprint)
+                report.reduced_statements = spec.reducer(report, cache)
     tracer = (
         TraceWriter(spec.trace_path, shard=spec.shard_index)
         if spec.trace_path is not None
@@ -370,6 +389,7 @@ def _run_shard(
         max_reports=spec.max_reports,
         should_stop=should_stop,
         on_progress=on_progress,
+        on_report=on_report,
         policy=policy,
         cache=cache,
         tracer=tracer,
@@ -469,11 +489,14 @@ class _CorpusSink:
         seed = self.config.seed if self.config is not None else None
         dialect = self.config.dialect if self.config is not None else None
         for report in reports:
+            # Shards reduce every report the corpus did not hold at the
+            # start of the round, so the corpus never reduces here.
             added = self.corpus.add(
                 report,
                 shard_index=shard_index,
                 seed=seed,
                 dialect=dialect,
+                reduced=report.reduced_statements,
             )
             if added:
                 fingerprint = fingerprint_report(report)
@@ -524,7 +547,20 @@ def run_fleet(
     set regardless of scheduling.  Telemetry never feeds back into
     scheduling, so every deterministic output is identical with the
     surfaces on or off.
+
+    The shards reduce first-seen bugs, so the corpus' ``reduce_fn``
+    must be None or ``make_replay_reducer(config)``; anything else
+    raises ValueError.
     """
+    if (
+        corpus is not None
+        and corpus.reduce_fn is not None
+        and corpus.reduce_fn != make_replay_reducer(config)
+    ):
+        raise ValueError(
+            "the corpus' reduce_fn must be make_replay_reducer(config) "
+            f"for this fleet's configuration, got {corpus.reduce_fn!r}"
+        )
     if telemetry is None:
         telemetry = FleetTelemetry(
             printer=printer,
@@ -669,6 +705,7 @@ def _run_rounds(
     elif coverage is None:
         coverage = CoverageMap()
     epoch = "" if coverage is None else _coverage_epoch(coverage)
+    reducer = None if corpus is None else corpus.reduce_fn
     sink = _CorpusSink(corpus, config, telemetry)
     start = time.monotonic()
     rounds = _effective_rounds(config)
@@ -714,6 +751,10 @@ def _run_rounds(
             saturated=saturated,
             epoch=epoch,
             max_reports=remaining_reports,
+            reducer=reducer,
+            known_fingerprints=(
+                frozenset() if reducer is None else frozenset(corpus.entries)
+            ),
         )
         base = _progress_base(per_shard)
         if config.workers == 1:
@@ -988,70 +1029,92 @@ def _snapshot(
 # ---------------------------------------------------------------------------
 
 
-def make_replay_reducer(config: FleetConfig) -> ReduceFn | None:
-    """A corpus ``reduce_fn`` that ddmin-reduces first-seen bugs by
-    replaying candidate statement lists on a fresh engine.
+@dataclass(frozen=True)
+class ReplayReducer:
+    """A corpus ``reduce_fn`` that ddmin-reduces a bug by replaying
+    candidate statement lists on fresh engines of one configuration.
 
     Ground truth drives the "still fails" check: a candidate reproduces
     the bug when the report's injected faults all fire again (logic
     bugs) or the engine raises the same failure class (internal error /
-    crash / hang).  Real DBMS adapters have no ground truth, so there
-    is nothing safe to replay against -- returns None (the registry's
-    ``simulated`` flag is the ground-truth marker), as do differential
-    configs (a reduced witness would need *both* engines to disagree
-    again, which single-engine replay cannot check).
+    crash / hang).  The reducer names its engine configuration instead
+    of holding an engine, so it pickles into every :class:`ShardSpec`
+    and each shard reduces the bugs it finds.
     """
-    if config.backend_pair is not None:
-        return None
-    if not get_backend(config.adapter).simulated:
-        return None
 
-    def reduce_fn(report: TestReport) -> list[str] | None:
+    adapter: str
+    dialect: str
+    buggy: bool
+
+    def __call__(
+        self, report: TestReport, cache: EvalCache | None = None
+    ) -> list[str] | None:
+        """The reduced witness of *report*, or None when replay cannot
+        check it.  Candidates replay on *cache*; None replays uncached.
+
+        A fleet shard passes its own cache, warm with the campaign that
+        found the bug: the witness's statements are parsed, and SELECTs
+        the campaign ran after the same writes are memoized.  Sharing it
+        is exact because the campaign's adapter and the candidates'
+        adapters are built from one configuration, so they share a
+        namespace and start their state-token chains at ``init``.
+        """
         target = set(report.fired_faults)
         exceptional = report.kind in ("internal error", "crash", "hang")
         if not target and not exceptional:
             return None  # nothing observable to check against
 
-        # One cache per reduction: ddmin replays dozens of candidate
-        # programs that share the state-building DDL prefix, so the
-        # parse memo and the state-token-keyed result memo turn the
-        # shared prefix into lookups instead of re-parsing and
-        # re-executing it per candidate (identical prefixes produce
-        # identical tokens, so sharing across fresh engines is exact).
-        # --no-cache fleets reduce uncached too, keeping the flag a
-        # genuine reference path for isolating cache bugs.
-        cache = EvalCache() if config.use_cache else None
+        # ddmin proposes some candidates more than once (the full
+        # witness is checked here and again by reduce_statements), so
+        # each distinct candidate replays once per reduction.
+        verdicts: dict[tuple[str, ...], bool] = {}
 
         def still_fails(stmts: list[str]) -> bool:
-            adapter = _build_adapter(
-                ShardSpec(
-                    shard_index=0,
-                    workers=1,
-                    seed=0,
-                    n_tests=None,
-                    seconds=0.0,
-                    oracle=config.oracle,
-                    adapter=config.adapter,
-                    dialect=config.dialect,
-                    buggy=config.buggy,
-                )
-            )
-            if cache is not None:
-                adapter.attach_eval_cache(cache)
-            fired: set[str] = set()
-            for sql in stmts:
-                try:
-                    adapter.execute(sql)
-                except SqlError:
-                    return False  # candidate no longer a valid program
-                except (InternalError, EngineCrash, EngineHang):
-                    fired |= adapter.fired_fault_ids()
-                    return exceptional and (not target or target <= fired)
-                fired |= adapter.fired_fault_ids()
-            return not exceptional and bool(target) and target <= fired
+            key = tuple(stmts)
+            if key not in verdicts:
+                verdicts[key] = self._replay(stmts, target, exceptional, cache)
+            return verdicts[key]
 
         if not still_fails(report.statements):
             return None  # witness not reproducible by replay; keep as-is
         return reduce_statements(list(report.statements), still_fails)
 
-    return reduce_fn
+    def _replay(
+        self,
+        stmts: list[str],
+        target: set[str],
+        exceptional: bool,
+        cache: EvalCache | None,
+    ) -> bool:
+        adapter = build_backend(
+            self.adapter, dialect=self.dialect, buggy=self.buggy
+        )
+        if cache is not None:
+            adapter.attach_eval_cache(cache)
+        fired: set[str] = set()
+        for sql in stmts:
+            try:
+                adapter.execute(sql)
+            except SqlError:
+                return False  # candidate no longer a valid program
+            except (InternalError, EngineCrash, EngineHang):
+                fired |= adapter.fired_fault_ids()
+                return exceptional and (not target or target <= fired)
+            fired |= adapter.fired_fault_ids()
+        return not exceptional and bool(target) and target <= fired
+
+
+def make_replay_reducer(config: FleetConfig) -> ReplayReducer | None:
+    """The replay reducer for *config*'s engine, or None when there is
+    nothing safe to replay against.
+
+    Real DBMS adapters have no ground truth (the registry's
+    ``simulated`` flag is the ground-truth marker), and differential
+    configs would need *both* engines to disagree again, which
+    single-engine replay cannot check.
+    """
+    if config.backend_pair is not None:
+        return None
+    if not get_backend(config.adapter).simulated:
+        return None
+    return ReplayReducer(config.adapter, config.dialect, config.buggy)

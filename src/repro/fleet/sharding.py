@@ -17,6 +17,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.fleet.orchestrator import ReplayReducer
 
 
 def derive_shard_seeds(seed: int, workers: int) -> list[int]:
@@ -125,3 +129,10 @@ class ShardSpec:
     #: appends structured events here and the orchestrator merges every
     #: part into the final trace.  None disables tracing for the shard.
     trace_path: str | None = None
+    #: The fleet's replay reducer, or None when the fleet does not
+    #: reduce.  The shard reduces each report as its campaign records
+    #: it, on the shard's cache, unless the fingerprint is known.
+    reducer: "ReplayReducer | None" = None
+    #: Fingerprints the corpus held at the start of the round; the
+    #: shard does not reduce them again.
+    known_fingerprints: frozenset[str] = frozenset()

@@ -33,11 +33,9 @@ class CoverageTracker:
 
     def __init__(self) -> None:
         self._hits: set[str] = set()
-        self.enabled = True
 
     def hit(self, tag: str) -> None:
-        if self.enabled:
-            self._hits.add(tag)
+        self._hits.add(tag)
 
     def reset(self) -> None:
         self._hits.clear()

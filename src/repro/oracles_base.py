@@ -45,6 +45,9 @@ class TestReport:
     #: clustering signal); differential reports carry both plans joined
     #: as ``"primary|secondary"``.  None when no main query ran.
     plan_fingerprint: str | None = None
+    #: The ddmin-reduced witness, when the fleet shard that found the
+    #: bug reduced it (None otherwise, or when it was irreducible).
+    reduced_statements: list[str] | None = None
 
     def to_dict(self) -> dict:
         """JSON-compatible form (used by the fleet bug corpus)."""

@@ -175,6 +175,7 @@ class Campaign:
         max_state_failures: int = 200,
         should_stop: Callable[[], bool] | None = None,
         on_progress: Callable[[CampaignStats], None] | None = None,
+        on_report: Callable[[TestReport], None] | None = None,
         policy=None,
         cache=None,
         profiler: PhaseProfiler | None = None,
@@ -210,6 +211,10 @@ class Campaign:
         #: Called after every batch of tests with the live stats; must not
         #: mutate them.  Used by the fleet workers to stream progress.
         self.on_progress = on_progress
+        #: Called with each report as it is recorded, before the next
+        #: test; may annotate the report (fleet shards reduce it here,
+        #: on the campaign's cache) but must not change control flow.
+        self.on_report = on_report
         #: Optional generation policy (duck-typed, e.g.
         #: :class:`repro.guidance.GuidedPolicy`): ``begin_test()``
         #: returns an arm whose knobs are applied to the oracle before
@@ -353,6 +358,8 @@ class Campaign:
                     *outcome.report.statements,
                 ]
                 self.stats.reports.append(outcome.report)
+                if self.on_report is not None:
+                    self.on_report(outcome.report)
         else:  # error / skip
             self.stats.skipped += 1
 

@@ -77,6 +77,18 @@ class TestBugCorpus:
         entry = next(iter(corpus.entries.values()))
         assert entry.reduced_statements == ["SELECT 1"]
 
+    def test_witness_reduced_elsewhere_replaces_reduce_fn(self):
+        def reduce_fn(report):
+            raise AssertionError("the witness was already reduced")
+
+        corpus = BugCorpus(reduce_fn=reduce_fn)
+        corpus.add(make_report(), reduced=["SELECT 1"])
+        corpus.add(make_report(statements=["SELECT 2"]), reduced=None)
+        assert [e.reduced_statements for e in corpus.entries.values()] == [
+            ["SELECT 1"],
+            None,
+        ]
+
     def test_by_kind(self):
         corpus = BugCorpus()
         corpus.add(make_report())

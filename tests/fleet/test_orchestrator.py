@@ -191,6 +191,84 @@ class TestCorpusIntegration:
         assert make_replay_reducer(config) is None
 
 
+class TestShardReduction:
+    """Shards reduce first-seen bugs on their own cache."""
+
+    def test_each_distinct_candidate_replays_once(self, monkeypatch):
+        import repro.fleet.orchestrator as orchestrator
+
+        config = fleet_config(workers=1, n_tests=300)
+        report = next(
+            r for r in run_fleet(config).merged.reports if r.fired_faults
+        )
+        builds = 0
+        init = MiniDBAdapter.__init__
+
+        def counting_init(adapter, *args, **kwargs):
+            nonlocal builds
+            builds += 1
+            init(adapter, *args, **kwargs)
+
+        candidates = set()
+        reduce_statements = orchestrator.reduce_statements
+
+        def recording_reduce(statements, still_fails):
+            def check(candidate):
+                candidates.add(tuple(candidate))
+                return still_fails(candidate)
+
+            return reduce_statements(statements, check)
+
+        monkeypatch.setattr(MiniDBAdapter, "__init__", counting_init)
+        monkeypatch.setattr(orchestrator, "reduce_statements", recording_reduce)
+        assert make_replay_reducer(config)(report)
+        assert builds == len(candidates)
+
+    def test_known_fingerprints_are_not_reduced_again(self):
+        config = fleet_config(workers=2, n_tests=200)
+        corpus = BugCorpus(reduce_fn=make_replay_reducer(config))
+        first = run_fleet(config, corpus=corpus)
+        rerun = run_fleet(config, corpus=corpus)
+        corpus.reduce_fn = None
+        unreduced = run_fleet(config, corpus=corpus)
+        assert first.new_fingerprints and not rerun.new_fingerprints
+        # Reductions count in the shard's cache stats, so equal stats
+        # mean the rerun reduced nothing.
+        assert rerun.merged.cache_stats == unreduced.merged.cache_stats
+        assert first.merged.cache_stats != unreduced.merged.cache_stats
+
+    def test_reducing_fleet_cache_stats_are_deterministic(self):
+        config = fleet_config(
+            workers=2, n_tests=200, guidance="plan-coverage"
+        )
+        runs = [
+            run_fleet(
+                config, corpus=BugCorpus(reduce_fn=make_replay_reducer(config))
+            )
+            for _ in range(2)
+        ]
+        assert [s.cache_stats for s in runs[0].shards] == [
+            s.cache_stats for s in runs[1].shards
+        ]
+        assert runs[0].merged.cache_stats == runs[1].merged.cache_stats
+
+    @pytest.mark.parametrize(
+        "reduce_fn",
+        [
+            lambda report: None,
+            make_replay_reducer(fleet_config(buggy=False)),
+            make_replay_reducer(fleet_config(dialect="mysql")),
+        ],
+        ids=["plain-function", "other-engine", "other-dialect"],
+    )
+    def test_rejects_a_reducer_that_is_not_the_fleets(self, reduce_fn):
+        with pytest.raises(ValueError, match="make_replay_reducer"):
+            run_fleet(
+                fleet_config(workers=1, n_tests=10),
+                corpus=BugCorpus(reduce_fn=reduce_fn),
+            )
+
+
 class TestCorpusSink:
     def test_streams_reports_without_double_counting(self):
         # The sink absorbs reports as progress messages arrive and only

@@ -212,6 +212,23 @@ class TestFleetCli:
         second = capsys.readouterr().out
         assert "0 new unique" in second
 
+    def test_fleet_lists_new_bugs_in_a_deterministic_order(self, capsys):
+        # Reports reach the corpus in an order that depends on how the
+        # two shards are scheduled; the listing must not.
+        argv = [
+            "fleet", "--tests", "300", "--workers", "2", "--buggy",
+            "--seed", "2", "--quiet",
+        ]
+        listings = []
+        for _ in range(2):
+            assert cli_main(argv) == 0
+            out = capsys.readouterr().out
+            listings.append(
+                [line for line in out.splitlines() if line.startswith("[")]
+            )
+        assert len(listings[0]) == 5
+        assert listings[0] == listings[1]
+
 
 class TestTraceCli:
     """`coddtest trace report` and `coddtest top` on real fleet traces."""

@@ -4,11 +4,13 @@ Two duties:
 
 1. **Correctness gate** -- run fixed-seed campaigns over every cached
    code path (single-engine hunt with injected faults, cross-backend
-   differential, plan-coverage-guided fleet) as shipped and cache-off,
-   and fail (exit 1) unless both produced identical deterministic
-   campaign signatures, corpus fingerprints, and guided arm schedules.
-   This is the bit-identity promise of :mod:`repro.perf`, checked end
-   to end on every push.
+   differential, plan-coverage-guided fleet, and a guided fleet whose
+   shards reduce its bugs on their campaign's cache) as shipped and
+   cache-off, and fail (exit 1) unless both produced identical
+   deterministic campaign signatures, corpus fingerprints, guided arm
+   schedules, reduced witnesses and replay verdicts.  This is the
+   bit-identity promise of :mod:`repro.perf`, checked end to end on
+   every push.
 2. **Bench artifact** -- sweep the fig2 workload over MaxDepth 3/5/7
    in both modes and write ``BENCH_perf.json``
    (:mod:`repro.perf.bench` schema) with tests/sec, speedup, and hit
@@ -35,9 +37,10 @@ import subprocess
 import sys
 import time
 
-from repro.fleet import BugCorpus, FleetConfig, run_fleet
+from repro.fleet import BugCorpus, FleetConfig, make_replay_reducer, run_fleet
 from repro.obs.phases import format_phase_breakdown
 from repro.perf.bench import bench_payload, measure_depth
+from repro.triage.replay import replay_clusters
 
 DEPTHS = (3, 5, 7)
 
@@ -50,23 +53,36 @@ _HISTORY_CAP = 200
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _fleet_signature(config: FleetConfig) -> dict:
+def _fleet_signature(config: FleetConfig, reduce: bool = False) -> dict:
     """Deterministic witness of one fleet run: merged campaign
-    signature, sorted corpus fingerprints, and (guided) arm schedules."""
-    corpus = BugCorpus()
+    signature, sorted corpus fingerprints, and (guided) arm schedules.
+    A reducing run adds every entry's reduced witness and the replay
+    verdict of every triage cluster, replayed with the run's cache
+    setting."""
+    corpus = BugCorpus(reduce_fn=make_replay_reducer(config) if reduce else None)
     result = run_fleet(config, corpus=corpus)
-    return {
+    witness = {
         "merged": result.merged.signature(),
         "corpus": sorted(corpus.entries),
         "arms": result.arm_schedules,
     }
+    if reduce:
+        witness["reduced"] = {
+            fp: entry.reduced_statements
+            for fp, entry in sorted(corpus.entries.items())
+        }
+        verdicts = replay_clusters(result.clusters, use_cache=config.use_cache)
+        witness["verdicts"] = {
+            cid: (v.status, v.witness) for cid, v in sorted(verdicts.items())
+        }
+    return witness
 
 
-def _gate(name: str, make_config) -> dict:
+def _gate(name: str, make_config, reduce: bool = False) -> dict:
     """Run one workload as shipped and cache-off and require identical
     signatures.  *make_config* takes ``use_cache``."""
-    shipped = _fleet_signature(make_config(True))
-    reference = _fleet_signature(make_config(False))
+    shipped = _fleet_signature(make_config(True), reduce)
+    reference = _fleet_signature(make_config(False), reduce)
     identical = shipped == reference
     status = "identical" if identical else "MISMATCH"
     print(f"[perf-smoke] {name:20s} shipped vs cache-off: {status}")
@@ -186,6 +202,21 @@ def main(argv: "list[str] | None" = None) -> int:
                 guidance="plan-coverage",
                 use_cache=cache,
             ),
+        ),
+        # Shards reduce on the cache their campaign warmed, so this is
+        # the end-to-end check that sharing it is exact.
+        _gate(
+            "reducing guided fleet",
+            lambda cache: FleetConfig(
+                oracle="coddtest",
+                buggy=True,
+                workers=2,
+                seed=args.seed,
+                n_tests=args.tests,
+                guidance="plan-coverage",
+                use_cache=cache,
+            ),
+            reduce=True,
         ),
     ]
 
