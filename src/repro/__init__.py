@@ -16,7 +16,6 @@ from repro.adapters import MiniDBAdapter, Sqlite3Adapter
 from repro.backends import (
     BackendInfo,
     CapabilityVector,
-    available_backend_names,
     backend_names,
     build_backend,
     pair_policy,
@@ -74,7 +73,6 @@ __all__ = [
     "build_pair_adapter",
     "BackendInfo",
     "CapabilityVector",
-    "available_backend_names",
     "backend_names",
     "build_backend",
     "pair_policy",

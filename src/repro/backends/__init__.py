@@ -1,16 +1,18 @@
-"""Pluggable DBMS backends: registry + automatic capability probing.
+"""DBMS backends: a registry plus automatic capability probing.
 
 Two layers:
 
 * :mod:`repro.backends.registry` -- short-name -> adapter-factory
-  registry with built-in and ``coddtest.backends`` entry-point
-  discovery; :func:`build_backend` is the one place backend names
-  resolve (the CLI, the fleet, and triage replay all route here).
+  registry of the in-repo backends (:mod:`repro.backends.builtin`),
+  which register on import; :func:`build_backend` is the one place
+  backend names resolve (the CLI, the fleet, and triage replay all
+  route here).
 * :mod:`repro.backends.probe` -- the canned feature-probe program set,
-  disk-cached :class:`CapabilityVector` per backend build, and the
-  probe-*derived* :class:`~repro.differential.compat.CompatPolicy`
-  (the hand-written ``(minidb, sqlite3)`` intersection is reproduced
-  exactly; enforced by test and the ``backend-smoke`` CI gate).
+  the :class:`CapabilityVector` of each backend build (probed once per
+  ``(backend, dialect)`` per process), and the probe-*derived*
+  :class:`~repro.differential.compat.CompatPolicy` (the hand-written
+  ``(minidb, sqlite3)`` intersection is reproduced exactly; enforced by
+  test and the ``backend-smoke`` CI gate).
 
 ``coddtest backends list|probe`` is the CLI surface.
 """
@@ -18,7 +20,6 @@ Two layers:
 from __future__ import annotations
 
 from repro.backends.probe import (
-    CACHE_DIR_ENV,
     PROBE_PROGRAMS,
     PROBE_SET_DIGEST,
     CapabilityVector,
@@ -29,18 +30,12 @@ from repro.backends.probe import (
     pair_policy,
     probe_backend,
     run_probes,
-    vector_cache_path,
 )
 from repro.backends.registry import (
-    ENTRY_POINT_GROUP,
     BackendInfo,
-    BackendUnavailable,
     all_backends,
-    available_backend_names,
     backend_names,
     build_backend,
-    discovery_errors,
-    ensure_discovered,
     get_backend,
     register_backend,
     unregister_backend,
@@ -48,27 +43,20 @@ from repro.backends.registry import (
 
 __all__ = [
     "BackendInfo",
-    "BackendUnavailable",
-    "CACHE_DIR_ENV",
     "CapabilityVector",
-    "ENTRY_POINT_GROUP",
     "PROBE_PROGRAMS",
     "PROBE_SET_DIGEST",
     "ProbeProgram",
     "all_backends",
-    "available_backend_names",
     "backend_names",
     "build_backend",
     "caps_from_vector",
     "clear_probe_memo",
     "derive_policy",
-    "discovery_errors",
-    "ensure_discovered",
     "get_backend",
     "pair_policy",
     "probe_backend",
     "register_backend",
     "run_probes",
     "unregister_backend",
-    "vector_cache_path",
 ]

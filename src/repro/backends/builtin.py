@@ -1,4 +1,6 @@
-"""The in-repo backends: two MiniDB builds and real SQLite.
+"""The in-repo backend factories: two MiniDB builds and real SQLite.
+
+:mod:`repro.backends.registry` registers them under these names:
 
 * ``minidb`` -- the simulated engine at the selected dialect profile,
   the paper's engine under test; ``buggy`` seeds the full fault catalog.
@@ -16,29 +18,20 @@
 from __future__ import annotations
 
 import dataclasses
-import sqlite3
 
-from repro.backends.registry import register_backend
-
-#: Version suffix distinguishing the alt build in capability-vector
-#: cache keys: same engine code, different compiled-in configuration.
+#: Version suffix distinguishing the alt build's capability vector:
+#: same engine code, different compiled-in configuration.
 ALT_VERSION_SUFFIX = "+alt.1"
 
 
-def _engine_version() -> str:
-    from repro.minidb.functions import ENGINE_VERSION
-
-    return ENGINE_VERSION
-
-
-def _minidb_factory(dialect: str = "sqlite", buggy: bool = False):
+def minidb_factory(dialect: str = "sqlite", buggy: bool = False):
     from repro.adapters.minidb_adapter import MiniDBAdapter
     from repro.dialects import make_engine
 
     return MiniDBAdapter(make_engine(dialect, with_catalog_faults=buggy))
 
 
-def _minidb_alt_factory(dialect: str = "sqlite", buggy: bool = False):
+def minidb_alt_factory(dialect: str = "sqlite", buggy: bool = False):
     from repro.adapters.minidb_adapter import MiniDBAdapter
     from repro.dialects import get_dialect
     from repro.minidb.engine import Engine
@@ -66,40 +59,7 @@ def _minidb_alt_factory(dialect: str = "sqlite", buggy: bool = False):
     return adapter
 
 
-def register_builtins() -> None:
-    """Idempotent registration of the in-repo backends (called once by
-    :func:`repro.backends.registry.ensure_discovered`)."""
-    register_backend(
-        "minidb",
-        _minidb_factory,
-        version=lambda dialect: _engine_version(),
-        description="simulated engine at the selected dialect profile "
-        "(ground-truth fault injection)",
-        simulated=True,
-        dialect_sensitive=True,
-        replace=True,
-    )
-    register_backend(
-        "minidb@alt",
-        _minidb_alt_factory,
-        version=lambda dialect: _engine_version() + ALT_VERSION_SUFFIX,
-        description="second MiniDB build: quantified comparisons "
-        "compiled out, --buggy seeds only open (VERIFIED) faults "
-        "(regression-diff pairs)",
-        simulated=True,
-        dialect_sensitive=True,
-        replace=True,
-    )
-    register_backend(
-        "sqlite3",
-        lambda dialect="sqlite", buggy=False: _sqlite3_factory(),
-        version=lambda dialect: sqlite3.sqlite_version,
-        description="real stdlib SQLite (in-memory)",
-        replace=True,
-    )
-
-
-def _sqlite3_factory():
+def sqlite3_factory(dialect: str = "sqlite", buggy: bool = False):
     from repro.adapters.sqlite3_adapter import Sqlite3Adapter
 
     return Sqlite3Adapter()

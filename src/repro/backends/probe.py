@@ -12,14 +12,12 @@ rewrite ``VERSION()`` to a literal) come from comparing the recorded
 values of probes both backends execute successfully.
 
 Determinism guarantee: every probe program is a fixed constant query
-over a fixed two-row state, all engines involved are deterministic, and
-the JSON serialization sorts keys -- probing the same backend build
-twice yields a byte-identical vector.  Vectors are cached in-process
-per ``(backend, dialect, version, probe set)`` and, when a cache
-directory is given, on disk keyed by backend name + version string (a
-backend whose behaviour can change must change its version string; the
-probe-set digest also keys the file, so editing the programs
-invalidates stale vectors).
+over a fixed two-row state and all engines involved are deterministic,
+so probing the same backend build twice yields an equal vector, and
+``coddtest backends probe --out`` writes it byte-identically.  Each
+``(backend, dialect)`` is probed once per process; the vector records
+the backend's version string and the probe-set digest as its
+provenance.
 
 The derived ``(minidb, sqlite3)`` policy reproduces the hand-written
 intersection exactly -- enforced by
@@ -33,15 +31,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
-import re
 from dataclasses import dataclass
 
-from repro.backends.registry import (
-    BackendInfo,
-    BackendUnavailable,
-    get_backend,
-)
+from repro.backends.registry import get_backend
 from repro.differential.compat import BackendCaps, CompatPolicy
 from repro.errors import ReproError
 from repro.minidb.functions import ENGINE_VERSION
@@ -68,7 +60,7 @@ _TWO_ROWS = (
 )
 
 #: The canned probe set.  Append-only by convention: editing a program
-#: changes :data:`PROBE_SET_DIGEST` and invalidates every cached vector.
+#: changes :data:`PROBE_SET_DIGEST`, which every vector records.
 PROBE_PROGRAMS: tuple[ProbeProgram, ...] = (
     ProbeProgram(
         "quantified_any",
@@ -126,7 +118,7 @@ def _probe_set_digest() -> str:
     return hashlib.blake2b(payload.encode(), digest_size=8).hexdigest()
 
 
-#: Digest of the program set; part of every cache key.
+#: Digest of the program set; part of every vector's provenance.
 PROBE_SET_DIGEST = _probe_set_digest()
 
 
@@ -196,21 +188,6 @@ class CapabilityVector:
             "probes": self.probes,
         }
 
-    def to_json(self) -> str:
-        """Byte-stable serialization (sorted keys, trailing newline)."""
-        return json.dumps(self.to_payload(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "CapabilityVector":
-        return cls(
-            backend=payload["backend"],
-            qualified=payload["qualified"],
-            version=payload["version"],
-            simulated=bool(payload["simulated"]),
-            probe_set=payload["probe_set"],
-            probes=dict(payload["probes"]),
-        )
-
 
 def run_probes(adapter) -> "dict[str, dict]":
     """Execute the probe set on *adapter* (reset between programs)."""
@@ -232,12 +209,9 @@ def run_probes(adapter) -> "dict[str, dict]":
     return outcomes
 
 
-#: In-process memo: (backend, dialect, version, probe-set digest) ->
-#: CapabilityVector.  Probing is cheap but happens on every pair build.
-_MEMO: dict[tuple, CapabilityVector] = {}
-
-#: Environment override for the on-disk vector cache directory.
-CACHE_DIR_ENV = "CODDTEST_CAPVEC_DIR"
+#: In-process memo: (backend, dialect) -> CapabilityVector.  Probing
+#: is cheap but happens on every pair build.
+_MEMO: dict[tuple[str, str], CapabilityVector] = {}
 
 
 def clear_probe_memo() -> None:
@@ -245,94 +219,24 @@ def clear_probe_memo() -> None:
     _MEMO.clear()
 
 
-def _slug(text: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._@+-]+", "_", text)
-
-
-def vector_cache_path(
-    cache_dir: str, info: BackendInfo, dialect: str, version: str
-) -> str:
-    """The on-disk cache file for one backend build: keyed by qualified
-    backend name + version string + probe-set digest."""
-    qualified = (
-        f"{info.name}[{dialect}]" if info.dialect_sensitive else info.name
-    )
-    name = f"{_slug(qualified)}@{_slug(version)}.{PROBE_SET_DIGEST}.json"
-    return os.path.join(cache_dir, name)
-
-
-def probe_backend(
-    name: str,
-    dialect: str = "sqlite",
-    cache_dir: "str | None" = None,
-    force: bool = False,
-) -> CapabilityVector:
-    """The :class:`CapabilityVector` of backend *name* at *dialect*.
-
-    Cached in-process per ``(name, dialect, version, probe set)`` and,
-    when *cache_dir* (or ``$CODDTEST_CAPVEC_DIR``) names a directory,
-    on disk -- a cached file is reused only when its backend, version,
-    and probe-set digest all match, so upgrading the backend or editing
-    the probe set re-probes.  ``force=True`` bypasses both caches and
-    rewrites the disk entry.
-    """
-    info = get_backend(name)
-    reason = info.why_unavailable()
-    if reason is not None:
-        # Check before touching the version hook: an optional backend's
-        # version callable imports the missing package.
-        raise BackendUnavailable(
-            f"backend {name!r} is unavailable: {reason}"
+def probe_backend(name: str, dialect: str = "sqlite") -> CapabilityVector:
+    """The :class:`CapabilityVector` of backend *name* at *dialect*,
+    probed on a faults-off build once per ``(name, dialect)`` per
+    process."""
+    key = (name, dialect)
+    vector = _MEMO.get(key)
+    if vector is None:
+        info = get_backend(name)
+        adapter = info.build(dialect=dialect, buggy=False)
+        vector = CapabilityVector(
+            backend=name,
+            qualified=adapter.name,
+            version=info.version(dialect),
+            simulated=info.simulated,
+            probe_set=PROBE_SET_DIGEST,
+            probes=run_probes(adapter),
         )
-    version = info.version(dialect)
-    memo_key = (name, dialect, version, PROBE_SET_DIGEST)
-    if not force and memo_key in _MEMO:
-        return _MEMO[memo_key]
-
-    cache_dir = cache_dir or os.environ.get(CACHE_DIR_ENV) or None
-    path = (
-        vector_cache_path(cache_dir, info, dialect, version)
-        if cache_dir
-        else None
-    )
-    if path is not None and not force:
-        vector = _load_vector(path, info, version)
-        if vector is not None:
-            _MEMO[memo_key] = vector
-            return vector
-
-    adapter = info.build(dialect=dialect, buggy=False)
-    vector = CapabilityVector(
-        backend=name,
-        qualified=adapter.name,
-        version=version,
-        simulated=info.simulated,
-        probe_set=PROBE_SET_DIGEST,
-        probes=run_probes(adapter),
-    )
-    if path is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(vector.to_json())
-    _MEMO[memo_key] = vector
-    return vector
-
-
-def _load_vector(
-    path: str, info: BackendInfo, version: str
-) -> "CapabilityVector | None":
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        vector = CapabilityVector.from_payload(payload)
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-    if (
-        vector.backend != info.name
-        or vector.version != version
-        or vector.probe_set != PROBE_SET_DIGEST
-    ):
-        return None  # stale entry: version or probe set moved on
+        _MEMO[key] = vector
     return vector
 
 
@@ -401,13 +305,10 @@ def derive_policy(
 
 
 def pair_policy(
-    primary_name: str,
-    secondary_name: str,
-    dialect: str = "sqlite",
-    cache_dir: "str | None" = None,
+    primary_name: str, secondary_name: str, dialect: str = "sqlite"
 ) -> CompatPolicy:
     """The probe-derived policy for a registered backend pair."""
     return derive_policy(
-        probe_backend(primary_name, dialect=dialect, cache_dir=cache_dir),
-        probe_backend(secondary_name, dialect=dialect, cache_dir=cache_dir),
+        probe_backend(primary_name, dialect=dialect),
+        probe_backend(secondary_name, dialect=dialect),
     )

@@ -320,25 +320,19 @@ def _add_backends_parser(sub) -> None:
     backends = sub.add_parser(
         "backends",
         help="list registered DBMS backends and probe their capabilities",
-        description="Inspect the pluggable backend registry: the "
-        "built-in backends plus anything third-party packages register "
-        "through 'coddtest.backends' entry points.  'probe' runs the "
+        description="Inspect the backend registry.  'probe' runs the "
         "canned feature-probe program set against a backend build and "
-        "prints (or caches) its capability vector -- the input the "
-        "differential compat policy is derived from.  Deterministic: "
-        "probing the same backend build twice yields a byte-identical "
-        "vector.",
+        "prints its capability vector -- the input the differential "
+        "compat policy is derived from.  Deterministic: probing the "
+        "same backend build twice yields a byte-identical vector.",
     )
     bsub = backends.add_subparsers(dest="backends_command", required=True)
 
     bsub.add_parser(
         "list",
-        help="list registered backends with availability and version",
-        description="One row per registered backend: availability "
-        "(optional backends report why they cannot build here), "
-        "simulated flag (ground-truth fault attribution), version, "
-        "and description.  Broken entry points are reported on stderr "
-        "without failing discovery.",
+        help="list registered backends with their versions",
+        description="One row per registered backend: simulated flag "
+        "(ground-truth fault attribution), version, and description.",
     )
 
     probe = bsub.add_parser(
@@ -346,15 +340,13 @@ def _add_backends_parser(sub) -> None:
         help="run the capability probe set against backends",
         description="Build each named backend faults-off, run the "
         "canned probe programs, and print one summary line per "
-        "capability vector.  Vectors are cached per (backend, "
-        "version, probe set) when --cache-dir or CODDTEST_CAPVEC_DIR "
-        "is set.",
+        "capability vector.",
     )
     probe.add_argument(
         "names",
         nargs="*",
         metavar="BACKEND",
-        help="backends to probe (default: every available backend)",
+        help="backends to probe (default: every registered backend)",
     )
     probe.add_argument(
         "--dialect",
@@ -363,23 +355,10 @@ def _add_backends_parser(sub) -> None:
         help="MiniDB profile for dialect-sensitive backends",
     )
     probe.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        dest="cache_dir",
-        help="on-disk capability-vector cache directory (also settable "
-        "via CODDTEST_CAPVEC_DIR)",
-    )
-    probe.add_argument(
         "--out",
         default=None,
         metavar="PATH",
         help="write every probed vector into one JSON document",
-    )
-    probe.add_argument(
-        "--force",
-        action="store_true",
-        help="re-probe even when a cached vector exists",
     )
 
 
@@ -852,22 +831,19 @@ def _compare(args) -> int:
 def _backends(args) -> int:
     from repro import backends as registry
 
-    registry.ensure_discovered()
     if args.backends_command == "list":
         return _backends_list(registry)
     return _backends_probe(registry, args)
 
 
 def _backends_list(registry) -> int:
-    rows = [["NAME", "STATUS", "SIMULATED", "VERSION", "DESCRIPTION"]]
+    rows = [["NAME", "SIMULATED", "VERSION", "DESCRIPTION"]]
     for info in registry.all_backends():
-        reason = info.why_unavailable()
         rows.append(
             [
                 info.name,
-                "available" if reason is None else f"unavailable ({reason})",
                 "yes" if info.simulated else "no",
-                info.version("sqlite") if reason is None else "-",
+                info.version("sqlite"),
                 info.description,
             ]
         )
@@ -875,24 +851,16 @@ def _backends_list(registry) -> int:
     for row in rows:
         cells = [row[i].ljust(widths[i]) for i in range(len(widths))]
         print("  ".join(cells + [row[-1]]).rstrip())
-    for err in registry.discovery_errors():
-        print(f"coddtest: entry-point error: {err}", file=sys.stderr)
     return 0
 
 
 def _backends_probe(registry, args) -> int:
     import json
 
-    names = list(args.names) or registry.available_backend_names()
+    names = list(args.names) or registry.backend_names()
     vectors = []
     for name in names:
-        registry.get_backend(name)  # unknown names fail before probing
-        vector = registry.probe_backend(
-            name,
-            dialect=args.dialect,
-            cache_dir=args.cache_dir,
-            force=args.force,
-        )
+        vector = registry.probe_backend(name, dialect=args.dialect)
         ok = sum(1 for probe in vector.probes.values() if probe["ok"])
         print(
             f"{vector.qualified}: version {vector.version}, "

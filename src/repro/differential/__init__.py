@@ -28,11 +28,7 @@ from repro.differential.compat import (
     CompatSkip,
     capabilities,
 )
-from repro.differential.oracle import (
-    DifferentialOracle,
-    build_backend,
-    build_pair_adapter,
-)
+from repro.differential.oracle import DifferentialOracle, build_pair_adapter
 from repro.differential.pair import DifferentialAdapter
 
 __all__ = [
@@ -41,7 +37,6 @@ __all__ = [
     "CompatSkip",
     "DifferentialAdapter",
     "DifferentialOracle",
-    "build_backend",
     "build_pair_adapter",
     "capabilities",
 ]

@@ -21,29 +21,12 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.adapters.base import EngineAdapter
 from repro.differential.compat import ALL_JOIN_KINDS
 from repro.differential.pair import DifferentialAdapter
 from repro.errors import DifferentialMismatch
 from repro.generator.expr_gen import ExprGenerator
 from repro.generator.query_gen import QueryGenerator, replace_join_on
 from repro.oracles_base import Oracle, TestOutcome, TestReport
-
-
-def build_backend(
-    name: str, dialect: str = "sqlite", buggy: bool = False
-) -> EngineAdapter:
-    """Construct one backend by registry name.
-
-    ``buggy`` seeds the fault catalog on simulated backends; real DBMS
-    backends have no injectable faults and ignore it.  Unknown names
-    raise ``ValueError`` listing the *registered* backends (imported
-    lazily: the registry's built-ins construct adapters, so importing
-    it at module level would be circular).
-    """
-    from repro.backends import build_backend as registry_build
-
-    return registry_build(name, dialect=dialect, buggy=buggy)
 
 
 def build_pair_adapter(
@@ -57,8 +40,13 @@ def build_pair_adapter(
     *derived* from each backend's probed capability vector (cached per
     process); for ``(minidb, sqlite3)`` it reproduces the hand-written
     intersection exactly.
+
+    The registry is imported here, not at module level: that import
+    would be circular (:mod:`repro.backends.probe` imports
+    :mod:`repro.differential.compat`), and it would bind ``pair_policy``
+    before perfbench wraps ``repro.backends.pair_policy`` by name.
     """
-    from repro.backends import pair_policy
+    from repro.backends import build_backend, pair_policy
 
     primary_name, secondary_name = backend_pair
     primary = build_backend(primary_name, dialect=dialect, buggy=buggy)

@@ -186,7 +186,7 @@ class BugCorpus:
         """Load *path* if it exists (resume), else start empty."""
         corpus = cls(path=path, reduce_fn=reduce_fn)
         if os.path.exists(path):
-            for entry in _read_jsonl(path):
+            for entry in iter_corpus_file(path):
                 corpus.entries[entry.fingerprint] = entry
         return corpus
 
@@ -280,9 +280,6 @@ class BugCorpus:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __contains__(self, fingerprint: str) -> bool:
-        return fingerprint in self.entries
-
     @property
     def total_seen(self) -> int:
         return sum(e.times_seen for e in self.entries.values())
@@ -295,9 +292,28 @@ class BugCorpus:
         return out
 
 
-def _read_jsonl(path: str) -> Iterator[CorpusEntry]:
+def iter_corpus_file(path: str) -> Iterator[CorpusEntry]:
+    """Yield the entries of one JSONL corpus file in file order.
+
+    Raises :class:`ValueError` naming the file and line on malformed
+    JSON or an entry missing its required fields, so a truncated write
+    surfaces as a diagnosable error rather than a stack trace.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                yield CorpusEntry.from_dict(json.loads(line))
+            if not line:
+                continue
+            try:
+                data = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: not valid JSON ({exc.msg})"
+                ) from None
+            try:
+                yield CorpusEntry.from_dict(data)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: corpus entry missing or invalid "
+                    f"field ({exc})"
+                ) from None

@@ -171,15 +171,6 @@ class FleetConfig:
                 "the differential oracle requires a backend_pair, e.g. "
                 "('minidb', 'sqlite3')"
             )
-        # Fail fast on optional backends that cannot build here (for
-        # example a driver package that is not installed) -- not in a
-        # worker.
-        for name in self.backend_pair or (self.adapter,):
-            reason = get_backend(name).why_unavailable()
-            if reason is not None:
-                raise ValueError(
-                    f"backend {name!r} is unavailable: {reason}"
-                )
         if self.guidance is not None and self.guidance not in GUIDANCE_MODES:
             raise ValueError(
                 f"unknown guidance mode {self.guidance!r}; "

@@ -31,10 +31,6 @@ class FromSkeleton:
     join_kinds: list[str] = field(default_factory=list)
     on_join: A.Join | None = None  # innermost join (phi-as-ON target)
 
-    @property
-    def has_join(self) -> bool:
-        return bool(self.join_kinds)
-
     def join_free_ref(self) -> A.TableRef:
         """The relations cross-joined without ON predicates."""
         return _strip_ons(self.ref)

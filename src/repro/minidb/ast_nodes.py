@@ -4,7 +4,9 @@ The same AST is produced by the parser (:mod:`repro.minidb.parser`),
 by the random generators (:mod:`repro.generator`), and transformed by the
 test oracles (:mod:`repro.core`, :mod:`repro.baselines`).
 
-Every node renders back to SQL text via :meth:`Node.to_sql`.  Rendering is
+Every node the generators and oracles build renders back to SQL text via
+:meth:`Node.to_sql`; nodes only the parser builds (derived and VALUES
+tables, DDL, UPDATE, DELETE) do not render.  Rendering is
 deliberately over-parenthesized: the oracles compare *results* of queries,
 never their text, so unambiguous round-tripping matters more than pretty
 output.  This mirrors the paper's implementation note that folded queries
@@ -390,12 +392,6 @@ class DerivedTable(TableRef):
     alias: str
     column_aliases: tuple[str, ...] = ()
 
-    def to_sql(self) -> str:
-        sql = f"({self.query.to_sql()}) AS {self.alias}"
-        if self.column_aliases:
-            sql += "(" + ", ".join(self.column_aliases) + ")"
-        return sql
-
 
 @dataclass(frozen=True)
 class ValuesTable(TableRef):
@@ -405,15 +401,6 @@ class ValuesTable(TableRef):
     rows: tuple[tuple[Expr, ...], ...]
     alias: str
     column_aliases: tuple[str, ...] = ()
-
-    def to_sql(self) -> str:
-        rows_sql = ", ".join(
-            "(" + ", ".join(e.to_sql() for e in row) + ")" for row in self.rows
-        )
-        sql = f"(VALUES {rows_sql}) AS {self.alias}"
-        if self.column_aliases:
-            sql += "(" + ", ".join(self.column_aliases) + ")"
-        return sql
 
 
 @dataclass(frozen=True)
@@ -538,11 +525,6 @@ class ValuesSource(Node):
 
     rows: tuple[tuple[Expr, ...], ...]
 
-    def to_sql(self) -> str:
-        return "VALUES " + ", ".join(
-            "(" + ", ".join(e.to_sql() for e in row) + ")" for row in self.rows
-        )
-
 
 @dataclass(frozen=True)
 class ColumnDef(Node):
@@ -553,27 +535,12 @@ class ColumnDef(Node):
     not_null: bool = False
     primary_key: bool = False
 
-    def to_sql(self) -> str:
-        sql = self.name
-        if self.type_name:
-            sql += f" {self.type_name}"
-        if self.primary_key:
-            sql += " PRIMARY KEY"
-        if self.not_null:
-            sql += " NOT NULL"
-        return sql
-
 
 @dataclass(frozen=True)
 class CreateTable(Node):
     name: str
     columns: tuple[ColumnDef, ...]
     if_not_exists: bool = False
-
-    def to_sql(self) -> str:
-        ine = "IF NOT EXISTS " if self.if_not_exists else ""
-        cols = ", ".join(c.to_sql() for c in self.columns)
-        return f"CREATE TABLE {ine}{self.name} ({cols})"
 
 
 @dataclass(frozen=True)
@@ -590,14 +557,6 @@ class CreateIndex(Node):
     where: Expr | None = None
     unique: bool = False
 
-    def to_sql(self) -> str:
-        uq = "UNIQUE " if self.unique else ""
-        cols = ", ".join(e.to_sql() for e in self.exprs)
-        sql = f"CREATE {uq}INDEX {self.name} ON {self.table} ({cols})"
-        if self.where is not None:
-            sql += f" WHERE {self.where.to_sql()}"
-        return sql
-
 
 @dataclass(frozen=True)
 class CreateView(Node):
@@ -605,20 +564,12 @@ class CreateView(Node):
     columns: tuple[str, ...]
     query: Select
 
-    def to_sql(self) -> str:
-        cols = f"({', '.join(self.columns)})" if self.columns else ""
-        return f"CREATE VIEW {self.name}{cols} AS {self.query.to_sql()}"
-
 
 @dataclass(frozen=True)
 class Drop(Node):
     kind: str  # TABLE / VIEW / INDEX
     name: str
     if_exists: bool = False
-
-    def to_sql(self) -> str:
-        ie = "IF EXISTS " if self.if_exists else ""
-        return f"DROP {self.kind} {ie}{self.name}"
 
 
 @dataclass(frozen=True)
@@ -638,24 +589,11 @@ class Update(Node):
     assignments: tuple[tuple[str, Expr], ...]
     where: Expr | None = None
 
-    def to_sql(self) -> str:
-        sets = ", ".join(f"{c} = {e.to_sql()}" for c, e in self.assignments)
-        sql = f"UPDATE {self.table} SET {sets}"
-        if self.where is not None:
-            sql += f" WHERE {self.where.to_sql()}"
-        return sql
-
 
 @dataclass(frozen=True)
 class Delete(Node):
     table: str
     where: Expr | None = None
-
-    def to_sql(self) -> str:
-        sql = f"DELETE FROM {self.table}"
-        if self.where is not None:
-            sql += f" WHERE {self.where.to_sql()}"
-        return sql
 
 
 Statement = (

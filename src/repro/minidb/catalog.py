@@ -63,10 +63,6 @@ class Table:
     columns: list[Column]
     rows: list[tuple[SqlValue, ...]] = field(default_factory=list)
 
-    @property
-    def column_names(self) -> list[str]:
-        return [c.name for c in self.columns]
-
     def column_index(self, name: str) -> int:
         lowered = name.lower()
         for i, col in enumerate(self.columns):

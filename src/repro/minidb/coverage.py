@@ -23,11 +23,6 @@ def register_tags(*tags: str) -> None:
     _ALL_TAGS.update(tags)
 
 
-def all_tags() -> frozenset[str]:
-    """The full set of declared branch tags."""
-    return frozenset(_ALL_TAGS)
-
-
 class CoverageTracker:
     """Per-engine set of branch tags hit since the last reset."""
 

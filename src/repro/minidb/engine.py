@@ -59,7 +59,6 @@ class EngineProfile:
     supports_any_all: bool = True
     #: "error" (MySQL-like) or "first" (SQLite-like LIMIT-1 behaviour).
     scalar_subquery_multi_row: str = "error"
-    supports_full_join: bool = True
     #: Reported by pg_typeof()/typeof()-style introspection helpers.
     display_name: str = "MiniDB"
 

@@ -82,10 +82,6 @@ class Materialized:
     columns: list[str]
     rows: list[Row]
 
-    @property
-    def schema(self) -> Schema:
-        return Schema(tuple((None, c) for c in self.columns))
-
 
 def execute_select(plan: SelectPlan, ctx: EvalCtx) -> Materialized:
     """Execute a planned SELECT, returning its materialized result."""

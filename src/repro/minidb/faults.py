@@ -164,10 +164,6 @@ class FaultInjector:
             for site in fault.sites:
                 self._by_site.setdefault(site, []).append(fault)
 
-    def set_faults(self, faults: list[Fault]) -> None:
-        self.faults = list(faults)
-        self._rebuild()
-
     def reset_fired(self) -> None:
         self.fired.clear()
 

@@ -83,42 +83,6 @@ def _fn_ifnull(args: list[SqlValue], mode: TypingMode) -> SqlValue:
     return a if a is not None else b
 
 
-def _fn_substr(args: list[SqlValue], mode: TypingMode) -> SqlValue:
-    if len(args) == 2:
-        text, start = args
-        length: SqlValue = None
-    else:
-        text, start, length = args
-    if text is None or start is None:
-        return None
-    s = to_text(text)
-    start_i = int(cast(start, SqlType.INTEGER, mode))  # type: ignore[arg-type]
-    # SQLite semantics: 1-based, 0 and negatives count from the end-ish.
-    if start_i > 0:
-        begin = start_i - 1
-    elif start_i == 0:
-        begin = 0
-    else:
-        begin = max(0, len(s) + start_i)
-    if length is None:
-        return s[begin:]
-    length_i = int(cast(length, SqlType.INTEGER, mode))  # type: ignore[arg-type]
-    if length_i < 0:
-        return ""
-    return s[begin : begin + length_i]
-
-
-def _fn_round(args: list[SqlValue], mode: TypingMode) -> SqlValue:
-    v = args[0]
-    digits = args[1] if len(args) > 1 else 0
-    if v is None or digits is None:
-        return None
-    n = cast(v, SqlType.REAL, mode)
-    d = int(cast(digits, SqlType.INTEGER, mode))  # type: ignore[arg-type]
-    assert isinstance(n, float)
-    return float(round(n, d))
-
-
 def _fn_typeof(args: list[SqlValue], mode: TypingMode) -> SqlValue:
     (v,) = args
     return str(type_of(v))
@@ -160,8 +124,6 @@ SCALAR_FUNCTIONS: dict[str, tuple[int, int, ScalarFn]] = {
     "COALESCE": (1, 8, _fn_coalesce),
     "NULLIF": (2, 2, _fn_nullif),
     "IFNULL": (2, 2, _fn_ifnull),
-    "SUBSTR": (2, 3, _fn_substr),
-    "ROUND": (1, 2, _fn_round),
     "TYPEOF": (1, 1, _fn_typeof),
     "VERSION": (0, 0, _fn_version),
 }

@@ -59,9 +59,6 @@ class Schema:
             self._matches[key] = found
         return found
 
-    def column_names(self) -> list[str]:
-        return [name for _, name in self.entries]
-
     @staticmethod
     def concat(left: "Schema", right: "Schema") -> "Schema":
         return Schema(left.entries + right.entries)

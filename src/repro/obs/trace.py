@@ -209,12 +209,6 @@ class TraceWriter:
         self.flush()
         self._closed = True
 
-    def __enter__(self) -> "TraceWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 def read_trace(path: str) -> list[dict]:
     """Records of a trace file, as a list so callers can fold it more

@@ -173,8 +173,3 @@ class EvalCache:
         self._stmt[key] = entry
         while len(self._stmt) > self.max_statements:
             self._stmt.popitem(last=False)
-
-    # -- introspection ------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._parse) + len(self._stmt)

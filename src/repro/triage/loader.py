@@ -16,37 +16,9 @@ output file.
 
 from __future__ import annotations
 
-import json
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from repro.fleet.corpus import BugCorpus, CorpusEntry
-
-
-def iter_corpus_file(path: str) -> Iterator[CorpusEntry]:
-    """Yield the entries of one JSONL corpus file in file order.
-
-    Raises :class:`ValueError` naming the file and line on malformed
-    JSON or an entry missing its required fields, so a truncated write
-    surfaces as a diagnosable error rather than a stack trace.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: not valid JSON ({exc.msg})"
-                ) from None
-            try:
-                yield CorpusEntry.from_dict(data)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: corpus entry missing or invalid "
-                    f"field ({exc})"
-                ) from None
+from repro.fleet.corpus import BugCorpus, CorpusEntry, iter_corpus_file
 
 
 def load_corpus(paths: "str | Iterable[str]") -> list[CorpusEntry]:

@@ -18,9 +18,7 @@ Three verdicts:
   program for the current engines);
 * ``unverifiable`` -- there is nothing to check against: a
   single-engine logic finding with no ground-truth faults needs its
-  original oracle, and an unknown or locally unavailable backend
-  (an optional adapter whose package is not installed) cannot be
-  built.
+  original oracle, and an unknown backend cannot be built.
 
 Determinism guarantee: replay drives only deterministic engines with
 the recorded statements, so replaying the same corpus twice yields the
@@ -33,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.adapters.minidb_adapter import MiniDBAdapter
-from repro.backends import backend_names, get_backend
+from repro.backends import backend_names
 from repro.dialects import FAULTS_BY_ID, make_engine
 from repro.differential import build_pair_adapter
 from repro.errors import (
@@ -65,10 +63,6 @@ class ReplayVerdict:
     detail: str
     #: Which witness reproduced: "reduced", "full", or "-" when none.
     witness: str = "-"
-
-    @property
-    def label(self) -> str:
-        return self.status
 
 
 def parse_backend_name(name: str) -> tuple[str, "str | None"]:
@@ -141,16 +135,6 @@ def replay_representative(
             return ReplayVerdict(
                 UNVERIFIABLE,
                 f"unknown backend in pair {cluster.backend_pair}",
-            )
-        unavailable = [
-            f"{b} ({get_backend(b).why_unavailable()})"
-            for b in short
-            if not get_backend(b).available()
-        ]
-        if unavailable:
-            return ReplayVerdict(
-                UNVERIFIABLE,
-                f"backend unavailable for replay: {', '.join(unavailable)}",
             )
         pair = short
     if pair is None and not target and cluster.kind == "logic":

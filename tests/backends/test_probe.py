@@ -1,31 +1,25 @@
-"""Capability-probe determinism and the on-disk vector cache."""
+"""Capability-probe determinism and the in-process vector memo."""
 
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
 from repro.adapters.sqlite3_adapter import Sqlite3Adapter
 from repro.backends import (
-    PROBE_SET_DIGEST,
-    CapabilityVector,
     clear_probe_memo,
-    get_backend,
     probe_backend,
     register_backend,
     unregister_backend,
-    vector_cache_path,
 )
 
 
 class _CountedBuild:
-    """Mutable version + build counter behind a registered backend."""
+    """Build counter behind a registered backend."""
 
     def __init__(self):
         self.builds = 0
-        self.version = "1.0"
 
     def factory(self, dialect, buggy):
         self.builds += 1
@@ -38,8 +32,8 @@ def counted():
     register_backend(
         "probe-test",
         state.factory,
-        version=lambda dialect: state.version,
-        description="probe cache test double",
+        version=lambda dialect: "1.0",
+        description="probe memo test double",
     )
     clear_probe_memo()
     try:
@@ -50,9 +44,10 @@ def counted():
 
 
 def test_probe_vector_is_byte_deterministic():
-    first = probe_backend("minidb", force=True).to_json()
     clear_probe_memo()
-    second = probe_backend("minidb", force=True).to_json()
+    first = json.dumps(probe_backend("minidb").to_payload(), sort_keys=True)
+    clear_probe_memo()
+    second = json.dumps(probe_backend("minidb").to_payload(), sort_keys=True)
     assert first == second
 
 
@@ -61,63 +56,3 @@ def test_probe_memoizes_in_process(counted):
     assert counted.builds == 1
     assert probe_backend("probe-test") is vector
     assert counted.builds == 1
-
-
-def test_disk_cache_round_trip(counted, tmp_path):
-    cache_dir = str(tmp_path)
-    vector = probe_backend("probe-test", cache_dir=cache_dir)
-    assert counted.builds == 1
-
-    path = vector_cache_path(
-        cache_dir, get_backend("probe-test"), "sqlite", "1.0"
-    )
-    assert os.path.exists(path)
-    with open(path, encoding="utf-8") as fh:
-        on_disk = fh.read()
-    # The cached file IS the canonical rendering, byte for byte.
-    assert on_disk == vector.to_json()
-    assert PROBE_SET_DIGEST in os.path.basename(path)
-
-    # A fresh process (memo cleared) reuses the disk entry: no rebuild.
-    clear_probe_memo()
-    again = probe_backend("probe-test", cache_dir=cache_dir)
-    assert counted.builds == 1
-    assert again.to_json() == vector.to_json()
-    assert isinstance(again, CapabilityVector)
-
-
-def test_disk_cache_invalidates_on_version_change(counted, tmp_path):
-    cache_dir = str(tmp_path)
-    probe_backend("probe-test", cache_dir=cache_dir)
-    assert counted.builds == 1
-
-    counted.version = "2.0"
-    clear_probe_memo()
-    upgraded = probe_backend("probe-test", cache_dir=cache_dir)
-    assert counted.builds == 2
-    assert upgraded.version == "2.0"
-    # Both versions now live side by side, keyed by version string.
-    names = sorted(os.listdir(cache_dir))
-    assert len(names) == 2
-
-
-def test_force_bypasses_disk_cache(counted, tmp_path):
-    cache_dir = str(tmp_path)
-    probe_backend("probe-test", cache_dir=cache_dir)
-    clear_probe_memo()
-    probe_backend("probe-test", cache_dir=cache_dir, force=True)
-    assert counted.builds == 2
-
-
-def test_cache_dir_env_var(counted, tmp_path, monkeypatch):
-    monkeypatch.setenv("CODDTEST_CAPVEC_DIR", str(tmp_path))
-    probe_backend("probe-test")
-    assert os.listdir(tmp_path)
-
-
-def test_payload_round_trips(counted):
-    vector = probe_backend("probe-test")
-    restored = CapabilityVector.from_payload(
-        json.loads(vector.to_json())
-    )
-    assert restored == vector

@@ -14,7 +14,9 @@ from repro.differential import (
 )
 from repro.dialects import make_engine
 from repro.dialects.catalog import FAULTS_BY_ID
+from repro.fleet import BugCorpus, FleetConfig, run_fleet
 from repro.runner.campaign import Campaign
+from repro.triage import replay_clusters
 
 
 def clean_pair():
@@ -83,6 +85,30 @@ class TestFaultDetection:
         clone = TestReport.from_dict(report.to_dict())
         assert clone.backend_pair == report.backend_pair
         assert clone.statements == report.statements
+
+    def test_engine_failures_carry_pair_and_replay_on_it(self):
+        # Internal errors, crashes and hangs are reported by the base
+        # oracle; the differential oracle must stamp its backend pair on
+        # them too, so triage replays each one on a rebuilt pair.
+        config = FleetConfig(
+            oracle="differential",
+            backend_pair=("minidb", "sqlite3"),
+            dialect="duckdb",
+            buggy=True,
+            seed=0,
+            n_tests=60,
+        )
+        result = run_fleet(config, corpus=BugCorpus())
+        failures = [
+            c
+            for c in result.clusters
+            if c.kind in ("crash", "hang", "internal error")
+        ]
+        assert {c.kind for c in failures} == {"crash", "hang", "internal error"}
+        verdicts = replay_clusters(failures)
+        for cluster in failures:
+            assert cluster.backend_pair == ("minidb[duckdb]", "sqlite3")
+            assert verdicts[cluster.cluster_id].status == "reproduces"
 
 
 class TestFactoryPairEntryPoints:

@@ -229,6 +229,23 @@ class TestFleetCli:
         assert len(listings[0]) == 5
         assert listings[0] == listings[1]
 
+    @pytest.mark.parametrize("command", ["fleet", "diff"])
+    @pytest.mark.parametrize(
+        "line",
+        ['{"fingerprint": "abc"}', '{"fingerprint": "abc'],
+        ids=["missing-field", "truncated"],
+    )
+    def test_malformed_corpus_names_file_and_line(
+        self, command, line, tmp_path, capsys
+    ):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n")
+        argv = [command, "--tests", "5", "--quiet", "--corpus", str(path)]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"coddtest: error: {path}:1: ")
+        assert captured.out == ""
+
 
 class TestTraceCli:
     """`coddtest trace report` and `coddtest top` on real fleet traces."""

@@ -1,18 +1,18 @@
-"""backend-smoke: the pluggable-backend CI gate.
+"""backend-smoke: the backend-registry CI gate.
 
 Checks the backend registry + capability-probing contract from the
 outside, the way the ``backend-smoke`` CI job hits it:
 
-1. **Probe** every available registered backend and print one summary
-   line per capability vector (the job separately uploads the combined
-   JSON from ``coddtest backends probe --out``).
-2. **Determinism** -- re-probing the same backend build must yield a
-   byte-identical vector.
+1. **Probe** every registered backend and print one summary line per
+   capability vector (the job separately uploads the combined JSON
+   from ``coddtest backends probe --out``).
+2. **Determinism** -- re-probing the same backend build after clearing
+   the in-process memo must yield an identical vector payload.
 3. **Derived-policy conformance** -- the probe-derived
    :class:`~repro.differential.compat.CompatPolicy` for the seed pair
    ``(minidb, sqlite3)`` must equal the hand-written intersection on
    every dialect profile.
-4. **Faults-off differential campaigns** for every available pair
+4. **Faults-off differential campaigns** for every registered pair
    anchored on minidb: zero divergences expected (a divergence means
    either a real semantic drift between engines or a hole in the
    derived compat policy -- both block).
@@ -29,7 +29,7 @@ import json
 import sys
 
 from repro.backends import (
-    available_backend_names,
+    backend_names,
     build_backend,
     clear_probe_memo,
     pair_policy,
@@ -67,8 +67,8 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     failures: list[str] = []
 
-    names = available_backend_names()
-    print(f"available backends: {', '.join(names)}")
+    names = backend_names()
+    print(f"registered backends: {', '.join(names)}")
 
     # 1 + 2: probe everything, then re-probe and demand byte identity.
     vectors = {}
@@ -82,10 +82,10 @@ def main(argv: "list[str] | None" = None) -> int:
         )
     clear_probe_memo()
     for name in names:
-        again = probe_backend(name, force=True)
-        if vectors[name].to_json() != again.to_json():
+        again = probe_backend(name)
+        if vectors[name].to_payload() != again.to_payload():
             failures.append(f"probe vector for {name!r} is not deterministic")
-    print("probe determinism: re-probed vectors are byte-identical")
+    print("probe determinism: re-probed vectors are identical")
 
     # 3: the derived seed-pair policy must reproduce the hand-written
     # intersection on every dialect profile.
@@ -106,7 +106,7 @@ def main(argv: "list[str] | None" = None) -> int:
         f"intersection on all {len(PROFILES)} dialects"
     )
 
-    # 4: faults-off campaigns -- zero divergences per available pair.
+    # 4: faults-off campaigns -- zero divergences per registered pair.
     campaigns = []
     pair_budgets = [("minidb", "sqlite3", args.tests)]
     for secondary in names:
@@ -114,8 +114,6 @@ def main(argv: "list[str] | None" = None) -> int:
             continue
         pair_budgets.append(("minidb", secondary, args.alt_tests))
     for primary, secondary, budget in pair_budgets:
-        if primary not in names or secondary not in names:
-            continue
         config = FleetConfig(
             oracle="differential",
             backend_pair=(primary, secondary),
