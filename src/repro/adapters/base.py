@@ -6,6 +6,7 @@ import abc
 from dataclasses import dataclass, field
 
 from repro.minidb.values import SqlType, SqlValue
+from repro.obs.phases import PhaseProfiler
 
 
 @dataclass(frozen=True)
@@ -70,10 +71,11 @@ class EngineAdapter(abc.ABC):
     #: coincide across engines (set by differential pair adapters, which
     #: compare results between two backends).
     portable_generation: bool = False
-    #: Attached :class:`repro.obs.PhaseProfiler` (None = unprofiled).
-    #: Wall-clock only: profiled and unprofiled executions are
-    #: observationally identical.
-    _profiler = None
+    #: The :class:`repro.obs.PhaseProfiler` that times ``parse`` and
+    #: ``execute``.  Adapters share this one, which nothing reads, until
+    #: a campaign attaches its own; so replays (ddmin, triage) never
+    #: reach a campaign's phase totals.  Wall-clock only.
+    _profiler = PhaseProfiler()
 
     @abc.abstractmethod
     def execute(self, sql: str) -> ExecResult:
@@ -95,17 +97,17 @@ class EngineAdapter(abc.ABC):
     def attach_eval_cache(self, cache, namespace: str = "") -> None:
         """Attach a worker-local :class:`repro.perf.EvalCache`.
 
-        Optional: adapters that cannot cache safely simply ignore the
+        Only the MiniDB adapter caches; real-DBMS adapters ignore the
         call.  *namespace* disambiguates statement-result keys when one
         cache serves several adapters (e.g. a differential pair whose
         two backends may share a display name but not behaviour).
         """
 
     def attach_profiler(self, profiler) -> None:
-        """Attach a :class:`repro.obs.PhaseProfiler` that scopes the
+        """Attach the :class:`repro.obs.PhaseProfiler` that scopes the
         ``parse`` and ``execute`` hot-path phases.  Purely observational
-        -- results, errors, and side effects are identical with and
-        without it; only the obs layer sees the timings."""
+        -- results, errors, and side effects do not depend on it; only
+        the obs layer sees the timings."""
         self._profiler = profiler
 
     def prime_parse(self, sql: str, ast) -> None:

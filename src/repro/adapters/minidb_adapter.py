@@ -76,42 +76,26 @@ class MiniDBAdapter(EngineAdapter):
     def execute(self, sql: str) -> ExecResult:
         cache = self._cache
         prof = self._profiler
-        if cache is None:
-            if prof is None:
-                return self._to_exec_result(self.engine.execute(sql))
-            # Split the engine's parse-then-execute so the profiler sees
-            # the two phases separately (the perf layer showed parsing
-            # dominating the uncached hot path).
-            t0 = prof.begin()
-            try:
-                stmt = parse_statement(sql)
-            finally:
-                prof.end("parse", t0)
-            t0 = prof.begin()
-            try:
-                return self._to_exec_result(self.engine.execute_ast(stmt))
-            finally:
-                prof.end("execute", t0)
-        if prof is None:
-            return self._execute_cached(sql, cache)
-        # Cached path: the memo lookup *is* the parse phase (hits make
-        # it shrink), everything downstream counts as execution.
+        # Parse and execute are timed apart.  With a cache the memo
+        # lookup *is* the parse phase (hits make it shrink); everything
+        # downstream counts as execution.  Parse errors propagate
+        # uncached.
         t0 = prof.begin()
         try:
-            stmt = cache.parse(sql)
+            stmt = parse_statement(sql) if cache is None else cache.parse(sql)
         finally:
             prof.end("parse", t0)
         t0 = prof.begin()
         try:
-            return self._execute_cached(sql, cache, stmt=stmt)
+            if cache is None:
+                return self._to_exec_result(self.engine.execute_ast(stmt))
+            return self._execute_cached(sql, cache, stmt)
         finally:
             prof.end("execute", t0)
 
-    def _execute_cached(self, sql: str, cache, stmt=None) -> ExecResult:
+    def _execute_cached(self, sql: str, cache, stmt) -> ExecResult:
         from repro.perf.cache import CachedStatement, advance_state_token
 
-        if stmt is None:
-            stmt = cache.parse(sql)  # parse errors propagate uncached
         engine = self.engine
         if not isinstance(stmt, A.Select):
             # State-changing statement: extend the hash chain before

@@ -4,6 +4,12 @@ This demonstrates that the reproduction's oracles run unmodified against
 a production DBMS (the paper's primary test target).  A released SQLite
 is expected to yield no discrepancies -- the examples use it to show
 applicability, not to claim new bugs.
+
+The adapter does not cache: it inherits the no-op
+:meth:`~repro.adapters.base.EngineAdapter.attach_eval_cache`.
+Differential campaigns and their triage replays run each read-only
+statement once and are never ddmin-reduced, so a statement memo here
+would not hit.
 """
 
 from __future__ import annotations
@@ -32,89 +38,17 @@ class Sqlite3Adapter(EngineAdapter):
 
     def __init__(self) -> None:
         self._conn = sqlite3.connect(":memory:")
-        self._cache = None
-        self._cache_ns = self.name
-        self._state_token = ""
-        self._executed_any = False
-
-    def attach_eval_cache(self, cache, namespace: str = "") -> None:
-        """Memoize read-only statement results keyed by the state-token
-        hash chain.  A released SQLite evaluates the generated (fully
-        deterministic) dialect subset reproducibly, so replaying a
-        recorded result -- including recorded ``sqlite3.Error`` messages
-        -- is indistinguishable from re-executing the query."""
-        from repro.perf.cache import INITIAL_STATE_TOKEN
-
-        self._cache = cache
-        self._cache_ns = namespace or self.name
-        self._state_token = (
-            INITIAL_STATE_TOKEN
-            if not self._executed_any
-            else cache.unique_token()
-        )
 
     def execute(self, sql: str) -> ExecResult:
-        prof = self._profiler
-        if prof is None:
-            return self._execute_maybe_cached(sql)
         # SQLite parses internally, so the whole round trip counts as
         # the execute phase.
+        prof = self._profiler
         t0 = prof.begin()
-        try:
-            return self._execute_maybe_cached(sql)
-        finally:
-            prof.end("execute", t0)
-
-    def _execute_maybe_cached(self, sql: str) -> ExecResult:
-        row_returning = is_row_returning(sql)
-        cache = self._cache
-        if cache is None:
-            return self._execute(sql, row_returning)
-        from repro.perf.cache import CachedStatement, advance_state_token
-
-        if not row_returning:
-            self._state_token = advance_state_token(self._state_token, sql)
-            return self._execute(sql, row_returning)
-        key = (self._cache_ns, self._state_token, sql)
-        entry = cache.lookup_statement(key)
-        if entry is not None:
-            entry.raise_error()
-            return ExecResult(
-                columns=list(entry.columns),
-                rows=list(entry.rows),
-                plan_fingerprint=entry.plan_fingerprint,
-                rows_affected=entry.rows_affected,
-            )
-        try:
-            result = self._execute(sql, row_returning)
-        except SqlError as exc:
-            cache.store_statement(
-                key,
-                CachedStatement(error_type=type(exc), error_message=str(exc)),
-            )
-            raise
-        cache.store_statement(
-            key,
-            CachedStatement(
-                columns=tuple(result.columns),
-                rows=tuple(result.rows),
-                plan_fingerprint=result.plan_fingerprint,
-                rows_affected=result.rows_affected,
-            ),
-        )
-        return result
-
-    def _execute(self, sql: str, row_returning: bool | None = None) -> ExecResult:
-        fingerprint = None
-        self._executed_any = True
         try:
             # Robust statement-kind detection: leading comments,
             # parenthesized selects, VALUES clauses, and lowercase
-            # keywords all still yield a plan fingerprint.  The caller
-            # usually classified the statement already and passes the
-            # verdict down.
-            if is_row_returning(sql) if row_returning is None else row_returning:
-                fingerprint = self._explain(sql)
+            # keywords all still yield a plan fingerprint.
+            fingerprint = self._explain(sql) if is_row_returning(sql) else None
             cursor = self._conn.execute(sql)
             rows = [tuple(self._convert(v) for v in row) for row in cursor.fetchall()]
             columns = (
@@ -129,6 +63,8 @@ class Sqlite3Adapter(EngineAdapter):
             )
         except sqlite3.Error as exc:  # expected-error surface of a real DBMS
             raise SqlError(str(exc)) from exc
+        finally:
+            prof.end("execute", t0)
 
     def _explain(self, sql: str) -> str | None:
         try:
@@ -168,6 +104,3 @@ class Sqlite3Adapter(EngineAdapter):
     def reset(self) -> None:
         self._conn.close()
         self._conn = sqlite3.connect(":memory:")
-        self._executed_any = False
-        if self._cache is not None:
-            self.attach_eval_cache(self._cache, self._cache_ns)

@@ -202,7 +202,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     real.add_argument("--tests", type=int, default=200)
     real.add_argument("--seed", type=int, default=0)
-    _add_cache_args(real)
 
     _add_corpus_parser(sub)
     _add_backends_parser(sub)
@@ -947,13 +946,7 @@ def _sqlite3(args) -> int:
     check_budget(args.tests, None)
     adapter = Sqlite3Adapter()
     oracle = CoddTestOracle(relation_mode_prob=0.0)
-    stats = run_campaign(
-        oracle,
-        adapter,
-        n_tests=args.tests,
-        seed=args.seed,
-        use_cache=args.cache,
-    )
+    stats = run_campaign(oracle, adapter, n_tests=args.tests, seed=args.seed)
     print(
         f"coddtest on real sqlite3: {stats.tests} tests, "
         f"{stats.queries_ok} queries, {len(stats.reports)} reports"

@@ -87,15 +87,6 @@ class Engine:
         self.coverage = CoverageTracker()
         self.faults = FaultInjector(faults)
         self.statements_executed = 0
-        #: Bumped once per state-changing statement (anything that is not
-        #: a plain SELECT), before it executes.  Introspection mirror of
-        #: the perf layer's invalidation signal: the cached adapters key
-        #: results on a *hash chain* over the write history (a plain
-        #: counter would alias same-length histories -- see
-        #: repro.perf.cache.advance_state_token), but this counter makes
-        #: "did DML/DDL invalidate?" observable per engine and is what
-        #: the invalidation tests assert against.
-        self.state_version = 0
         self._feature_cache: dict[int, dict] = {}
         self._subplan_cache: dict[int, object] = {}
         self._subquery_result_cache: dict[int, Materialized] = {}
@@ -134,11 +125,6 @@ class Engine:
         self._subquery_result_cache.clear()
         self._correlated_cache.clear()
         self._extra_fingerprints.clear()
-        if not isinstance(stmt, A.Select):
-            # Conservative: even a statement that then fails bumps the
-            # version (failed writes are atomic no-ops, so this only
-            # costs cache hits, never correctness).
-            self.state_version += 1
 
         if isinstance(stmt, A.Select):
             return self._execute_select_stmt(stmt)

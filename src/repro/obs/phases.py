@@ -20,8 +20,7 @@ dict update per scope, which is noise next to a parse or an engine
 execution; the profiler is therefore always on.  Phase totals are
 wall-clock and live only in the obs layer: they are excluded from
 :meth:`repro.runner.campaign.CampaignStats.signature` exactly like
-``cache_stats``, so profiled and unprofiled campaigns stay
-bit-identical on every deterministic output.
+``cache_stats``, so timings never change a deterministic output.
 """
 
 from __future__ import annotations

@@ -243,7 +243,11 @@ def merge_trace_files(
     """Merge per-worker part files (plus the orchestrator's own
     already-formatted *extra_lines*) into one trace sorted by
     timestamp, stably -- records with equal timestamps keep their
-    per-writer order.  Returns the number of records written."""
+    per-writer order.  Returns the number of records written.
+
+    A part line that does not decode is skipped: a worker killed in the
+    middle of a flush leaves its last line torn, and the fleet's own
+    error about that worker is the one worth reporting."""
     records: list[tuple[float, int, str]] = []
     seq = 0
     for line in extra_lines or ():
@@ -256,7 +260,11 @@ def merge_trace_files(
             for line in fh:
                 if not line.strip():
                     continue
-                records.append((json.loads(line)["ts"], seq, line))
+                try:
+                    ts = json.loads(line)["ts"]
+                except json.JSONDecodeError:
+                    continue
+                records.append((ts, seq, line))
                 seq += 1
     records.sort(key=lambda rec: (rec[0], rec[1]))
     with open(out_path, "w", encoding="utf-8") as fh:

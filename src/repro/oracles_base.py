@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from repro.adapters.base import EngineAdapter, ExecResult, SchemaInfo
 from repro.errors import EngineCrash, EngineHang, InternalError, SqlError
 from repro.minidb.values import SqlValue, row_sort_key
+from repro.obs.phases import PhaseProfiler
 
 
 @dataclass
@@ -105,10 +106,11 @@ class Oracle(abc.ABC):
     """Base class for all test oracles."""
 
     name = "oracle"
-    #: Attached :class:`repro.obs.PhaseProfiler` (set by the campaign;
-    #: None = unprofiled).  Wall-clock only -- profiled and unprofiled
-    #: oracles produce identical outcomes.
-    profiler = None
+    #: The :class:`repro.obs.PhaseProfiler` for the ``generate`` and
+    #: ``compare`` phases.  Oracles share this one, which nothing reads,
+    #: until a campaign sets its own.  Wall-clock only: outcomes do not
+    #: depend on it.
+    profiler = PhaseProfiler()
 
     def __init__(self) -> None:
         self.adapter: EngineAdapter | None = None
@@ -229,11 +231,9 @@ class Oracle(abc.ABC):
         a: "list[tuple[SqlValue, ...]]",
         b: "list[tuple[SqlValue, ...]]",
     ) -> bool:
-        """:func:`rows_equal`, scoped under the ``compare`` phase of an
-        attached profiler.  The comparison itself is identical."""
+        """:func:`rows_equal`, scoped under the ``compare`` phase of the
+        profiler.  The comparison itself is identical."""
         prof = self.profiler
-        if prof is None:
-            return rows_equal(a, b)
         t0 = prof.begin()
         try:
             return rows_equal(a, b)
@@ -241,13 +241,9 @@ class Oracle(abc.ABC):
             prof.end("compare", t0)
 
     def profiled(self, phase: str):
-        """Context manager scoping a block under *phase* of an attached
-        profiler (a no-op scope when unprofiled).  Used by oracles to
-        tag their generation work."""
-        prof = self.profiler
-        if prof is None:
-            return _NULL_SCOPE
-        return prof.phase(phase)
+        """Context manager scoping a block under *phase* of the
+        profiler.  Used by oracles to tag their generation work."""
+        return self.profiler.phase(phase)
 
     def report(self, description: str) -> TestReport:
         return TestReport(
@@ -256,19 +252,6 @@ class Oracle(abc.ABC):
             statements=[],
             description=description,
         )
-
-
-class _NullScope:
-    """Reusable no-op context manager for unprofiled oracles."""
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-
-_NULL_SCOPE = _NullScope()
 
 
 # ---------------------------------------------------------------------------

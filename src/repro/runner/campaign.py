@@ -178,7 +178,6 @@ class Campaign:
         on_report: Callable[[TestReport], None] | None = None,
         policy=None,
         cache=None,
-        profiler: PhaseProfiler | None = None,
         tracer=None,
     ) -> None:
         # An empty batch per state would generate states forever.
@@ -222,11 +221,11 @@ class Campaign:
         #: keeps the historical uniform-random behaviour bit-for-bit.
         self.policy = policy
         #: Always-on phase profiler (two ``perf_counter`` reads per scope
-        #: are noise next to a parse or an execution).  Timings land in
-        #: ``stats.phase_stats``, never in the signature, so profiled and
-        #: unprofiled campaigns are bit-identical on deterministic
-        #: outputs.
-        self.profiler = profiler or PhaseProfiler()
+        #: are noise next to a parse or an execution).  It replaces the
+        #: default one of this adapter and oracle only, so replays on
+        #: other adapters (ddmin) stay out of ``stats.phase_stats``.
+        #: Timings never reach the signature.
+        self.profiler = PhaseProfiler()
         adapter.attach_profiler(self.profiler)
         oracle.profiler = self.profiler
         #: Optional :class:`repro.obs.TraceWriter` receiving structured

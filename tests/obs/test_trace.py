@@ -181,6 +181,19 @@ class TestWriterAndMerge:
         merge_trace_files(out, [part])
         assert [r["n"] for r in read_trace(out)] == list(range(5))
 
+    def test_merge_skips_torn_last_line_of_killed_worker(self, tmp_path):
+        # A worker killed between two writes of one flush leaves a torn
+        # last line; the merge keeps the whole records and goes on.
+        out = str(tmp_path / "run.jsonl")
+        part = shard_part_path(out, 0)
+        with open(part, "w", encoding="utf-8") as fh:
+            for n in range(3):
+                fh.write(format_record("test_start", 1.0 + n, 0, {"n": n}) + "\n")
+            fh.write('{"v": 1, "ts": 17224700')
+        assert merge_trace_files(out, [part]) == 3
+        assert [r["n"] for r in read_trace(out)] == [0, 1, 2]
+        assert not (tmp_path / "run.jsonl.shard0.part").exists()
+
     def test_read_trace_raises_on_malformed_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"v": 1}\nnot json\n', encoding="utf-8")

@@ -1,9 +1,8 @@
 """Unit tests for the worker-local evaluation cache (repro.perf).
 
-Covers the two memo domains (parse, statement), the
-state-version / state-token invalidation on DML and DDL, side-effect
-replay (fired faults, coverage tags, recorded errors), LRU bounds, and
-cross-adapter sharing rules.
+Covers the two memo domains (parse, statement), the state-token
+invalidation on DML and DDL, side-effect replay (fired faults, coverage
+tags, recorded errors), LRU bounds, and cross-adapter sharing rules.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import pytest
 
 from repro.adapters.minidb_adapter import MiniDBAdapter
-from repro.adapters.sqlite3_adapter import Sqlite3Adapter
 from repro.errors import CatalogError, InternalError
 from repro.minidb.engine import Engine
 from repro.minidb.faults import BugStatus, BugType, Fault, always
@@ -63,34 +61,32 @@ def _seed_table(adapter) -> None:
 # ---------------------------------------------------------------------------
 
 
-def test_engine_state_version_bumps_on_dml_and_ddl():
-    engine = Engine()
-    assert engine.state_version == 0
-    engine.execute("CREATE TABLE t (a INT)")
-    assert engine.state_version == 1
-    engine.execute("INSERT INTO t VALUES (1)")
-    assert engine.state_version == 2
-    engine.execute("SELECT * FROM t")
-    assert engine.state_version == 2  # reads never bump
-    engine.execute("UPDATE t SET a = 2")
-    assert engine.state_version == 3
-    engine.execute("DELETE FROM t WHERE a = 2")
-    assert engine.state_version == 4
-    engine.execute("CREATE INDEX ix ON t (a)")
-    assert engine.state_version == 5
-    engine.execute("CREATE VIEW v AS SELECT a FROM t")
-    assert engine.state_version == 6
-    engine.execute("DROP VIEW v")
-    assert engine.state_version == 7
+def test_state_token_advances_on_every_write_kind():
+    adapter, _cache = _cached_adapter()
+    tokens = [adapter._state_token]
+    for sql in (
+        "CREATE TABLE t (a INT)",
+        "INSERT INTO t VALUES (1)",
+        "UPDATE t SET a = 2",
+        "DELETE FROM t WHERE a = 2",
+        "CREATE INDEX ix ON t (a)",
+        "CREATE VIEW v AS SELECT a FROM t",
+        "DROP VIEW v",
+    ):
+        adapter.execute(sql)
+        tokens.append(adapter._state_token)
+        adapter.execute("SELECT * FROM t")
+        assert adapter._state_token == tokens[-1]  # reads never advance
+    assert len(set(tokens)) == len(tokens)
 
 
-def test_failed_write_still_bumps_state_version():
-    engine = Engine()
-    engine.execute("CREATE TABLE t (a INT)")
-    before = engine.state_version
+def test_failed_write_still_advances_state_token():
+    adapter, _cache = _cached_adapter()
+    adapter.execute("CREATE TABLE t (a INT)")
+    before = adapter._state_token
     with pytest.raises(CatalogError):
-        engine.execute("INSERT INTO missing VALUES (1)")
-    assert engine.state_version == before + 1  # conservative bump
+        adapter.execute("INSERT INTO missing VALUES (1)")
+    assert adapter._state_token != before  # conservative advance
 
 
 def test_statement_cache_hit_and_dml_invalidation():
@@ -331,27 +327,6 @@ def test_lru_bounds_are_enforced():
     for i in range(5):
         cache.store_statement(("ns", "tok", f"SELECT {i}"), CachedStatement())
     assert len(cache._stmt) == 2
-
-
-# ---------------------------------------------------------------------------
-# sqlite3 adapter
-# ---------------------------------------------------------------------------
-
-
-def test_sqlite3_adapter_caches_and_invalidates():
-    adapter = Sqlite3Adapter()
-    cache = EvalCache()
-    adapter.attach_eval_cache(cache)
-    adapter.execute("CREATE TABLE t (a INT)")
-    adapter.execute("INSERT INTO t VALUES (1), (2)")
-    first = adapter.execute("SELECT a FROM t ORDER BY a").rows
-    again = adapter.execute("SELECT a FROM t ORDER BY a").rows
-    assert cache.stats.stmt_hits == 1
-    assert again == first == [(1,), (2,)]
-    adapter.execute("INSERT INTO t VALUES (3)")
-    updated = adapter.execute("SELECT a FROM t ORDER BY a").rows
-    assert updated == [(1,), (2,), (3,)]
-    assert cache.stats.stmt_hits == 1
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,13 @@ class TestFleetRoundTrip:
         assert all(
             v.status in (REPRODUCES, UNVERIFIABLE) for v in verdicts.values()
         )
+        # ddmin's still-fails check accepts no candidate that triage's
+        # replay rejects: every reduced witness reproduces as reduced.
+        reduced = [c for c in clusters if c.representative.reduced_statements]
+        assert reduced, "the reducing fleet must reduce some witness"
+        assert all(
+            verdicts[c.cluster_id].witness == "reduced" for c in reduced
+        )
 
     def test_differential_clusters_reproduce(self, tmp_path):
         config = FleetConfig(

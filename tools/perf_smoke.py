@@ -10,7 +10,9 @@ Two duties:
    deterministic campaign signatures, corpus fingerprints, guided arm
    schedules, reduced witnesses and replay verdicts.  This is the
    bit-identity promise of :mod:`repro.perf`, checked end to end on
-   every push.
+   every push.  Only the MiniDB adapter caches, so the differential
+   gate checks the MiniDB primary's memos; the sqlite3 secondary has
+   none.
 2. **Bench artifact** -- sweep the fig2 workload over MaxDepth 3/5/7
    in both modes and write ``BENCH_perf.json``
    (:mod:`repro.perf.bench` schema) with tests/sec, speedup, and hit
