@@ -59,8 +59,8 @@ class EngineAdapter(abc.ABC):
 
     Implementations raise :class:`repro.errors.SqlError` subclasses for
     expected errors (counted as "unsuccessful queries", paper Table 3)
-    and :class:`repro.errors.InternalError` / ``EngineCrash`` /
-    ``EngineHang`` for the bug categories of Table 1.
+    and :class:`repro.errors.EngineFailure` subclasses, whose ``kind``
+    is the report kind, for the bug categories of Table 1.
     """
 
     name: str = "adapter"

@@ -18,7 +18,7 @@ from repro.adapters.base import (
     SchemaInfo,
     TableInfo,
 )
-from repro.errors import EngineCrash, EngineHang, InternalError, SqlError
+from repro.errors import EngineFailure, SqlError
 from repro.minidb import ast_nodes as A
 from repro.minidb.engine import Engine
 from repro.minidb.parser import parse_statement
@@ -131,7 +131,7 @@ class MiniDBAdapter(EngineAdapter):
         saved_hits = engine.coverage.begin_capture()
         try:
             result = engine.execute_ast(stmt)
-        except (SqlError, InternalError, EngineCrash, EngineHang) as exc:
+        except (SqlError, EngineFailure) as exc:
             cache.store_statement(
                 key,
                 CachedStatement(

@@ -54,7 +54,6 @@ from repro.triage import (
     merge_corpora,
     render_triage,
     replay_clusters,
-    replay_representative,
     triage_summary_lines,
 )
 
@@ -909,19 +908,12 @@ def _corpus_merge(args) -> int:
 
 def _corpus_replay(args) -> int:
     clusters = cluster_corpus(load_corpus(args.paths))
+    verdicts = replay_clusters(
+        clusters, dialect=args.dialect, use_cache=args.cache
+    )
     stale = 0
-    # One cache across the whole corpus (like `corpus report`), so
-    # witnesses sharing DDL prefixes parse once; None replays every
-    # witness uncached.
-    cache = None
-    if args.cache:
-        from repro.perf import EvalCache
-
-        cache = EvalCache()
     for cluster in clusters:
-        verdict = replay_representative(
-            cluster, dialect=args.dialect, cache=cache
-        )
+        verdict = verdicts[cluster.cluster_id]
         if verdict.status == "stale":
             stale += 1
         witness = (

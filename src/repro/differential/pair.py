@@ -36,9 +36,7 @@ from repro.adapters.sql_text import (
 from repro.differential.compat import CompatPolicy, CompatSkip
 from repro.errors import (
     DifferentialMismatch,
-    EngineCrash,
-    EngineHang,
-    InternalError,
+    EngineFailure,
     SqlError,
     StateDesyncError,
 )
@@ -128,7 +126,7 @@ class DifferentialAdapter(EngineAdapter):
 
         try:
             result_a = self.primary.execute(primary_sql)
-        except (InternalError, EngineCrash, EngineHang):
+        except EngineFailure:
             if kind != KIND_SELECT:
                 # An injected failure mid-write may have left partial
                 # effects on the primary only.

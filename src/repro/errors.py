@@ -12,6 +12,7 @@ of a DBMS under test:
 * **hangs** -- the engine never returns (:class:`EngineHang` simulates a
   detected timeout).
 
+The last three are :class:`EngineFailure` subclasses carrying their kind.
 On top of those, the engine raises :class:`SqlError` subclasses for
 *expected* errors: malformed SQL, semantic violations, unsupported features.
 The campaign runner counts queries raising expected errors as
@@ -84,13 +85,26 @@ class DifferentialMismatch(ReproError):
         self.fingerprints = fingerprints
 
 
-class InternalError(ReproError):
+class EngineFailure(ReproError):
+    """An engine failure that is a bug.  Each subclass sets ``kind``,
+    the report kind its bugs are filed and replayed under."""
+
+    kind: str
+
+
+class InternalError(EngineFailure):
     """Unexpected engine-internal failure -- a bug category in Table 1."""
 
+    kind = "internal error"
 
-class EngineCrash(ReproError):
+
+class EngineCrash(EngineFailure):
     """Simulated process crash (segfault) -- a bug category in Table 1."""
 
+    kind = "crash"
 
-class EngineHang(ReproError):
+
+class EngineHang(EngineFailure):
     """Simulated non-termination detected by a watchdog -- Table 1."""
+
+    kind = "hang"

@@ -10,9 +10,10 @@ per hour ("Scaling Automated Database System Testing", Zhong & Rigger
 * :mod:`repro.fleet.sharding` -- deterministic per-shard seeds and
   budget splits (a 1-worker fleet bit-matches the serial campaign),
 * :mod:`repro.fleet.orchestrator` -- the worker pool, result streaming,
-  stats merging, and fleet-wide early stop,
+  stats merging, fleet-wide early stop, and each shard's ddmin
+  reduction of the bugs it finds first,
 * :mod:`repro.fleet.corpus` -- a JSONL-backed deduplicated bug corpus
-  with ddmin reduction of first-seen bugs and checkpoint/resume,
+  with checkpoint/resume,
 * :mod:`repro.fleet.progress` -- periodic throughput/dedup reporting,
 * :mod:`repro.fleet.telemetry` -- the optional observability surfaces
   (structured trace, live status endpoint) bundled per fleet run.

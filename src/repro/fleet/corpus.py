@@ -5,10 +5,10 @@ superficially different test cases; what makes a fleet's output
 analyzable is the set of *distinct* bugs (QPG, Ba & Rigger 2023, make
 the same observation for query-plan corpora).  This module fingerprints
 each :class:`~repro.oracles_base.TestReport`, keeps one corpus entry per
-fingerprint, stores the first-seen witness reduced by ddmin (in a fleet
-the shard that found the bug reduces it), and persists everything as
-one JSON object per line so corpora can be appended to, merged, and
-resumed across fleet invocations.
+fingerprint, stores the first-seen witness with the ddmin-reduced one
+the fleet shard that found the bug made (the corpus never reduces), and
+persists everything as one JSON object per line so corpora can be
+appended to, merged, and resumed across fleet invocations.
 
 Determinism guarantee: fingerprints are pure functions of the
 normalized witness, so the same campaign always produces the same
@@ -34,15 +34,6 @@ from repro.oracles_base import TestReport
 #: table is signal.
 _INDEX_NAME = re.compile(r"\bix_(\w+?)_\d+\b")
 _WS = re.compile(r"\s+")
-
-#: Optional reduction hook: takes the first-seen report, returns the
-#: reduced statement list or None when reduction is impossible (e.g. no
-#: ground-truth faults to replay against).
-ReduceFn = Callable[[TestReport], "list[str] | None"]
-
-#: Default of :meth:`BugCorpus.add`'s *reduced*: no witness was reduced
-#: elsewhere, so the corpus reduces first-seen bugs itself.
-_REDUCE_HERE = object()
 
 
 def normalize_statement(sql: str) -> str:
@@ -171,9 +162,10 @@ class BugCorpus:
     """
 
     def __init__(
-        self, path: str | None = None, reduce_fn: ReduceFn | None = None
+        self, path: str | None = None, reduce_fn: Callable | None = None
     ) -> None:
         self.path = path
+        #: The reducer the fleet's shards run, or None; never called here.
         self.reduce_fn = reduce_fn
         self.entries: dict[str, CorpusEntry] = {}
 
@@ -181,7 +173,7 @@ class BugCorpus:
 
     @classmethod
     def open(
-        cls, path: str, reduce_fn: ReduceFn | None = None
+        cls, path: str, reduce_fn: Callable | None = None
     ) -> "BugCorpus":
         """Load *path* if it exists (resume), else start empty."""
         corpus = cls(path=path, reduce_fn=reduce_fn)
@@ -199,17 +191,16 @@ class BugCorpus:
         shard_index: int | None = None,
         seed: int | None = None,
         dialect: str | None = None,
-        reduced: "list[str] | None | object" = _REDUCE_HERE,
+        reduced: list[str] | None = None,
     ) -> bool:
         """Record *report*; True iff its fingerprint is new.
 
-        First-seen bugs are reduced (when a reducer is configured)
-        before persisting; duplicates just bump ``times_seen``.  A
-        witness already reduced elsewhere -- a fleet shard reduces on
-        its own cache -- is passed as *reduced* (None: irreducible or
-        not reduced) and stored instead of calling ``reduce_fn``.  The
-        other keyword arguments stamp fleet provenance (first-seen
-        shard, fleet seed, dialect) onto first-seen entries for triage.
+        First-seen bugs are persisted with *reduced*, the witness the
+        fleet shard that found the bug reduced on its own cache (None:
+        not reduced, or irreducible); duplicates just bump
+        ``times_seen``.  The other keyword arguments stamp fleet
+        provenance (first-seen shard, fleet seed, dialect) onto
+        first-seen entries for triage.
         """
         fp = fingerprint_report(report)
         entry = self.entries.get(fp)
@@ -232,11 +223,8 @@ class BugCorpus:
             dialect=dialect,
             first_seen_shard=shard_index,
             first_seen_seed=seed,
+            reduced_statements=reduced,
         )
-        if reduced is not _REDUCE_HERE:
-            entry.reduced_statements = reduced
-        elif self.reduce_fn is not None:
-            entry.reduced_statements = self.reduce_fn(report)
         self.entries[fp] = entry
         if self.path is not None:
             with open(self.path, "a", encoding="utf-8") as fh:

@@ -35,13 +35,7 @@ from repro.backends import backend_names, build_backend, get_backend
 from repro.baselines import DQEOracle, EETOracle, NoRECOracle, TLPOracle
 from repro.core import CoddTestOracle
 from repro.differential import DifferentialOracle, build_pair_adapter
-from repro.errors import (
-    EngineCrash,
-    EngineHang,
-    InternalError,
-    ReproError,
-    SqlError,
-)
+from repro.errors import ReproError
 from repro.fleet.corpus import BugCorpus, fingerprint_report
 from repro.fleet.progress import ProgressPrinter, ProgressSnapshot
 from repro.fleet.sharding import (
@@ -61,7 +55,7 @@ from repro.obs.trace import TraceWriter
 from repro.oracles_base import Oracle, TestReport
 from repro.perf import EvalCache
 from repro.runner.campaign import Campaign, CampaignStats
-from repro.runner.reducer import reduce_statements
+from repro.runner.reducer import reduce_statements, replay_witness
 
 #: Oracle registry shared with the CLI.
 ORACLE_FACTORIES: dict[str, Callable[..., Oracle]] = {
@@ -75,6 +69,9 @@ ORACLE_FACTORIES: dict[str, Callable[..., Oracle]] = {
 
 #: How often (seconds) a worker posts a progress message at most.
 PROGRESS_EVERY = 0.5
+
+#: Fleet-wide sightings at which a fault counts as saturated.
+SATURATION_THRESHOLD = 20
 
 
 def check_budget(n_tests: int | None, seconds: float | None) -> None:
@@ -114,8 +111,6 @@ class FleetConfig:
     #: budget is split into this many rounds, each round's shards run
     #: to completion, then coverage merges and arm priors rebalance.
     guidance_rounds: int = 4
-    #: Fleet-wide sightings at which a fault counts as saturated.
-    saturation_threshold: int = 20
     #: Worker-local evaluation caching (repro.perf): each shard owns one
     #: EvalCache, never shared across processes.  On by default because
     #: cache-on campaigns are bit-identical to cache-off ones (gated by
@@ -480,8 +475,7 @@ class _CorpusSink:
         seed = self.config.seed if self.config is not None else None
         dialect = self.config.dialect if self.config is not None else None
         for report in reports:
-            # Shards reduce every report the corpus did not hold at the
-            # start of the round, so the corpus never reduces here.
+            # The shard that found a report new to the corpus reduced it.
             added = self.corpus.add(
                 report,
                 shard_index=shard_index,
@@ -622,17 +616,17 @@ def _effective_rounds(config: FleetConfig) -> int:
 
 
 def _saturated_fault_ids(
-    coverage: CoverageMap, corpus: BugCorpus | None, threshold: int
+    coverage: CoverageMap, corpus: BugCorpus | None
 ) -> frozenset[str]:
     """The union of both saturation signals: faults the coverage map has
-    counted *threshold* times, and faults whose triage clusters have
-    accumulated *threshold* sightings in the corpus."""
-    saturated = set(coverage.saturated_faults(threshold))
+    counted :data:`SATURATION_THRESHOLD` times, and faults whose triage
+    clusters have accumulated as many sightings in the corpus."""
+    saturated = set(coverage.saturated_faults(SATURATION_THRESHOLD))
     if corpus is not None:
         from repro.triage.cluster import cluster_corpus, saturated_fault_ids
 
         clusters = cluster_corpus(corpus.entries.values())
-        saturated |= saturated_fault_ids(clusters, threshold)
+        saturated |= saturated_fault_ids(clusters, SATURATION_THRESHOLD)
     return frozenset(saturated)
 
 
@@ -715,9 +709,7 @@ def _run_rounds(
         )
         saturated: frozenset[str] = frozenset()
         if coverage is not None:
-            saturated = _saturated_fault_ids(
-                coverage, corpus, config.saturation_threshold
-            )
+            saturated = _saturated_fault_ids(coverage, corpus)
             for fault in sorted(saturated - known_saturated):
                 telemetry.cluster_saturated(fault)
             known_saturated |= saturated
@@ -1025,12 +1017,12 @@ class ReplayReducer:
     """A corpus ``reduce_fn`` that ddmin-reduces a bug by replaying
     candidate statement lists on fresh engines of one configuration.
 
-    Ground truth drives the "still fails" check: a candidate reproduces
-    the bug when the report's injected faults all fire again (logic
-    bugs) or the engine raises the same failure class (internal error /
-    crash / hang).  The reducer names its engine configuration instead
-    of holding an engine, so it pickles into every :class:`ShardSpec`
-    and each shard reduces the bugs it finds.
+    Ground truth drives the "still fails" check, triage's
+    :func:`~repro.runner.reducer.replay_witness`: the report's faults
+    all fire again (logic bugs), or they raise the same failure class.
+    The reducer names its engine configuration instead of holding an
+    engine, so it pickles into every :class:`ShardSpec` and each shard
+    reduces the bugs it finds.
     """
 
     adapter: str
@@ -1051,8 +1043,7 @@ class ReplayReducer:
         namespace and start their state-token chains at ``init``.
         """
         target = set(report.fired_faults)
-        exceptional = report.kind in ("internal error", "crash", "hang")
-        if not target and not exceptional:
+        if not target and report.kind == "logic":
             return None  # nothing observable to check against
 
         # ddmin proposes some candidates more than once (the full
@@ -1063,36 +1054,19 @@ class ReplayReducer:
         def still_fails(stmts: list[str]) -> bool:
             key = tuple(stmts)
             if key not in verdicts:
-                verdicts[key] = self._replay(stmts, target, exceptional, cache)
+                adapter = build_backend(
+                    self.adapter, dialect=self.dialect, buggy=self.buggy
+                )
+                if cache is not None:
+                    adapter.attach_eval_cache(cache)
+                verdicts[key] = replay_witness(
+                    adapter, stmts, report.kind, target, pair=False
+                )[0]
             return verdicts[key]
 
         if not still_fails(report.statements):
             return None  # witness not reproducible by replay; keep as-is
         return reduce_statements(list(report.statements), still_fails)
-
-    def _replay(
-        self,
-        stmts: list[str],
-        target: set[str],
-        exceptional: bool,
-        cache: EvalCache | None,
-    ) -> bool:
-        adapter = build_backend(
-            self.adapter, dialect=self.dialect, buggy=self.buggy
-        )
-        if cache is not None:
-            adapter.attach_eval_cache(cache)
-        fired: set[str] = set()
-        for sql in stmts:
-            try:
-                adapter.execute(sql)
-            except SqlError:
-                return False  # candidate no longer a valid program
-            except (InternalError, EngineCrash, EngineHang):
-                fired |= adapter.fired_fault_ids()
-                return exceptional and (not target or target <= fired)
-            fired |= adapter.fired_fault_ids()
-        return not exceptional and bool(target) and target <= fired
 
 
 def make_replay_reducer(config: FleetConfig) -> ReplayReducer | None:
@@ -1101,8 +1075,8 @@ def make_replay_reducer(config: FleetConfig) -> ReplayReducer | None:
 
     Real DBMS adapters have no ground truth (the registry's
     ``simulated`` flag is the ground-truth marker), and differential
-    configs would need *both* engines to disagree again, which
-    single-engine replay cannot check.
+    configs are not reduced yet, although ``replay_witness`` can check
+    that a candidate still makes the pair diverge.
     """
     if config.backend_pair is not None:
         return None

@@ -132,14 +132,6 @@ def ctx_with_relations(ctx: EvalCtx, relations: dict) -> EvalCtx:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Core:
-    columns: list[str]
-    rows: list[Row]
-    #: Per-row frames used for non-positional ORDER BY (None for set-ops).
-    order_frames: list[Frame] | None = None
-
-
 def _execute_core(plan: SelectPlan, ctx: EvalCtx) -> Materialized:
     engine = ctx.engine
     columns = plan.out_columns
@@ -176,10 +168,10 @@ def _execute_core(plan: SelectPlan, ctx: EvalCtx) -> Materialized:
 
     mat = Materialized(columns, out_rows)
     mat_frames = frames if len(frames) == len(out_rows) else None
-    return _CoreResult(mat, mat_frames)
+    return _FramedRows(mat, mat_frames)
 
 
-class _CoreResult(Materialized):
+class _FramedRows(Materialized):
     """Materialized rows plus the per-row frames ORDER BY may need."""
 
     def __init__(self, mat: Materialized, frames: list[Frame] | None) -> None:
@@ -237,7 +229,7 @@ def _execute_projection(
     engine = ctx.engine
     engine.cov("exec.project")
     # Per-row frames are only ever consumed by non-positional ORDER BY
-    # (via _CoreResult.frames); skip building them otherwise.
+    # (via _FramedRows.frames); skip building them otherwise.
     need_frames = bool(plan.order_by)
     faults = engine.faults
     item_faults = _fetch_faults(plan, ctx)

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.adapters.base import EngineAdapter, ExecResult, SchemaInfo
-from repro.errors import EngineCrash, EngineHang, InternalError, SqlError
+from repro.errors import EngineFailure, SqlError
 from repro.minidb.values import SqlValue, row_sort_key
 from repro.obs.phases import PhaseProfiler
 
@@ -148,12 +148,8 @@ class Oracle(abc.ABC):
             report = self.check_once()
         except OracleSkip as skip:
             return self._outcome("error" if skip.counted_as_error else "skip")
-        except InternalError as exc:
-            return self._bug("internal error", str(exc))
-        except EngineCrash as exc:
-            return self._bug("crash", str(exc))
-        except EngineHang as exc:
-            return self._bug("hang", str(exc))
+        except EngineFailure as exc:
+            return self._bug(exc.kind, str(exc))
         if report is not None:
             report.fired_faults = frozenset(self._fired)
             report.statements = list(self._statements)
@@ -200,8 +196,8 @@ class Oracle(abc.ABC):
         """Run one query, with bookkeeping.
 
         Expected errors abandon the test (raising :class:`OracleSkip`);
-        injected internal errors / crashes / hangs propagate to
-        :meth:`run_one`, which converts them to bug reports.
+        engine failures propagate to :meth:`run_one`, which files them
+        as bug reports of their ``kind``.
 
         *ast*, when the caller just rendered *sql* from an AST, is
         offered to the adapter's parse memo (no-op without an attached
@@ -217,7 +213,7 @@ class Oracle(abc.ABC):
         except SqlError:
             self._q_err += 1
             raise OracleSkip(counted_as_error=True) from None
-        except (InternalError, EngineCrash, EngineHang):
+        except EngineFailure:
             self._fired |= self.adapter.fired_fault_ids()
             raise
         self._q_ok += 1

@@ -9,7 +9,7 @@ measurements)."""
 
 from repro.runner.campaign import Campaign, CampaignStats, run_campaign
 from repro.runner.detection import detects_fault, detection_matrix
-from repro.runner.reducer import reduce_statements, reduce_expression
+from repro.runner.reducer import reduce_statements
 
 __all__ = [
     "Campaign",
@@ -18,5 +18,4 @@ __all__ = [
     "detects_fault",
     "detection_matrix",
     "reduce_statements",
-    "reduce_expression",
 ]

@@ -170,7 +170,6 @@ class Campaign:
         adapter: EngineAdapter,
         seed: int = 0,
         tests_per_state: int = 25,
-        state_gen: StateGenerator | None = None,
         max_reports: int = 1000,
         max_state_failures: int = 200,
         should_stop: Callable[[], bool] | None = None,
@@ -198,7 +197,7 @@ class Campaign:
             adapter.attach_eval_cache(cache)
         self.rng = random.Random(seed)
         self.tests_per_state = tests_per_state
-        self.state_gen = state_gen or StateGenerator(
+        self.state_gen = StateGenerator(
             self.rng,
             strict_typing=adapter.strict_typing,
             portable=adapter.portable_generation,

@@ -2,23 +2,22 @@
 
 The paper manually reduced test cases before reporting ("we manually
 reduced the bug-inducing test cases [39]", Section 4.1, citing Zeller &
-Hildebrandt's delta debugging).  This module automates both levels:
+Hildebrandt's delta debugging).  This module automates it:
 
 * :func:`reduce_statements` -- ddmin over the statement list, keeping
   the failure reproducible;
-* :func:`reduce_expression`  -- hierarchical simplification of an
-  expression AST, replacing subtrees with literals while the failure
-  persists.
+* :func:`replay_witness` -- the "still fails" check the fleet's ddmin
+  and triage replay share: does a witness fail again, and how?
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.minidb import ast_nodes as A
+from repro.adapters.base import EngineAdapter
+from repro.errors import DifferentialMismatch, EngineFailure, SqlError
 
 StatementsCheck = Callable[[list[str]], bool]
-ExprCheck = Callable[[A.Expr], bool]
 
 
 def reduce_statements(
@@ -55,43 +54,51 @@ def _split(items: list[str], n: int) -> list[list[str]]:
     return chunks
 
 
-_LITERAL_CANDIDATES = (
-    A.Literal(None),
-    A.Literal(False),
-    A.Literal(True),
-    A.Literal(0),
-    A.Literal(1),
-)
+def replay_witness(
+    adapter: EngineAdapter,
+    statements: list[str],
+    kind: str,
+    target: "set[str] | frozenset[str]",
+    *,
+    pair: bool,
+) -> tuple[bool, str]:
+    """Run *statements* on the freshly built *adapter*: does the bug of
+    report kind *kind* fail again?  Returns ``(reproduced, detail)``.
 
+    A failure kind must raise again as an :class:`EngineFailure` of that
+    kind, by faults covering *target*; a logic bug must make a backend
+    *pair* diverge again, or fire every fault of *target* on one engine.
+    """
+    fired: set[str] = set()
+    for sql in statements:
+        try:
+            adapter.execute(sql)
+        except DifferentialMismatch:
+            if kind == "logic":
+                return True, "backends diverge again on replay"
+            return False, f"unexpected divergence replaying a {kind} bug"
+        except EngineFailure as exc:
+            fired |= adapter.fired_fault_ids()
+            if exc.kind != kind:
+                return False, f"engine failure of a different class: {exc}"
+            if target <= fired:
+                return True, f"{kind} raised again on replay"
+            return False, (
+                f"{kind} raised but by faults {sorted(fired)}, "
+                f"not {sorted(target)}"
+            )
+        except SqlError as exc:
+            # Includes StateDesyncError and differential skips: the
+            # witness is no longer a valid program for these engines.
+            return False, f"witness no longer executes: {exc}"
+        fired |= adapter.fired_fault_ids()
 
-def reduce_expression(expr: A.Expr, still_fails: ExprCheck) -> A.Expr:
-    """Greedy hierarchical reduction: repeatedly try replacing subtrees
-    with simple literals (or hoisting a child over its parent) while the
-    failure persists."""
-    assert still_fails(expr), "the unreduced expression must fail"
-    changed = True
-    current = expr
-    while changed:
-        changed = False
-        for node in list(A.walk(current)):
-            if isinstance(node, A.Literal):
-                continue
-            # Try hoisting each child in place of the node.
-            for child in node.children():
-                candidate = A.replace_node(current, node, child)
-                if candidate is not current and still_fails(candidate):
-                    current = candidate
-                    changed = True
-                    break
-            if changed:
-                break
-            # Try literal replacement.
-            for lit in _LITERAL_CANDIDATES:
-                candidate = A.replace_node(current, node, lit)
-                if candidate is not current and still_fails(candidate):
-                    current = candidate
-                    changed = True
-                    break
-            if changed:
-                break
-    return current
+    if kind != "logic":
+        return False, f"no {kind} raised on replay"
+    if pair:
+        return False, "backends agree on replay"
+    if not target:
+        return False, "witness ran clean"
+    if target <= fired:
+        return True, "all recorded faults fired again on replay"
+    return False, f"faults {sorted(target - fired)} no longer fire on replay"

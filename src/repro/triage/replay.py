@@ -4,9 +4,9 @@ A corpus outlives the engines that produced it: the fault catalog
 evolves, the generator's dialect intersection tightens, a real backend
 gets upgraded.  Replay separates clusters whose witness still fails on
 a freshly built engine (*reproduces*) from those that no longer do
-(*stale*), the same check the fleet's ddmin reducer uses for its
-"still fails" predicate -- and the reason the paper could attribute
-every Table 1 bug to a live root cause.
+(*stale*) with :func:`~repro.runner.reducer.replay_witness`, which is
+the fleet's ddmin "still fails" check too -- and the reason the paper
+could attribute every Table 1 bug to a live root cause.
 
 Three verdicts:
 
@@ -30,29 +30,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.adapters.minidb_adapter import MiniDBAdapter
-from repro.backends import backend_names
-from repro.dialects import FAULTS_BY_ID, make_engine
+from repro.backends import backend_names, build_backend
+from repro.dialects import FAULTS_BY_ID
 from repro.differential import build_pair_adapter
-from repro.errors import (
-    DifferentialMismatch,
-    EngineCrash,
-    EngineHang,
-    InternalError,
-    SqlError,
-)
+from repro.runner.reducer import replay_witness
 from repro.triage.cluster import Cluster
 
 REPRODUCES = "reproduces"
 STALE = "stale"
 UNVERIFIABLE = "unverifiable"
-
-#: Failure-class kinds and the exception each maps to.
-_EXCEPTIONAL_KINDS = {
-    "internal error": InternalError,
-    "crash": EngineCrash,
-    "hang": EngineHang,
-}
 
 
 @dataclass(frozen=True)
@@ -150,15 +136,13 @@ def replay_representative(
         candidates.append(("reduced", list(rep.reduced_statements)))
     candidates.append(("full", list(rep.statements)))
 
-    last_detail = "witness ran clean"
     for witness, statements in candidates:
         reproduced, detail = _replay_once(
             statements, cluster.kind, target, pair, dialect, cache
         )
         if reproduced:
             return ReplayVerdict(REPRODUCES, detail, witness=witness)
-        last_detail = detail
-    return ReplayVerdict(STALE, last_detail)
+    return ReplayVerdict(STALE, detail)
 
 
 def replay_clusters(
@@ -186,14 +170,12 @@ def _replay_once(
     dialect: str,
     cache=None,
 ) -> tuple[bool, str]:
-    """Run *statements* on a fresh engine; does the bug fire again?"""
+    """Replay *statements* on a freshly built engine (pair)."""
     buggy = bool(target)
     if pair is not None:
         adapter = build_pair_adapter(pair, dialect=dialect, buggy=buggy)
     else:
-        adapter = MiniDBAdapter(
-            make_engine(dialect, with_catalog_faults=buggy)
-        )
+        adapter = build_backend("minidb", dialect=dialect, buggy=buggy)
     if cache is not None:
         # The namespace pins the full engine configuration: one shared
         # cache must never replay a result recorded under a different
@@ -203,40 +185,6 @@ def _replay_once(
             f"/{dialect}/buggy={buggy}"
         )
         adapter.attach_eval_cache(cache, namespace)
-
-    expected_exc = _EXCEPTIONAL_KINDS.get(kind)
-    fired: set = set()
-    for sql in statements:
-        try:
-            adapter.execute(sql)
-        except DifferentialMismatch:
-            if kind == "logic":
-                return True, "backends diverge again on replay"
-            return False, f"unexpected divergence replaying a {kind} bug"
-        except (InternalError, EngineCrash, EngineHang) as exc:
-            fired |= adapter.fired_fault_ids()
-            if expected_exc is not None and isinstance(exc, expected_exc):
-                if not target or target <= fired:
-                    return True, f"{kind} raised again on replay"
-                return False, (
-                    f"{kind} raised but by faults {sorted(fired)}, "
-                    f"not {sorted(target)}"
-                )
-            return False, f"engine failure of a different class: {exc}"
-        except SqlError as exc:
-            # Includes StateDesyncError and differential skips: the
-            # witness is no longer a valid program for these engines.
-            return False, f"witness no longer executes: {exc}"
-        fired |= adapter.fired_fault_ids()
-
-    if expected_exc is not None:
-        return False, f"no {kind} raised on replay"
-    if pair is not None:
-        return False, "backends agree on replay"
-    if target and target <= fired:
-        return True, "all recorded faults fired again on replay"
-    return False, (
-        f"faults {sorted(target - fired)} no longer fire on replay"
-        if target
-        else "witness ran clean"
+    return replay_witness(
+        adapter, statements, kind, target, pair=pair is not None
     )

@@ -63,31 +63,18 @@ class TestBugCorpus:
         assert len(corpus) == 1
         assert corpus.total_seen == 2
 
-    def test_reduce_fn_runs_only_on_first_seen(self):
-        calls = []
-
-        def reduce_fn(report):
-            calls.append(report)
-            return ["SELECT 1"]
-
-        corpus = BugCorpus(reduce_fn=reduce_fn)
-        corpus.add(make_report())
-        corpus.add(make_report())
-        assert len(calls) == 1
-        entry = next(iter(corpus.entries.values()))
-        assert entry.reduced_statements == ["SELECT 1"]
-
     def test_witness_reduced_elsewhere_replaces_reduce_fn(self):
-        def reduce_fn(report):
-            raise AssertionError("the witness was already reduced")
-
-        corpus = BugCorpus(reduce_fn=reduce_fn)
+        # The fleet shard that found a bug reduces it; the corpus stores
+        # that witness with the first sighting and never reduces itself.
+        corpus = BugCorpus()
         corpus.add(make_report(), reduced=["SELECT 1"])
-        corpus.add(make_report(statements=["SELECT 2"]), reduced=None)
+        corpus.add(make_report(), reduced=["SELECT 2"])
+        corpus.add(make_report(statements=["SELECT 2"]))
         assert [e.reduced_statements for e in corpus.entries.values()] == [
             ["SELECT 1"],
             None,
         ]
+        assert corpus.total_seen == 3
 
     def test_by_kind(self):
         corpus = BugCorpus()

@@ -237,6 +237,42 @@ class TestShardReduction:
         assert rerun.merged.cache_stats == unreduced.merged.cache_stats
         assert first.merged.cache_stats != unreduced.merged.cache_stats
 
+    def test_candidate_failing_as_another_kind_does_not_reproduce(
+        self, monkeypatch
+    ):
+        # A crash witness must crash again: a candidate that hangs, even
+        # by the recorded fault, is a different bug.
+        import repro.fleet.orchestrator as orchestrator
+        from repro.oracles_base import TestReport
+        from repro.runner.reducer import replay_witness
+
+        class HangingAdapter:
+            def execute(self, sql):
+                raise EngineHang("injected hang: f")
+
+            def fired_fault_ids(self):
+                return frozenset({"f"})
+
+            def attach_eval_cache(self, cache, namespace=""):
+                pass
+
+        monkeypatch.setattr(
+            orchestrator, "build_backend", lambda *a, **k: HangingAdapter()
+        )
+        report = TestReport(
+            oracle="coddtest",
+            kind="crash",
+            statements=["CREATE TABLE t0 (c0 INT)", "SELECT c0 FROM t0"],
+            description="injected crash: f",
+            fired_faults=frozenset({"f"}),
+        )
+        assert orchestrator.ReplayReducer("minidb", "sqlite", True)(
+            report
+        ) is None
+        assert replay_witness(
+            HangingAdapter(), report.statements, "crash", {"f"}, pair=False
+        ) == (False, "engine failure of a different class: injected hang: f")
+
     def test_reducing_fleet_cache_stats_are_deterministic(self):
         config = fleet_config(
             workers=2, n_tests=200, guidance="plan-coverage"

@@ -10,9 +10,7 @@ from repro import (
     run_campaign,
 )
 from repro.dialects.catalog import FAULTS_BY_ID
-from repro.minidb import ast_nodes as A
-from repro.minidb.parser import parse_expression
-from repro.runner import detects_fault, reduce_expression, reduce_statements
+from repro.runner import detects_fault, reduce_statements
 from repro.runner.campaign import Campaign
 
 
@@ -271,26 +269,3 @@ class TestReduceStatements:
         reduced = reduce_statements(statements, still_fails)
         assert "CREATE VIEW unused (x) AS SELECT 1" not in reduced
         assert len(reduced) <= 5
-
-
-class TestReduceExpression:
-    def test_hoists_relevant_child(self):
-        expr = parse_expression("(a AND (b IN (1, 2))) OR FALSE")
-
-        def still_fails(e):
-            return any(
-                isinstance(n, A.InList) for n in A.walk(e)
-            )
-
-        reduced = reduce_expression(expr, still_fails)
-        assert isinstance(reduced, A.InList)
-
-    def test_replaces_subtrees_with_literals(self):
-        expr = parse_expression("CASE WHEN x > 1 THEN a ELSE b END = 5")
-
-        def still_fails(e):
-            return any(isinstance(n, A.Case) for n in A.walk(e))
-
-        reduced = reduce_expression(expr, still_fails)
-        assert any(isinstance(n, A.Case) for n in A.walk(reduced))
-        assert len(reduced.to_sql()) <= len(expr.to_sql())

@@ -345,6 +345,38 @@ class TestCorpusCli:
         out = capsys.readouterr().out
         assert "0 stale" in out
 
+    @pytest.mark.parametrize("cache_flag", [[], ["--no-cache"]])
+    def test_replay_prints_each_verdict_and_strict_fails_on_stale(
+        self, capsys, cache_flag
+    ):
+        # The fixture's clusters replay on one engine (logic by fault
+        # firing, internal error by failure class) and on a backend pair
+        # (by divergence), so every detail string of the shared replay
+        # check shows up here, byte for byte.
+        from pathlib import Path
+
+        corpus = str(
+            Path(__file__).parents[1] / "triage" / "fixtures"
+            / "corpus_small.jsonl"
+        )
+        assert cli_main(["corpus", "replay", *cache_flag, corpus]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "1bba4b2f58  stale        [logic] sqlite_having_between: "
+            "faults ['sqlite_having_between'] no longer fire on replay",
+            "fba18d4090  reproduces   [logic] sqlite_having_between "
+            "[full witness]: all recorded faults fired again on replay",
+            "b1ccb7e129  stale        [internal error] "
+            "sqlite_ie_corr_group_subquery: no internal error raised on "
+            "replay",
+            "e2168b9059  stale        [logic] sqlite_index_between_where: "
+            "backends agree on replay",
+            "",
+            "4 cluster(s): 3 stale, 1 reproducing or unverifiable",
+        ]
+        assert cli_main(
+            ["corpus", "replay", "--strict", *cache_flag, corpus]
+        ) == 1
+
     def test_report_rejects_missing_file(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.jsonl")
         assert cli_main(["corpus", "report", missing]) == 2
