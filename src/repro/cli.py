@@ -27,6 +27,8 @@ wall-clock throughput lines differ between runs).
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import os
 import sys
 
 from repro.adapters import Sqlite3Adapter
@@ -35,6 +37,7 @@ from repro.dialects import PROFILES
 from repro.fleet import (
     BugCorpus,
     FleetConfig,
+    FleetTelemetry,
     ProgressPrinter,
     make_replay_reducer,
     run_fleet,
@@ -80,6 +83,9 @@ def main(argv: list[str] | None = None) -> int:
         + _DETERMINISM,
     )
     _add_campaign_args(hunt, default_tests=1000)
+    _add_guidance_args(hunt)
+    _add_cache_args(hunt)
+    _add_obs_args(hunt)
 
     fleet = sub.add_parser(
         "fleet",
@@ -90,30 +96,10 @@ def main(argv: list[str] | None = None) -> int:
         "control.",
     )
     _add_campaign_args(fleet, default_tests=None)
-    fleet.add_argument(
-        "--seconds",
-        type=float,
-        default=None,
-        help="wall-clock budget per shard (default when --tests is "
-        "omitted: 2000 tests)",
-    )
-    fleet.add_argument(
-        "--corpus",
-        default=None,
-        metavar="PATH",
-        help="JSONL bug corpus: resumed if it exists, new bugs appended",
-    )
-    fleet.add_argument(
-        "--coverage",
-        default=None,
-        metavar="PATH",
-        help="plan-coverage checkpoint (JSON) for guided runs: loaded "
-        "if it exists, saved at the end (default with --guidance and "
-        "--corpus: CORPUS.coverage.json)",
-    )
-    fleet.add_argument(
-        "--max-reports", type=int, default=1000, dest="max_reports"
-    )
+    _add_guidance_args(fleet)
+    _add_cache_args(fleet)
+    _add_obs_args(fleet)
+    _add_corpus_run_args(fleet, "fleet")
     fleet.add_argument(
         "--no-reduce",
         action="store_true",
@@ -137,44 +123,8 @@ def main(argv: list[str] | None = None) -> int:
         "(receives --buggy faults), the second the trusted reference "
         "(default: minidb,sqlite3)",
     )
-    diff.add_argument(
-        "--dialect",
-        choices=sorted(PROFILES),
-        default="sqlite",
-        help="MiniDB profile for minidb backends",
-    )
-    diff.add_argument("--tests", type=int, default=None)
-    diff.add_argument("--seed", type=int, default=0)
-    diff.add_argument("--workers", type=int, default=1)
-    diff.add_argument(
-        "--buggy",
-        action="store_true",
-        help="seed the primary's injected fault catalog",
-    )
-    diff.add_argument(
-        "--seconds",
-        type=float,
-        default=None,
-        help="wall-clock budget per shard (default when --tests is "
-        "omitted: 500 tests)",
-    )
-    diff.add_argument(
-        "--corpus",
-        default=None,
-        metavar="PATH",
-        help="JSONL bug corpus: resumed if it exists, new bugs appended",
-    )
-    diff.add_argument(
-        "--coverage",
-        default=None,
-        metavar="PATH",
-        help="plan-coverage checkpoint (JSON) for guided runs: loaded "
-        "if it exists, saved at the end (default with --guidance and "
-        "--corpus: CORPUS.coverage.json)",
-    )
-    diff.add_argument(
-        "--max-reports", type=int, default=1000, dest="max_reports"
-    )
+    _add_campaign_args(diff, default_tests=None, oracle=False)
+    _add_corpus_run_args(diff, "diff")
     _add_guidance_args(diff)
     _add_cache_args(diff)
     _add_obs_args(diff)
@@ -185,7 +135,9 @@ def main(argv: list[str] | None = None) -> int:
         description="Run every single-engine oracle on the same budget "
         "and print efficiency metrics side by side. " + _DETERMINISM,
     )
-    compare.add_argument("--tests", type=int, default=400)
+    compare.add_argument(
+        "--tests", type=int, default=400, dest="n_tests", metavar="TESTS"
+    )
     compare.add_argument("--dialect", choices=sorted(PROFILES), default="sqlite")
     compare.add_argument("--seed", type=int, default=0)
     compare.add_argument("--workers", type=int, default=1)
@@ -412,6 +364,7 @@ def _add_obs_args(sub_parser) -> None:
     sub_parser.add_argument(
         "--trace",
         default=None,
+        dest="trace_path",
         metavar="PATH",
         help="write a structured JSONL trace of the run (schema-"
         "versioned events: shard lifecycle, tests, bugs, round "
@@ -450,6 +403,7 @@ def _add_cache_args(sub_parser) -> None:
         "--cache",
         action=argparse.BooleanOptionalAction,
         default=True,
+        dest="use_cache",
         help="worker-local evaluation caching on the oracle hot path "
         "(default: on).  Campaign results are bit-identical with and "
         "without the cache (gated in CI); only throughput and the "
@@ -457,14 +411,28 @@ def _add_cache_args(sub_parser) -> None:
     )
 
 
-def _add_campaign_args(sub_parser, default_tests: int | None) -> None:
+def _add_campaign_args(
+    sub_parser, default_tests: int | None, *, oracle: bool = True
+) -> None:
+    """The options ``hunt``, ``fleet`` and ``diff`` share up to --buggy;
+    ``diff`` has no --oracle, and its --buggy faults go to the primary
+    backend."""
+    # Every option that sets a FleetConfig field has that field's name
+    # as its dest, which is all _fleet_config needs to know of it.
     sub_parser.add_argument(
         "--dialect", choices=sorted(PROFILES), default="sqlite"
     )
+    if oracle:
+        sub_parser.add_argument(
+            "--oracle", choices=SINGLE_ENGINE_ORACLES, default="coddtest"
+        )
     sub_parser.add_argument(
-        "--oracle", choices=SINGLE_ENGINE_ORACLES, default="coddtest"
+        "--tests",
+        type=int,
+        default=default_tests,
+        dest="n_tests",
+        metavar="TESTS",
     )
-    sub_parser.add_argument("--tests", type=int, default=default_tests)
     sub_parser.add_argument("--seed", type=int, default=0)
     sub_parser.add_argument("--workers", type=int, default=1)
     sub_parser.add_argument(
@@ -472,9 +440,35 @@ def _add_campaign_args(sub_parser, default_tests: int | None) -> None:
         action="store_true",
         help="enable the profile's injected fault catalog",
     )
-    _add_guidance_args(sub_parser)
-    _add_cache_args(sub_parser)
-    _add_obs_args(sub_parser)
+
+
+def _add_corpus_run_args(sub_parser, command: str) -> None:
+    """The wall-clock budget and the corpus options of ``fleet`` and
+    ``diff``."""
+    sub_parser.add_argument(
+        "--seconds",
+        type=float,
+        default=None,
+        help="wall-clock budget per shard (default when --tests is "
+        f"omitted: {_FALLBACK_TESTS[command]} tests)",
+    )
+    sub_parser.add_argument(
+        "--corpus",
+        default=None,
+        metavar="PATH",
+        help="JSONL bug corpus: resumed if it exists, new bugs appended",
+    )
+    sub_parser.add_argument(
+        "--coverage",
+        default=None,
+        metavar="PATH",
+        help="plan-coverage checkpoint (JSON) for guided runs: loaded "
+        "if it exists, saved at the end (default with --guidance and "
+        "--corpus: CORPUS.coverage.json)",
+    )
+    sub_parser.add_argument(
+        "--max-reports", type=int, default=1000, dest="max_reports"
+    )
 
 
 def _add_guidance_args(sub_parser) -> None:
@@ -500,38 +494,53 @@ def _add_guidance_args(sub_parser) -> None:
     )
 
 
-def _hunt(args) -> int:
-    config = FleetConfig(
-        oracle=args.oracle,
-        dialect=args.dialect,
-        buggy=args.buggy,
-        workers=args.workers,
-        seed=args.seed,
-        n_tests=args.tests,
-        guidance=args.guidance,
-        guidance_rounds=args.guidance_rounds,
-        use_cache=args.cache,
-        trace_path=args.trace,
-        status_port=args.status_port,
-    )
+#: The test budget of a ``fleet`` or ``diff`` run given neither
+#: --tests nor --seconds.
+_FALLBACK_TESTS = {"fleet": 2000, "diff": 500}
+
+
+def _fleet_config(args, **fixed) -> FleetConfig:
+    """The one FleetConfig of a campaign subcommand.
+
+    Every parsed option named after a FleetConfig field sets it; *fixed*
+    sets the fields the subcommand decides itself (``diff``'s oracle
+    and backend pair, ``compare``'s oracle)."""
+    settings = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(FleetConfig)
+        if hasattr(args, f.name)
+    }
+    if args.command in _FALLBACK_TESTS and (
+        args.n_tests is None and args.seconds is None
+    ):
+        settings["n_tests"] = _FALLBACK_TESTS[args.command]
+    return FleetConfig(**settings, **fixed)
+
+
+def _run(args, config: FleetConfig, **kwargs):
+    """Run *config* for ``hunt``, ``fleet`` or ``diff`` and print the
+    lines all three open their output with."""
     printer = None if args.quiet else ProgressPrinter()
-    result = run_fleet(config, printer=printer)
-    stats = result.merged
+    result = run_fleet(config, telemetry=FleetTelemetry(printer), **kwargs)
     _print_arm_summary(result)
-    _print_cache_line(stats)
-    _print_phase_line(args, stats, result.wall_seconds)
-    _print_trace_note(args)
+    _print_cache_line(result.merged)
+    _print_phase_line(args, result.merged, result.wall_seconds)
+    if config.trace_path:
+        print(f"trace written to {config.trace_path}")
+    return result
+
+
+def _hunt(args) -> int:
+    config = _fleet_config(args)
+    stats = _run(args, config).merged
     print(
-        f"{args.oracle} on {args.dialect}: {stats.tests} tests, "
+        f"{config.oracle} on {config.dialect}: {stats.tests} tests, "
         f"{stats.queries_ok} queries, QPT {stats.qpt:.2f}, "
         f"{len(stats.unique_plans)} unique plans, "
         f"coverage {100 * stats.branch_coverage:.1f}%"
     )
     print(f"bug reports: {len(stats.reports)} ({stats.bug_reports_by_kind})")
-    if stats.detected_fault_ids:
-        print("distinct injected bugs found:")
-        for fid in sorted(stats.detected_fault_ids):
-            print(f"  - {fid}")
+    _print_faults(stats, "found")
     if stats.reports:
         report = stats.reports[0]
         print("\nfirst bug-inducing test case:")
@@ -541,41 +550,37 @@ def _hunt(args) -> int:
 
 
 def _fleet(args) -> int:
-    n_tests = args.tests
-    if n_tests is None and args.seconds is None:
-        n_tests = 2000
-    config = FleetConfig(
-        oracle=args.oracle,
-        dialect=args.dialect,
-        buggy=args.buggy,
-        workers=args.workers,
-        seed=args.seed,
-        n_tests=n_tests,
-        seconds=args.seconds,
-        max_reports=args.max_reports,
-        guidance=args.guidance,
-        guidance_rounds=args.guidance_rounds,
-        use_cache=args.cache,
-        trace_path=args.trace,
-        status_port=args.status_port,
+    config = _fleet_config(args)
+    _corpus_run(
+        args, config, None if args.no_reduce else make_replay_reducer(config)
     )
-    reduce_fn = None if args.no_reduce else make_replay_reducer(config)
-    corpus, known_before = _open_corpus(args.corpus, reduce_fn)
-    printer = None if args.quiet else ProgressPrinter()
+    return 0
+
+
+def _corpus_run(args, config: FleetConfig, reduce_fn):
+    """The run ``fleet`` and ``diff`` share: open the coverage
+    checkpoint and the corpus (a bad path of either fails before the
+    first test), run the fleet, print its report, and save the corpus
+    and the checkpoint.  Returns the merged stats."""
     coverage, coverage_path = _open_coverage(args)
-
-    result = run_fleet(config, corpus=corpus, printer=printer, coverage=coverage)
-    _print_arm_summary(result)
-    _print_cache_line(result.merged)
-    _print_phase_line(args, result.merged, result.wall_seconds)
-    _print_trace_note(args)
-
-    print(render_fleet_table(result.shards, result.merged))
-    print(
-        f"\nfleet wall-clock {result.wall_seconds:.1f}s, "
-        f"{result.merged.tests / max(result.wall_seconds, 1e-9):.1f} tests/s "
-        f"across {config.workers} worker(s)"
-    )
+    corpus, known_before = _open_corpus(args.corpus, reduce_fn)
+    result = _run(args, config, corpus=corpus, coverage=coverage)
+    stats, pair = result.merged, config.backend_pair
+    print(render_fleet_table(result.shards, stats))
+    if pair is None:
+        print(
+            f"\nfleet wall-clock {result.wall_seconds:.1f}s, "
+            f"{stats.tests / max(result.wall_seconds, 1e-9):.1f} tests/s "
+            f"across {config.workers} worker(s)"
+        )
+    else:
+        print(
+            f"\ndifferential {pair[0]} vs {pair[1]}: {stats.tests} tests, "
+            f"{stats.skipped} skipped, {len(stats.unique_plans)} unique "
+            f"primary plans, {result.wall_seconds:.1f}s wall across "
+            f"{config.workers} worker(s)"
+        )
+        print(f"divergences: {len(stats.reports)} report(s)")
     # End-of-run triage summary: the clustered corpus, not the raw
     # entry count, is what a human acts on.
     for line in triage_summary_lines(
@@ -586,33 +591,53 @@ def _fleet(args) -> int:
         print(line)
     if known_before:
         print(f"  ({known_before} known before this run, {len(corpus)} total)")
+    if pair is not None:
+        _print_faults(stats, "implicated")
     if args.corpus:
         corpus.save()
         print(f"corpus saved to {args.corpus}")
     if coverage_path and result.coverage is not None:
         result.coverage.save(coverage_path)
         print(f"coverage checkpoint saved to {coverage_path}")
-    _print_new_entries(corpus, set(result.new_fingerprints), cap=5, noun="bugs")
-    return 0
+    new = set(result.new_fingerprints)
+    if pair is None:
+        _print_new_entries(corpus, new, cap=5, noun="bugs")
+    else:
+        _print_new_entries(
+            corpus, new, cap=3, noun="divergences", with_description=True
+        )
+    return stats
 
 
 def _open_coverage(args) -> "tuple[CoverageMap | None, str | None]":
     """The fleet's coverage checkpoint: explicit --coverage path, else
     derived from --corpus for guided runs, else in-memory only."""
+    path = args.coverage
     if args.guidance is None:
-        if getattr(args, "coverage", None):
+        if path:
             # Unguided runs track no coverage; silently ignoring the
             # path would leave the user believing a checkpoint exists.
             raise ValueError(
                 "--coverage requires --guidance plan-coverage"
             )
         return None, None
-    path = getattr(args, "coverage", None)
     if path is None and args.corpus:
         path = args.corpus + ".coverage.json"
     if path is None:
         return None, None
-    return CoverageMap.load(path), path
+    coverage = CoverageMap.load(path)
+    # Fail fast on an unwritable path, as for --corpus: create and
+    # remove the temporary file that save() writes first.
+    open(path + ".tmp", "w", encoding="utf-8").close()
+    os.remove(path + ".tmp")
+    return coverage, path
+
+
+def _print_faults(stats, verb: str) -> None:
+    if stats.detected_fault_ids:
+        print(f"distinct injected bugs {verb}:")
+        for fid in sorted(stats.detected_fault_ids):
+            print(f"  - {fid}")
 
 
 def _print_cache_line(stats) -> None:
@@ -637,18 +662,13 @@ def _print_phase_line(args, stats, wall_seconds: float = 0.0) -> None:
     are wall-clock, so they go to stderr with the other diagnostics:
     stdout stays a pure function of the seed (diffable across runs).
     Suppressed by --quiet."""
-    if getattr(args, "quiet", False):
+    if args.quiet:
         return
     from repro.obs import format_phase_breakdown
 
     line = format_phase_breakdown(stats.phase_stats, wall_seconds)
     if line:
         print(line, file=sys.stderr)
-
-
-def _print_trace_note(args) -> None:
-    if getattr(args, "trace", None):
-        print(f"trace written to {args.trace}")
 
 
 def _top(args) -> int:
@@ -692,7 +712,7 @@ def _print_arm_summary(result) -> None:
         print(f"  {arm:18s} {pulls:6d} pulls  {new_plans:5d} new plans")
 
 
-def _open_corpus(path, reduce_fn=None) -> "tuple[BugCorpus, int]":
+def _open_corpus(path, reduce_fn) -> "tuple[BugCorpus, int]":
     """Open (or create) the JSONL corpus at *path*; None means an
     in-memory corpus.  Returns it with the number of already-known
     bugs."""
@@ -736,69 +756,8 @@ def _diff(args) -> int:
             file=sys.stderr,
         )
         return 2
-    n_tests = args.tests
-    if n_tests is None and args.seconds is None:
-        n_tests = 500
-    config = FleetConfig(
-        oracle="differential",
-        backend_pair=pair,
-        dialect=args.dialect,
-        buggy=args.buggy,
-        workers=args.workers,
-        seed=args.seed,
-        n_tests=n_tests,
-        seconds=args.seconds,
-        max_reports=args.max_reports,
-        guidance=args.guidance,
-        guidance_rounds=args.guidance_rounds,
-        use_cache=args.cache,
-        trace_path=args.trace,
-        status_port=args.status_port,
-    )
-    corpus, known_before = _open_corpus(args.corpus)
-    printer = None if args.quiet else ProgressPrinter()
-    coverage, coverage_path = _open_coverage(args)
-
-    result = run_fleet(config, corpus=corpus, printer=printer, coverage=coverage)
-    stats = result.merged
-    _print_arm_summary(result)
-    _print_cache_line(stats)
-    _print_phase_line(args, stats, result.wall_seconds)
-    _print_trace_note(args)
-
-    print(render_fleet_table(result.shards, stats))
-    print(
-        f"\ndifferential {pair[0]} vs {pair[1]}: {stats.tests} tests, "
-        f"{stats.skipped} skipped, {len(stats.unique_plans)} unique "
-        f"primary plans, {result.wall_seconds:.1f}s wall across "
-        f"{config.workers} worker(s)"
-    )
-    print(f"divergences: {len(stats.reports)} report(s)")
-    for line in triage_summary_lines(
-        result.clusters or [],
-        new_unique=len(result.new_fingerprints),
-        duplicates=result.duplicate_reports,
-    ):
-        print(line)
-    if known_before:
-        print(f"  ({known_before} known before this run, {len(corpus)} total)")
-    if stats.detected_fault_ids:
-        print("distinct injected bugs implicated:")
-        for fid in sorted(stats.detected_fault_ids):
-            print(f"  - {fid}")
-    if args.corpus:
-        corpus.save()
-        print(f"corpus saved to {args.corpus}")
-    if coverage_path and result.coverage is not None:
-        result.coverage.save(coverage_path)
-        print(f"coverage checkpoint saved to {coverage_path}")
-    _print_new_entries(
-        corpus,
-        set(result.new_fingerprints),
-        cap=3,
-        noun="divergences",
-        with_description=True,
-    )
+    config = _fleet_config(args, oracle="differential", backend_pair=pair)
+    stats = _corpus_run(args, config, make_replay_reducer(config))
     # Without injected faults every divergence is unexpected -- either
     # a real engine drift or a generator portability hole -- so signal
     # it in the exit code (this is what lets CI smoke runs fail).
@@ -809,15 +768,7 @@ def _diff(args) -> int:
 
 def _compare(args) -> int:
     for name in SINGLE_ENGINE_ORACLES:
-        config = FleetConfig(
-            oracle=name,
-            dialect=args.dialect,
-            workers=args.workers,
-            seed=args.seed,
-            n_tests=args.tests,
-            use_cache=args.cache,
-        )
-        stats = run_fleet(config).merged
+        stats = run_fleet(_fleet_config(args, oracle=name)).merged
         print(
             f"{name:10s} tests/s {stats.tests_per_second:8.1f}  "
             f"QPT {stats.qpt:5.2f}  plans {len(stats.unique_plans):5d}  "

@@ -47,7 +47,6 @@ class CoddTestOracle(Oracle):
         expression_only: bool = False,
         subquery_only: bool = False,
         relation_mode_prob: float = 0.15,
-        dml_prob: float = 0.0,
     ) -> None:
         super().__init__()
         if expression_only and subquery_only:
@@ -56,7 +55,6 @@ class CoddTestOracle(Oracle):
         self.expression_only = expression_only
         self.subquery_only = subquery_only
         self.relation_mode_prob = 0.0 if (expression_only or subquery_only) else relation_mode_prob
-        self.dml_prob = dml_prob
         if expression_only:
             self.name = "coddtest-expr"
         elif subquery_only:

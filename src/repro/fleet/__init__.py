@@ -7,16 +7,20 @@ per hour ("Scaling Automated Database System Testing", Zhong & Rigger
 2025).  This package shards one logical campaign across a
 ``multiprocessing`` worker pool:
 
+* :mod:`repro.fleet.orchestrator` -- ``FleetConfig``, the one record
+  of a campaign's settings; the worker pool, result streaming, stats
+  merging, fleet-wide early stop, and each shard's ddmin reduction of
+  the bugs it finds first,
 * :mod:`repro.fleet.sharding` -- deterministic per-shard seeds and
-  budget splits (a 1-worker fleet bit-matches the serial campaign),
-* :mod:`repro.fleet.orchestrator` -- the worker pool, result streaming,
-  stats merging, fleet-wide early stop, and each shard's ddmin
-  reduction of the bugs it finds first,
+  budget splits (a 1-worker fleet bit-matches the serial campaign);
+  each ``ShardSpec`` carries the fleet's ``FleetConfig`` plus its
+  shard's seed, budget and round state,
 * :mod:`repro.fleet.corpus` -- a JSONL-backed deduplicated bug corpus
   with checkpoint/resume,
 * :mod:`repro.fleet.progress` -- periodic throughput/dedup reporting,
 * :mod:`repro.fleet.telemetry` -- the optional observability surfaces
-  (structured trace, live status endpoint) bundled per fleet run.
+  (structured trace, live status endpoint) bundled per fleet run; the
+  config's ``trace_path`` and ``status_port`` switch them on.
 """
 
 from repro.fleet.corpus import (

@@ -37,7 +37,7 @@ from repro.core import CoddTestOracle
 from repro.differential import DifferentialOracle, build_pair_adapter
 from repro.errors import ReproError
 from repro.fleet.corpus import BugCorpus, fingerprint_report
-from repro.fleet.progress import ProgressPrinter, ProgressSnapshot
+from repro.fleet.progress import ProgressSnapshot
 from repro.fleet.sharding import (
     ShardSpec,
     derive_round_seed,
@@ -51,7 +51,7 @@ from repro.guidance import (
     GuidedPolicy,
     policy_seed,
 )
-from repro.obs.trace import TraceWriter
+from repro.obs.trace import TraceWriter, shard_part_path
 from repro.oracles_base import Oracle, TestReport
 from repro.perf import EvalCache
 from repro.runner.campaign import Campaign, CampaignStats
@@ -86,7 +86,10 @@ def check_budget(n_tests: int | None, seconds: float | None) -> None:
 
 @dataclass
 class FleetConfig:
-    """One fleet invocation, fully picklable."""
+    """One campaign's settings, and their only record: every
+    :class:`ShardSpec` carries the config whole, :class:`FleetTelemetry`
+    reads its trace and status settings, and the CLI builds it once.
+    Fully picklable."""
 
     oracle: str = "coddtest"
     oracle_kwargs: dict = field(default_factory=dict)
@@ -207,14 +210,6 @@ class FleetResult:
         return self.coverage.arm_summary()
 
 
-def _shard_trace_path(config: FleetConfig, shard_index: int) -> "str | None":
-    if config.trace_path is None:
-        return None
-    from repro.obs.trace import shard_part_path
-
-    return shard_part_path(config.trace_path, shard_index)
-
-
 def build_shards(
     config: FleetConfig,
     round_index: int = 0,
@@ -229,7 +224,8 @@ def build_shards(
     reducer: "ReplayReducer | None" = None,
     known_fingerprints: frozenset[str] = frozenset(),
 ) -> list[ShardSpec]:
-    """Deterministic shard plan for one round of *config*.
+    """Deterministic shard plan for one round of *config*: each spec
+    carries *config* itself plus its shard's seed and budget slice.
 
     The defaults plan an unguided fleet: round 0 (whose seeds are the
     shard seeds themselves) over the whole budget.  A guided round
@@ -246,31 +242,21 @@ def build_shards(
     snapshot = None if coverage is None else coverage.to_dict()
     return [
         ShardSpec(
+            config=config,
             shard_index=i,
-            workers=config.workers,
             seed=derive_round_seed(seeds[i], round_index),
             n_tests=quotas[i],
             seconds=config.seconds if seconds is None else seconds,
-            oracle=config.oracle,
-            oracle_kwargs=dict(config.oracle_kwargs),
-            adapter=config.adapter,
-            dialect=config.dialect,
-            buggy=config.buggy,
-            tests_per_state=config.tests_per_state,
             # Each shard stays within the fleet-wide bound; the merge
             # truncates again, and the stop event ends the other shards.
             max_reports=(
                 config.max_reports if max_reports is None else max_reports
             ),
-            backend_pair=config.backend_pair,
-            guidance=config.guidance,
             round_index=round_index,
             policy_state=policy_states[i] if policy_states else None,
             coverage_snapshot=snapshot,
             saturated_faults=tuple(sorted(saturated)),
             coverage_source=f"{config.seed}:{i}/{config.workers}{epoch}",
-            use_cache=config.use_cache,
-            trace_path=_shard_trace_path(config, i),
             reducer=reducer,
             known_fingerprints=known_fingerprints,
         )
@@ -283,13 +269,13 @@ def build_shards(
 # ---------------------------------------------------------------------------
 
 
-def _build_adapter(spec: ShardSpec):
-    if spec.backend_pair is not None:
+def _build_adapter(config: FleetConfig):
+    if config.backend_pair is not None:
         return build_pair_adapter(
-            spec.backend_pair, dialect=spec.dialect, buggy=spec.buggy
+            config.backend_pair, dialect=config.dialect, buggy=config.buggy
         )
     return build_backend(
-        spec.adapter, dialect=spec.dialect, buggy=spec.buggy
+        config.adapter, dialect=config.dialect, buggy=config.buggy
     )
 
 
@@ -297,7 +283,7 @@ def _build_policy(spec: ShardSpec) -> GuidedPolicy | None:
     """The shard's generation policy: fresh on round 0, resumed from the
     serialized state afterwards, with the merged fleet snapshot folded
     in either way (fleet-known fingerprints are not novel here)."""
-    if spec.guidance is None:
+    if spec.config.guidance is None:
         return None
     snapshot = CoverageMap.from_dict(spec.coverage_snapshot)
     saturated = frozenset(spec.saturated_faults)
@@ -345,9 +331,10 @@ def _run_shard(
     guided shards, the serialized policy state and coverage snapshot
     the orchestrator merges at the next round barrier.
     """
-    oracle = ORACLE_FACTORIES[spec.oracle](**spec.oracle_kwargs)
+    config = spec.config
+    oracle = ORACLE_FACTORIES[config.oracle](**config.oracle_kwargs)
     policy = _build_policy(spec)
-    cache = EvalCache() if spec.use_cache else None
+    cache = EvalCache() if config.use_cache else None
     on_report = None
     if spec.reducer is not None:
         # Reduce each bug new to the fleet once, when the campaign
@@ -361,17 +348,20 @@ def _run_shard(
                 skip.add(fingerprint)
                 report.reduced_statements = spec.reducer(report, cache)
     tracer = (
-        TraceWriter(spec.trace_path, shard=spec.shard_index)
-        if spec.trace_path is not None
+        TraceWriter(
+            shard_part_path(config.trace_path, spec.shard_index),
+            shard=spec.shard_index,
+        )
+        if config.trace_path is not None
         else None
     )
     if tracer is not None:
         tracer.emit("shard_start", seed=spec.seed, round=spec.round_index)
     campaign = Campaign(
         oracle,
-        _build_adapter(spec),
+        _build_adapter(config),
         seed=spec.seed,
-        tests_per_state=spec.tests_per_state,
+        tests_per_state=config.tests_per_state,
         max_reports=spec.max_reports,
         should_stop=should_stop,
         on_progress=on_progress,
@@ -513,7 +503,6 @@ class _CorpusSink:
 def run_fleet(
     config: FleetConfig,
     corpus: BugCorpus | None = None,
-    printer: ProgressPrinter | None = None,
     coverage: CoverageMap | None = None,
     telemetry: FleetTelemetry | None = None,
 ) -> FleetResult:
@@ -521,12 +510,12 @@ def run_fleet(
 
     *corpus* (optional) deduplicates reports across shards and past
     invocations (first-seen entries are stamped with shard/seed/dialect
-    provenance); *printer* (optional) emits periodic progress lines;
-    *coverage* (optional, guided fleets) seeds the plan-coverage map --
-    pass a loaded checkpoint to resume guidance across invocations;
-    *telemetry* (optional) bundles every observability surface --
-    progress printer, ``--trace`` stream, ``--status-port`` endpoint
-    (one is built from *config* + *printer* when omitted).
+    provenance); *coverage* (optional, guided fleets) seeds the
+    plan-coverage map -- pass a loaded checkpoint to resume guidance
+    across invocations; *telemetry* (optional) carries the progress
+    printer and is where the trace (``config.trace_path``) and the
+    status endpoint (``config.status_port``) are served from; a silent
+    one is built when omitted.
     The result is deterministic for a given ``(seed, workers, budget)``:
     shard stats merge in spec order and the corpus holds the same entry
     set regardless of scheduling.  Telemetry never feeds back into
@@ -547,11 +536,7 @@ def run_fleet(
             f"for this fleet's configuration, got {corpus.reduce_fn!r}"
         )
     if telemetry is None:
-        telemetry = FleetTelemetry(
-            printer=printer,
-            trace_path=config.trace_path,
-            status_port=config.status_port,
-        )
+        telemetry = FleetTelemetry()
     telemetry.open(config)
     try:
         return _run_rounds(config, corpus, telemetry, coverage)

@@ -16,11 +16,11 @@ properties are load-bearing:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from repro.fleet.orchestrator import ReplayReducer
+    from repro.fleet.orchestrator import FleetConfig, ReplayReducer
 
 
 def derive_shard_seeds(seed: int, workers: int) -> list[int]:
@@ -80,31 +80,21 @@ def split_tests(n_tests: int | None, workers: int) -> list[int | None]:
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """Everything a worker process needs to run its shard.
+    """One shard of one round: the fleet's whole :class:`FleetConfig`
+    plus what this shard adds in this round.
 
     Specs cross the process boundary, so they hold only picklable
-    primitives: the oracle/adapter are named, not instantiated -- each
-    worker builds its own engine, adapter, and oracle from the spec.
+    values: the config names the oracle and adapter, and each worker
+    builds its own engine, adapter, and oracle from it.
     """
 
+    config: "FleetConfig"
     shard_index: int
-    workers: int
     seed: int
     n_tests: int | None
     seconds: float | None
-    oracle: str
-    oracle_kwargs: dict = field(default_factory=dict)
-    adapter: str = "minidb"  # any registered backend (repro.backends)
-    dialect: str = "sqlite"
-    buggy: bool = False
-    tests_per_state: int = 25
-    max_reports: int = 1000
-    #: Differential campaigns: (primary, secondary) backend names; the
-    #: worker builds a DifferentialAdapter instead of a single backend.
-    backend_pair: tuple[str, str] | None = None
-    #: Guidance mode (None = uniform random, "plan-coverage" = guided);
-    #: when set the worker builds a GuidedPolicy for its campaign.
-    guidance: str | None = None
+    #: The fleet-wide report cap still left after earlier rounds.
+    max_reports: int
     #: Which guided round this spec belongs to (0-based); rounds are
     #: the deterministic barriers at which coverage snapshots merge.
     round_index: int = 0
@@ -120,15 +110,6 @@ class ShardSpec:
     #: Stable owner id for this shard's coverage counters (includes the
     #: fleet seed, so re-running the same fleet merges idempotently).
     coverage_source: str = ""
-    #: Build a worker-local :class:`repro.perf.EvalCache` for this
-    #: shard's campaign.  Caches are per-process and never pickled, so
-    #: the flag travels instead of the cache; shard results are
-    #: bit-identical either way.
-    use_cache: bool = False
-    #: Per-shard trace part file (``<trace>.shardN.part``); the worker
-    #: appends structured events here and the orchestrator merges every
-    #: part into the final trace.  None disables tracing for the shard.
-    trace_path: str | None = None
     #: The fleet's replay reducer, or None when the fleet does not
     #: reduce.  The shard reduces each report as its campaign records
     #: it, on the shard's cache, unless the fingerprint is known.

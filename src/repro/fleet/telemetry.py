@@ -32,6 +32,10 @@ from repro.obs.trace import (
 class FleetTelemetry:
     """Bundles every optional observability surface of one fleet run.
 
+    Only the progress *printer* is given here.  The trace path and the
+    status port are the fleet config's ``trace_path`` and
+    ``status_port``, read by :meth:`open`.
+
     Lifecycle: :meth:`open` (clear stale parts, start the server, emit
     ``run_start``), then :meth:`progress` from the orchestrator's
     collection loop, :meth:`finish` once with the final snapshot, and
@@ -39,24 +43,15 @@ class FleetTelemetry:
     files exist even when the run died mid-way).
     """
 
-    def __init__(
-        self,
-        printer: "ProgressPrinter | None" = None,
-        trace_path: "str | None" = None,
-        status_port: "int | None" = None,
-    ) -> None:
+    def __init__(self, printer: "ProgressPrinter | None" = None) -> None:
         self.printer = printer
-        self.trace_path = trace_path
-        self.status_port = status_port
-        self.board: "StatusBoard | None" = (
-            StatusBoard() if status_port is not None else None
-        )
+        #: The fleet config :meth:`open` binds.
+        self.config = None
+        self.board: "StatusBoard | None" = None
         self.server: "StatusServer | None" = None
         #: Orchestrator-side records, already formatted; merged with the
         #: worker part files by :meth:`close`.
         self._lines: list[str] = []
-        self._run_meta: dict = {}
-        self._workers = 1
         self._round: "int | None" = None
         self._rounds: "int | None" = None
         self._last_seen: dict[int, float] = {}
@@ -67,24 +62,21 @@ class FleetTelemetry:
     # -- lifecycle -----------------------------------------------------------
 
     def open(self, config) -> "FleetTelemetry":
-        """Bind to one fleet *config*: reset per-run state, clear stale
-        part files, start the status server, emit ``run_start``."""
-        self._workers = config.workers
-        self._run_meta = {
-            "oracle": config.oracle,
-            "workers": config.workers,
-            "seed": config.seed,
-        }
-        if self.trace_path is not None:
+        """Bind to one fleet *config*: take its trace path and status
+        port, clear stale part files, start the status server, emit
+        ``run_start``."""
+        self.config = config
+        if config.trace_path is not None:
             # Part files are opened append-mode by the workers (guided
             # rounds accumulate), so leftovers of a previous run with
             # the same path must go first.
             for index in range(config.workers):
-                part = shard_part_path(self.trace_path, index)
+                part = shard_part_path(config.trace_path, index)
                 if os.path.exists(part):
                     os.remove(part)
-        if self.board is not None and self.server is None:
-            self.server = StatusServer(self.board, port=self.status_port or 0)
+        if config.status_port is not None:
+            self.board = StatusBoard()
+            self.server = StatusServer(self.board, port=config.status_port)
             self.server.start()
             if self.printer is not None:
                 # The bound port is wall-clock-free but run-specific
@@ -94,7 +86,12 @@ class FleetTelemetry:
                     f"status endpoint: {self.server.url}\n"
                 )
                 self.printer.stream.flush()
-        self.emit("run_start", **self._run_meta)
+        self.emit(
+            "run_start",
+            oracle=config.oracle,
+            workers=config.workers,
+            seed=config.seed,
+        )
         return self
 
     @property
@@ -106,7 +103,7 @@ class FleetTelemetry:
 
     def emit(self, ev: str, **payload) -> None:
         """Record one orchestrator-side trace event (no-op untraced)."""
-        if self.trace_path is None:
+        if self.config.trace_path is None:
             return
         self._lines.append(
             format_record(ev, time.time(), None, payload) + "\n"
@@ -161,7 +158,7 @@ class FleetTelemetry:
             reports=len(merged.reports),
             wall_s=round(wall, 6),
         )
-        self._done = set(range(self._workers))
+        self._done = set(range(self.config.workers))
         self._publish(snap, self._last_shards, self._done, state="done")
 
     def shard_seen(self, shard_index: int, done: bool = False) -> None:
@@ -192,9 +189,9 @@ class FleetTelemetry:
         self.board.publish(
             {
                 "state": state,
-                "oracle": self._run_meta.get("oracle"),
-                "workers": self._run_meta.get("workers", self._workers),
-                "seed": self._run_meta.get("seed"),
+                "oracle": self.config.oracle,
+                "workers": self.config.workers,
+                "seed": self.config.seed,
                 "elapsed_s": round(snap.elapsed, 3),
                 "tests": snap.tests,
                 "tests_per_second": round(snap.tests_per_second, 2),
@@ -229,12 +226,13 @@ class FleetTelemetry:
         if self._closed:
             return
         self._closed = True
-        if self.trace_path is not None:
+        trace_path = self.config.trace_path
+        if trace_path is not None:
             parts = [
-                shard_part_path(self.trace_path, index)
-                for index in range(self._workers)
+                shard_part_path(trace_path, index)
+                for index in range(self.config.workers)
             ]
-            merge_trace_files(self.trace_path, parts, self._lines)
+            merge_trace_files(trace_path, parts, self._lines)
             self._lines.clear()
         if self.server is not None:
             self.server.stop()

@@ -180,11 +180,30 @@ class CoverageMap:
 
     @classmethod
     def load(cls, path: str) -> "CoverageMap":
-        """Load a checkpoint; a missing file starts an empty map."""
+        """Load a checkpoint; a missing file starts an empty map.  A file
+        that holds no checkpoint raises ValueError naming *path*."""
         if not os.path.exists(path):
             return cls()
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                coverage = cls.from_dict(json.load(fh))
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    f"{path}: not valid JSON ({exc.msg})"
+                ) from None
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"{path}: not a coverage checkpoint ({exc})"
+                ) from None
+        buckets = [*coverage.plans.values(), *coverage.faults.values()]
+        for arms in coverage.arms.values():
+            buckets += arms.values()
+        if any(type(n) is not int for b in buckets for n in b.values()):
+            raise ValueError(
+                f"{path}: not a coverage checkpoint (a counter is not an "
+                "integer)"
+            )
+        return coverage
 
 
 def merge_all(maps: Iterable[CoverageMap]) -> CoverageMap:

@@ -166,48 +166,9 @@ def render_triage_text(
 ) -> str:
     data = build_triage(clusters, verdicts)
     lines = _summary_header(data)
-
-    lines.append("")
-    lines.extend(
-        _table(
-            _fault_table_header(),
-            [_fault_table_row(row) for row in data["faults"]],
-            total=_fault_table_total(data["summary"]),
-        )
-    )
-
-    oracle_names = _oracle_names(data)
-    if oracle_names:
+    for _, header, rows, total in _sections(data, verdicts is not None):
         lines.append("")
-        lines.extend(
-            _table(
-                ["Fault"] + list(oracle_names),
-                [
-                    [_short_fault(row["fault"])]
-                    + [str(row["by_oracle"].get(o, 0)) for o in oracle_names]
-                    for row in data["faults"]
-                ],
-            )
-        )
-
-    lines.append("")
-    lines.extend(
-        _table(
-            _backend_table_header(),
-            [_backend_table_row(row) for row in data["backends"]],
-        )
-    )
-
-    lines.append("")
-    lines.extend(
-        _table(
-            _cluster_table_header(verdicts is not None),
-            [
-                _cluster_table_row(c, verdicts is not None)
-                for c in data["clusters"]
-            ],
-        )
-    )
+        lines.extend(_table(header, rows, total))
     return "\n".join(lines)
 
 
@@ -219,48 +180,9 @@ def render_triage_markdown(
     lines = ["# Corpus triage", ""]
     for line in _summary_header(data):
         lines.append(f"- {line}")
-
-    lines += ["", "## Distinct clusters by ground-truth fault", ""]
-    lines.extend(
-        _md_table(
-            _fault_table_header(),
-            [_fault_table_row(row) for row in data["faults"]]
-            + [_fault_table_total(data["summary"])],
-        )
-    )
-
-    oracle_names = _oracle_names(data)
-    if oracle_names:
-        lines += ["", "## Clusters per fault and oracle", ""]
-        lines.extend(
-            _md_table(
-                ["Fault"] + list(oracle_names),
-                [
-                    [_short_fault(row["fault"])]
-                    + [str(row["by_oracle"].get(o, 0)) for o in oracle_names]
-                    for row in data["faults"]
-                ],
-            )
-        )
-
-    lines += ["", "## Clusters by backend provenance", ""]
-    lines.extend(
-        _md_table(
-            _backend_table_header(),
-            [_backend_table_row(row) for row in data["backends"]],
-        )
-    )
-
-    lines += ["", "## Clusters", ""]
-    lines.extend(
-        _md_table(
-            _cluster_table_header(verdicts is not None),
-            [
-                _cluster_table_row(c, verdicts is not None)
-                for c in data["clusters"]
-            ],
-        )
-    )
+    for title, header, rows, total in _sections(data, verdicts is not None):
+        lines += ["", f"## {title}", ""]
+        lines.extend(_md_table(header, rows + ([total] if total else [])))
     return "\n".join(lines)
 
 
@@ -331,8 +253,57 @@ def _fault_dbms(fault_id: str) -> str:
     return fault.profile if fault is not None else "-"
 
 
-def _short_fault(label: str) -> str:
-    return label
+def _sections(
+    data: dict, with_replay: bool
+) -> "list[tuple[str, list[str], list[list[str]], list[str] | None]]":
+    """The ``(title, header, rows, total)`` tables both text renderers
+    lay out, in order; the per-oracle table only when a fault row names
+    an oracle."""
+    sections = [
+        (
+            "Distinct clusters by ground-truth fault",
+            [
+                "Fault", "DBMS", "Logic", "Internal", "Crash", "Hang",
+                "Clusters", "Sightings",
+            ],
+            [_fault_table_row(row) for row in data["faults"]],
+            _fault_table_total(data["summary"]),
+        )
+    ]
+    oracle_names = _oracle_names(data)
+    if oracle_names:
+        sections.append(
+            (
+                "Clusters per fault and oracle",
+                ["Fault"] + list(oracle_names),
+                [
+                    [row["fault"]]
+                    + [str(row["by_oracle"].get(o, 0)) for o in oracle_names]
+                    for row in data["faults"]
+                ],
+                None,
+            )
+        )
+    sections.append(
+        (
+            "Clusters by backend provenance",
+            [
+                "Backends", "Logic", "Internal", "Crash", "Hang",
+                "Clusters", "Entries", "Sightings",
+            ],
+            [_backend_table_row(row) for row in data["backends"]],
+            None,
+        )
+    )
+    sections.append(
+        (
+            "Clusters",
+            _cluster_table_header(with_replay),
+            [_cluster_table_row(c, with_replay) for c in data["clusters"]],
+            None,
+        )
+    )
+    return sections
 
 
 def _summary_header(data: dict) -> list[str]:
@@ -364,17 +335,10 @@ def _summary_header(data: dict) -> list[str]:
     return lines
 
 
-def _fault_table_header() -> list[str]:
-    return [
-        "Fault", "DBMS", "Logic", "Internal", "Crash", "Hang",
-        "Clusters", "Sightings",
-    ]
-
-
 def _fault_table_row(row: dict) -> list[str]:
     by_kind = row["by_kind"]
     return [
-        _short_fault(row["fault"]),
+        row["fault"],
         row["dbms"],
         str(by_kind.get("logic", 0)),
         str(by_kind.get("internal error", 0)),
@@ -399,13 +363,6 @@ def _fault_table_total(summary: dict) -> list[str]:
         str(by_kind.get("hang", 0)),
         str(summary["clusters"]),
         str(summary["sightings"]),
-    ]
-
-
-def _backend_table_header() -> list[str]:
-    return [
-        "Backends", "Logic", "Internal", "Crash", "Hang",
-        "Clusters", "Entries", "Sightings",
     ]
 
 

@@ -125,15 +125,20 @@ class TestMultiWorker:
         ctx = multiprocessing.get_context()
         q = ctx.Queue()
         ev = ctx.Event()
-        spec = ShardSpec(
-            shard_index=0,
+        config = FleetConfig(
             workers=2,
-            seed=1,
-            n_tests=10,
-            seconds=None,
+            n_tests=20,
             oracle="coddtest",
             oracle_kwargs={"no_such_kwarg": True},
             dialect="sqlite",
+        )
+        spec = ShardSpec(
+            config=config,
+            shard_index=0,
+            seed=1,
+            n_tests=10,
+            seconds=None,
+            max_reports=config.max_reports,
         )
         orch._worker_main(spec, q, ev)
         kind, idx, payload = q.get(timeout=5)

@@ -60,15 +60,22 @@ class TestShardSpec:
     def test_picklable(self):
         import pickle
 
-        spec = ShardSpec(
-            shard_index=1,
+        from repro.fleet import FleetConfig
+
+        config = FleetConfig(
             workers=4,
-            seed=99,
-            n_tests=500,
-            seconds=None,
+            n_tests=2000,
             oracle="coddtest",
             oracle_kwargs={"max_depth": 4},
             dialect="mysql",
             buggy=True,
+        )
+        spec = ShardSpec(
+            config=config,
+            shard_index=1,
+            seed=99,
+            n_tests=500,
+            seconds=None,
+            max_reports=config.max_reports,
         )
         assert pickle.loads(pickle.dumps(spec)) == spec

@@ -10,6 +10,7 @@ timing fields of ``CampaignStats`` that signatures exclude.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -71,7 +72,7 @@ class TestFleetBitIdentity:
         silent = run_fleet(_config(), corpus=silent_corpus)
 
         trace_path = str(tmp_path / "run.trace.jsonl")
-        telemetry = FleetTelemetry(trace_path=trace_path, status_port=0)
+        telemetry = FleetTelemetry()
         snapshots: list[dict] = []
 
         def poll() -> None:
@@ -145,6 +146,47 @@ class TestFleetBitIdentity:
         summary = summarize_trace(read_trace(trace_path))
         assert len(summary["rounds"]) >= 1
         assert summary["tests"] == silent.merged.tests
+
+
+class TestTelemetryFollowsConfig:
+    def test_trace_and_status_settings_come_from_the_config(self, tmp_path):
+        # The telemetry is built bare; the config alone asks for the
+        # trace and the status endpoint.
+        trace_path = str(tmp_path / "a.jsonl")
+        telemetry = FleetTelemetry()
+        snapshots: list[dict] = []
+
+        def poll() -> None:
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline and not snapshots:
+                url = telemetry.url
+                try:
+                    if url is not None:
+                        snapshots.append(fetch_status(url, timeout=2.0))
+                except OSError:
+                    pass
+                time.sleep(0.005)
+
+        poller = threading.Thread(target=poll, daemon=True)
+        poller.start()
+        run_fleet(
+            FleetConfig(
+                oracle="coddtest",
+                workers=2,
+                seed=SEED,
+                n_tests=100,
+                trace_path=trace_path,
+                status_port=0,
+            ),
+            telemetry=telemetry,
+        )
+        poller.join(timeout=35.0)
+
+        events = {r["ev"] for r in read_trace(trace_path)}
+        assert {"shard_start", "test_finish"} <= events
+        assert sorted(os.listdir(tmp_path)) == ["a.jsonl"]
+        assert snapshots, "the status URL was never served"
+        assert snapshots[0]["schema_version"] == 1
 
 
 class _RecordingTelemetry(FleetTelemetry):

@@ -1,8 +1,12 @@
 """Report rendering and CLI tests."""
 
+import os
+import re
+
 import pytest
 
 from repro.cli import main as cli_main
+from repro.guidance import CoverageMap
 from repro.report import (
     render_detection_table,
     render_efficiency_table,
@@ -192,10 +196,13 @@ class TestFleetCli:
         assert "merged" in out
         assert "corpus triage:" in out
 
-    def test_fleet_multi_worker_with_corpus_resume(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["fleet", "diff"])
+    def test_fleet_multi_worker_with_corpus_resume(
+        self, command, tmp_path, capsys
+    ):
         corpus = str(tmp_path / "bugs.jsonl")
         argv = [
-            "fleet",
+            command,
             "--tests", "200",
             "--workers", "2",
             "--buggy",
@@ -211,6 +218,83 @@ class TestFleetCli:
         assert cli_main(argv) == 0
         second = capsys.readouterr().out
         assert "0 new unique" in second
+        assert re.search(
+            r"^  \((\d+) known before this run, \1 total\)$", second, re.M
+        )
+
+    @pytest.mark.parametrize("command", ["fleet", "diff"])
+    def test_guided_run_saves_and_resumes_coverage_checkpoint(
+        self, command, tmp_path, capsys
+    ):
+        corpus = str(tmp_path / "bugs.jsonl")
+        checkpoint = corpus + ".coverage.json"
+        argv = [
+            command, "--tests", "200", "--workers", "2", "--buggy",
+            "--seed", "3", "--quiet", "--guidance", "plan-coverage",
+            "--corpus", corpus,
+        ]
+        maps = []
+        for _ in range(2):
+            assert cli_main(argv) == 0
+            out = capsys.readouterr().out
+            assert f"coverage checkpoint saved to {checkpoint}\n" in out
+            maps.append(CoverageMap.load(checkpoint))
+        first, second = maps
+        assert first.plans
+        # The second run started from the first run's map: it keeps
+        # every plan and counter owner, and adds owners of its own.
+        assert second.seen_plans() >= first.seen_plans()
+        assert set(second.plans) > set(first.plans)
+
+    @pytest.mark.parametrize("command", ["fleet", "diff"])
+    def test_coverage_requires_guidance(self, command, tmp_path, capsys):
+        path = str(tmp_path / "c.json")
+        argv = [command, "--coverage", path, "--tests", "5", "--quiet"]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "coddtest: error: --coverage requires --guidance plan-coverage\n"
+        )
+        assert captured.out == ""
+        assert not os.path.exists(path)
+
+    @pytest.mark.parametrize("command", ["fleet", "diff"])
+    def test_unwritable_coverage_fails_before_the_first_test(
+        self, command, tmp_path, capsys
+    ):
+        checkpoint = str(tmp_path / "missing" / "c.json")
+        argv = [
+            command, "--tests", "50", "--quiet", "--guidance",
+            "plan-coverage", "--coverage", checkpoint,
+            "--corpus", str(tmp_path / "bugs.jsonl"),
+        ]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("coddtest: error: ")
+        assert "missing" in captured.err
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["fleet", "diff"])
+    @pytest.mark.parametrize(
+        "content",
+        ["{not json", '{"plans": 5}', "[1, 2]", '{"plans": {"s": ["fp"]}}'],
+        ids=["truncated", "wrong-shape", "not-an-object", "not-a-counter"],
+    )
+    def test_malformed_coverage_names_the_file(
+        self, command, content, tmp_path, capsys
+    ):
+        checkpoint = tmp_path / "c.json"
+        checkpoint.write_text(content + "\n")
+        argv = [
+            command, "--tests", "50", "--quiet", "--guidance",
+            "plan-coverage", "--coverage", str(checkpoint),
+        ]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"coddtest: error: {checkpoint}: ")
+        assert captured.out == ""
+        assert checkpoint.read_text() == content + "\n"
 
     def test_fleet_lists_new_bugs_in_a_deterministic_order(self, capsys):
         # Reports reach the corpus in an order that depends on how the

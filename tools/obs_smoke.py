@@ -106,11 +106,7 @@ def main(argv: "list[str] | None" = None) -> int:
     with tempfile.TemporaryDirectory(prefix="obs_smoke_") as tmp:
         trace_path = os.path.join(tmp, "run.trace.jsonl")
         traced_config = config(trace_path=trace_path, status_port=0)
-        telemetry = FleetTelemetry(
-            printer=ProgressPrinter(interval=0.2),
-            trace_path=trace_path,
-            status_port=0,
-        )
+        telemetry = FleetTelemetry(printer=ProgressPrinter(interval=0.2))
         snapshots: list[dict] = []
         poller = threading.Thread(
             target=_poll_status, args=(telemetry, snapshots), daemon=True
