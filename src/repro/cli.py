@@ -733,8 +733,7 @@ def _print_new_entries(
     with_description: bool = False,
 ) -> None:
     """Show up to *cap* of this run's newly fingerprinted entries, by
-    fingerprint: the corpus holds them in arrival order, which depends
-    on how the shards were scheduled."""
+    fingerprint."""
     for shown, fingerprint in enumerate(sorted(new)):
         if shown == cap:
             print(f"\n... and {len(new) - cap} more new {noun}")

@@ -8,9 +8,10 @@ per hour ("Scaling Automated Database System Testing", Zhong & Rigger
 ``multiprocessing`` worker pool:
 
 * :mod:`repro.fleet.orchestrator` -- ``FleetConfig``, the one record
-  of a campaign's settings; the worker pool, result streaming, stats
-  merging, fleet-wide early stop, and each shard's ddmin reduction of
-  the bugs it finds first,
+  of a campaign's settings; the worker pool, the one collector both
+  shard paths stream progress and reports into, stats merging,
+  fleet-wide early stop, and each shard's ddmin reduction of the bugs
+  it finds first,
 * :mod:`repro.fleet.sharding` -- deterministic per-shard seeds and
   budget splits (a 1-worker fleet bit-matches the serial campaign);
   each ``ShardSpec`` carries the fleet's ``FleetConfig`` plus its
@@ -20,7 +21,8 @@ per hour ("Scaling Automated Database System Testing", Zhong & Rigger
 * :mod:`repro.fleet.progress` -- periodic throughput/dedup reporting,
 * :mod:`repro.fleet.telemetry` -- the optional observability surfaces
   (structured trace, live status endpoint) bundled per fleet run; the
-  config's ``trace_path`` and ``status_port`` switch them on.
+  config's ``trace_path`` and ``status_port`` switch them on.  All of
+  them show one record, :class:`repro.obs.status.ProgressSnapshot`.
 """
 
 from repro.fleet.corpus import (
@@ -36,7 +38,7 @@ from repro.fleet.orchestrator import (
     make_replay_reducer,
     run_fleet,
 )
-from repro.fleet.progress import ProgressPrinter, ProgressSnapshot
+from repro.fleet.progress import ProgressPrinter
 from repro.fleet.sharding import (
     ShardSpec,
     derive_round_seed,
@@ -44,6 +46,7 @@ from repro.fleet.sharding import (
     split_tests,
 )
 from repro.fleet.telemetry import FleetTelemetry
+from repro.obs.status import ProgressSnapshot
 
 __all__ = [
     "BugCorpus",

@@ -12,7 +12,8 @@ appended to, merged, and resumed across fleet invocations.
 
 Determinism guarantee: fingerprints are pure functions of the
 normalized witness, so the same campaign always produces the same
-entry set; only sighting counters and provenance reflect scheduling.
+entries, and a fleet orders each round's new entries by shard, then
+by the shard's own report order, whatever the scheduling.
 The on-disk format is append-only and era-tolerant -- entries written
 before a field existed (e.g. PR-1 corpora without ``backend_pair``)
 load with that field defaulted, never rejected.

@@ -4,12 +4,14 @@ Each worker owns a full private stack -- engine, adapter, oracle,
 state generator -- built from a picklable :class:`ShardSpec`, runs a
 plain serial :class:`~repro.runner.campaign.Campaign`, and streams
 progress plus its final :class:`CampaignStats` back over a queue.  The
+orchestrator's one collector feeds every streamed report through the
+bug corpus for deduplication and builds the fleet snapshot.  The
 orchestrator merges shard stats (set-union of plans, max coverage, QPT
-recomputed from merged counters), enforces the fleet-wide
-``max_reports`` bound via a shared stop event, and feeds every report
-through the bug corpus for deduplication.  A shard ddmin-reduces each
-report new to the fleet as its campaign records it, on the shard's own
-cache, so reports reach the corpus with their reduced witness.
+recomputed from merged counters) and enforces the fleet-wide
+``max_reports`` bound via a shared stop event.  A shard ddmin-reduces
+each report new to the fleet as its campaign records it, on the
+shard's own cache, so reports reach the corpus with their reduced
+witness.
 
 Every fleet runs one loop of rounds.  An unguided fleet is the
 one-round case: no policy, no coverage map, no barrier events.  A
@@ -37,7 +39,6 @@ from repro.core import CoddTestOracle
 from repro.differential import DifferentialOracle, build_pair_adapter
 from repro.errors import ReproError
 from repro.fleet.corpus import BugCorpus, fingerprint_report
-from repro.fleet.progress import ProgressSnapshot
 from repro.fleet.sharding import (
     ShardSpec,
     derive_round_seed,
@@ -51,6 +52,7 @@ from repro.guidance import (
     GuidedPolicy,
     policy_seed,
 )
+from repro.obs.status import ProgressSnapshot
 from repro.obs.trace import TraceWriter, shard_part_path
 from repro.oracles_base import Oracle, TestReport
 from repro.perf import EvalCache
@@ -322,14 +324,18 @@ def _arm_prior(
 
 def _run_shard(
     spec: ShardSpec,
+    post: Callable[[tuple], None],
     should_stop: Callable[[], bool] | None = None,
-    on_progress: Callable[[CampaignStats], None] | None = None,
 ) -> dict:
     """Run one shard to completion in the current process.
 
-    Returns the shard payload: ``{"stats": CampaignStats}`` plus, for
-    guided shards, the serialized policy state and coverage snapshot
-    the orchestrator merges at the next round barrier.
+    The shard posts ``("progress", shard_index, payload)`` messages
+    through *post*: its live counters plus the reports found since its
+    last post, at most every :data:`PROGRESS_EVERY` seconds and once
+    more when its campaign returns.  Returns the shard payload:
+    ``{"stats": CampaignStats}`` plus, for guided shards, the serialized
+    policy state (coverage map included) the orchestrator merges at the
+    next round barrier.
     """
     config = spec.config
     oracle = ORACLE_FACTORIES[config.oracle](**config.oracle_kwargs)
@@ -347,6 +353,25 @@ def _run_shard(
             if fingerprint not in skip:
                 skip.add(fingerprint)
                 report.reduced_statements = spec.reducer(report, cache)
+    last_post = 0.0
+    posted = 0
+
+    def on_progress(stats: CampaignStats, final: bool = False) -> None:
+        nonlocal last_post, posted
+        now = time.monotonic()
+        if not final and now - last_post < PROGRESS_EVERY:
+            return
+        last_post = now
+        new_reports = stats.reports[posted:]
+        posted = len(stats.reports)
+        post(
+            (
+                "progress",
+                spec.shard_index,
+                {**_progress_payload(stats), "new_reports": new_reports},
+            )
+        )
+
     tracer = (
         TraceWriter(
             shard_part_path(config.trace_path, spec.shard_index),
@@ -387,44 +412,18 @@ def _run_shard(
             unique_plans=len(stats.unique_plans),
         )
         tracer.close()
+    on_progress(stats, final=True)
     payload: dict = {"stats": stats}
     if policy is not None:
         payload["policy"] = policy.to_state()
-        payload["coverage"] = policy.coverage.to_dict()
     return payload
 
 
 def _worker_main(spec: ShardSpec, out_queue, stop_event) -> None:
-    """Worker process entry point: run the shard, stream progress.
-
-    Progress messages carry the reports found since the previous
-    message, so the orchestrator can absorb them into the bug corpus
-    while the fleet is still running -- an interrupted fleet keeps the
-    bugs streamed so far.
-    """
-    last_sent = 0.0
-    reports_sent = 0
-
-    def on_progress(stats: CampaignStats) -> None:
-        nonlocal last_sent, reports_sent
-        now = time.monotonic()
-        if now - last_sent < PROGRESS_EVERY:
-            return
-        last_sent = now
-        new_reports = stats.reports[reports_sent:]
-        reports_sent = len(stats.reports)
-        out_queue.put(
-            (
-                "progress",
-                spec.shard_index,
-                {**_progress_payload(stats), "new_reports": new_reports},
-            )
-        )
-
+    """Worker process entry point: run the shard, posting its progress
+    and then its result (or its traceback) on *out_queue*."""
     try:
-        payload = _run_shard(
-            spec, should_stop=stop_event.is_set, on_progress=on_progress
-        )
+        payload = _run_shard(spec, out_queue.put, stop_event.is_set)
     except Exception:
         out_queue.put(("error", spec.shard_index, traceback.format_exc()))
     else:
@@ -436,68 +435,147 @@ def _worker_main(spec: ShardSpec, out_queue, stop_event) -> None:
 # ---------------------------------------------------------------------------
 
 
-class _CorpusSink:
-    """Feeds reports into the corpus *as they arrive*, so an
-    interrupted fleet keeps every bug streamed so far (matching the
-    corpus' append-on-add crash-safety), and tracks the new/duplicate
-    split for progress lines and the final result."""
+class _Collector:
+    """The fleet's one collection path.
+
+    Both shard paths post the same messages here: the in-process shard
+    calls :meth:`post` itself, and the pool drains its workers' queue
+    into it.  A ``progress`` message's reports go into the corpus as
+    they arrive, so an interrupted fleet keeps every bug streamed so
+    far (matching the corpus' append-on-add crash safety), and its
+    counters become the shard's live counters for the round.  After
+    every message the telemetry gets a fresh fleet snapshot, which sums
+    each shard's counters over every round it ran.
+    """
 
     def __init__(
         self,
+        config: FleetConfig,
         corpus: BugCorpus | None,
-        config: "FleetConfig | None" = None,
-        telemetry: "FleetTelemetry | None" = None,
+        telemetry: FleetTelemetry,
     ) -> None:
-        self.corpus = corpus
         self.config = config
+        self.corpus = corpus
         self.telemetry = telemetry
+        self.start = time.monotonic()
+        #: Guided-fleet round progress (1-based); None when unguided.
+        self.round: int | None = None
+        self.rounds: int | None = None
+        #: Per shard: the final counters of its finished rounds, summed.
+        self.earlier = [Counter() for _ in range(config.workers)]
+        #: Per shard: its latest counters in the current round.
+        self.latest: dict[int, dict] = {}
+        #: Per shard: when its last message arrived (liveness).
+        self.last_heard: dict[int, float] = {}
+        #: The current round's shard payloads, by shard index.
+        self.results: dict[int, dict] = {}
+        #: New corpus fingerprints of the rounds before this one.
         self.new_fingerprints: list[str] = []
+        #: This round's new fingerprints, ``(shard, fingerprint)`` in
+        #: arrival order.
+        self.found: list[tuple[int, str]] = []
         self.duplicates = 0
-        #: Reports already absorbed per shard (progress streaming).
-        self.absorbed: dict[int, int] = {}
 
-    def absorb(self, shard_index: int, reports: list[TestReport]) -> None:
-        if self.corpus is None or not reports:
-            return
-        self.absorbed[shard_index] = (
-            self.absorbed.get(shard_index, 0) + len(reports)
+    @property
+    def reports(self) -> int:
+        """Reports the shards filed so far, over every round."""
+        return sum(c["reports"] for c in self.earlier) + sum(
+            p["reports"] for p in self.latest.values()
         )
-        seed = self.config.seed if self.config is not None else None
-        dialect = self.config.dialect if self.config is not None else None
+
+    def post(self, message: tuple) -> None:
+        """Take one ``progress`` or ``result`` message of a shard."""
+        kind, shard, payload = message
+        self.last_heard[shard] = time.monotonic()
+        if kind == "progress":
+            self._absorb(shard, payload.pop("new_reports"))
+            self.latest[shard] = payload
+        else:
+            self.results[shard] = payload
+        self.telemetry.progress(self.snapshot())
+
+    def _absorb(self, shard: int, reports: list[TestReport]) -> None:
+        if self.corpus is None:
+            return
         for report in reports:
             # The shard that found a report new to the corpus reduced it.
             added = self.corpus.add(
                 report,
-                shard_index=shard_index,
-                seed=seed,
-                dialect=dialect,
+                shard_index=shard,
+                seed=self.config.seed,
+                dialect=self.config.dialect,
                 reduced=report.reduced_statements,
             )
             if added:
                 fingerprint = fingerprint_report(report)
-                self.new_fingerprints.append(fingerprint)
-                if self.telemetry is not None:
-                    self.telemetry.cluster_new(fingerprint, report.kind)
+                self.found.append((shard, fingerprint))
+                self.telemetry.emit(
+                    "cluster_new", fingerprint=fingerprint, kind=report.kind
+                )
             else:
                 self.duplicates += 1
 
-    def absorb_remainder(self, shard_index: int, stats: CampaignStats) -> None:
-        """Absorb the reports of a finished shard that no progress
-        message carried yet."""
-        done = self.absorbed.get(shard_index, 0)
-        self.absorb(shard_index, stats.reports[done:])
+    def begin_round(self) -> None:
+        """A new round: no shard has finished it yet."""
+        self.results.clear()
 
-    def start_round(self) -> None:
-        """Reset the per-shard absorption offsets at a round barrier:
-        each round's campaigns report from index 0 again, so a
-        stale offset would slice past (and silently drop) every report
-        the new round finds.  Corpus dedup state is untouched."""
-        self.absorbed.clear()
+    def end_round(self) -> list[dict]:
+        """Close the round; returns its shard payloads in spec order.
 
-    @property
-    def unique(self) -> int | None:
-        """Newly fingerprinted this run; None without a corpus."""
-        return None if self.corpus is None else len(self.new_fingerprints)
+        Each shard's final counters join its earlier rounds' sums.  The
+        round's new corpus entries are put in shard order, then in each
+        shard's own report order, so neither the corpus nor
+        ``new_fingerprints`` depends on how messages interleaved.
+        """
+        for shard, counters in self.latest.items():
+            self.earlier[shard].update(counters)
+        self.latest.clear()
+        for _, fingerprint in sorted(self.found, key=lambda f: f[0]):
+            # The round's entries are the corpus' newest: re-inserting
+            # them in order moves them to the end in that order.
+            self.corpus.entries[fingerprint] = self.corpus.entries.pop(
+                fingerprint
+            )
+            self.new_fingerprints.append(fingerprint)
+        self.found.clear()
+        return [self.results[i] for i in sorted(self.results)]
+
+    def snapshot(self, **final) -> ProgressSnapshot:
+        """The fleet snapshot now.  The done snapshot passes its state,
+        its wall time, the merged set-union of plans and the corpus'
+        cluster count as *final*."""
+        now = time.monotonic()
+        totals: Counter = Counter()
+        shards: dict[int, dict] = {}
+        for shard in sorted(self.last_heard):
+            counters = self.earlier[shard] + Counter(self.latest.get(shard))
+            totals.update(counters)
+            shards[shard] = {
+                "tests": counters["tests"],
+                "reports": counters["reports"],
+                "done": shard in self.results,
+                "age_s": round(now - self.last_heard[shard], 3),
+            }
+        fields = {
+            "oracle": self.config.oracle,
+            "seed": self.config.seed,
+            "workers": self.config.workers,
+            "elapsed": now - self.start,
+            "shards_done": len(self.results),
+            # Newly fingerprinted this run, so a resumed corpus shows
+            # how much of the run was already-known bugs.
+            "unique_reports": (
+                None
+                if self.corpus is None
+                else len(self.new_fingerprints) + len(self.found)
+            ),
+            "round": self.round,
+            "rounds": self.rounds,
+            "shards": shards,
+            **totals,
+            **final,
+        }
+        return ProgressSnapshot(**fields)
 
 
 def run_fleet(
@@ -517,8 +595,11 @@ def run_fleet(
     status endpoint (``config.status_port``) are served from; a silent
     one is built when omitted.
     The result is deterministic for a given ``(seed, workers, budget)``:
-    shard stats merge in spec order and the corpus holds the same entry
-    set regardless of scheduling.  Telemetry never feeds back into
+    shard stats merge in spec order, and the corpus holds the same
+    entries in the same order regardless of scheduling.  One collector
+    takes both shard paths' progress messages and builds the one fleet
+    snapshot that the progress line, the status endpoint and the
+    trace's ``run_finish`` record show.  Telemetry never feeds back into
     scheduling, so every deterministic output is identical with the
     surfaces on or off.
 
@@ -636,18 +717,6 @@ def _coverage_epoch(initial: CoverageMap) -> str:
     return "@" + hashlib.blake2b(payload.encode(), digest_size=4).hexdigest()
 
 
-def _progress_base(per_shard: "list[list[CampaignStats]]") -> Counter:
-    """Earlier rounds' counters, summed like live progress payloads, so
-    progress keeps counting up across round barriers.  Plans sum per
-    shard-round, keeping the live count an upper bound on the merged
-    set-union.  Round 0's base is empty (all zeros)."""
-    base: Counter = Counter()
-    for rounds in per_shard:
-        for stats in rounds:
-            base.update(_progress_payload(stats))
-    return base
-
-
 def _run_rounds(
     config: FleetConfig,
     corpus: BugCorpus | None,
@@ -676,14 +745,12 @@ def _run_rounds(
         coverage = CoverageMap()
     epoch = "" if coverage is None else _coverage_epoch(coverage)
     reducer = None if corpus is None else corpus.reduce_fn
-    sink = _CorpusSink(corpus, config, telemetry)
-    start = time.monotonic()
+    collector = _Collector(config, corpus, telemetry)
     rounds = _effective_rounds(config)
     policy_states: list[dict | None] = [None] * config.workers
     per_shard: list[list[CampaignStats]] = [[] for _ in range(config.workers)]
     known_saturated: set[str] = set()
     remaining = config.n_tests
-    reports_so_far = 0
     for round_index in range(rounds):
         round_tests: int | None = None
         if remaining is not None:
@@ -696,19 +763,16 @@ def _run_rounds(
         if coverage is not None:
             saturated = _saturated_fault_ids(coverage, corpus)
             for fault in sorted(saturated - known_saturated):
-                telemetry.cluster_saturated(fault)
+                telemetry.emit("cluster_saturated", fault=fault)
             known_saturated |= saturated
-            telemetry.round_barrier(
-                round_index,
-                rounds,
+            telemetry.emit(
+                "round_barrier",
+                round=round_index,
+                rounds=rounds,
                 saturated=len(saturated),
                 plans=len(coverage.seen_plans()),
             )
-        # The fleet-wide report cap is cumulative across rounds: each
-        # round only gets the remainder, so a guided fleet overshoots
-        # by at most the same race window as an unguided one.
-        remaining_reports = max(0, config.max_reports - reports_so_far)
-        sink.start_round()
+            collector.round, collector.rounds = round_index + 1, rounds
         specs = build_shards(
             config,
             round_index,
@@ -718,39 +782,36 @@ def _run_rounds(
             coverage=coverage,
             saturated=saturated,
             epoch=epoch,
-            max_reports=remaining_reports,
+            # The fleet-wide report cap is cumulative across rounds:
+            # each round only gets the remainder, so a guided fleet
+            # overshoots by at most the same race window as an
+            # unguided one.
+            max_reports=max(0, config.max_reports - collector.reports),
             reducer=reducer,
             known_fingerprints=(
                 frozenset() if reducer is None else frozenset(corpus.entries)
             ),
         )
-        base = _progress_base(per_shard)
+        collector.begin_round()
         if config.workers == 1:
-            round_payloads = [
-                _run_one_inprocess(
-                    specs[0], config, sink, telemetry, start, base
-                )
-            ]
+            payload = _run_shard(specs[0], collector.post)
+            collector.post(("result", 0, payload))
         else:
-            round_payloads = _run_pool(
-                specs, config, sink, telemetry, start, remaining_reports, base
-            )
-        for i, payload in enumerate(round_payloads):
+            _run_pool(specs, collector)
+        for i, payload in enumerate(collector.end_round()):
             per_shard[i].append(payload["stats"])
             policy_states[i] = payload.get("policy")
-            shard_coverage = payload.get("coverage")
-            if shard_coverage:
-                coverage.update(CoverageMap.from_dict(shard_coverage))
-        reports_so_far = sum(
-            len(stats.reports) for parts in per_shard for stats in parts
-        )
-        if reports_so_far >= config.max_reports:
+            if policy_states[i] is not None:
+                coverage.update(
+                    CoverageMap.from_dict(policy_states[i]["coverage"])
+                )
+        if collector.reports >= config.max_reports:
             break
-    wall = time.monotonic() - start
+    wall = time.monotonic() - collector.start
 
-    # Both collection paths return shards in spec order, so the merge
-    # is deterministic; the corpus, fed in arrival order, holds the
-    # same entry *set* regardless of scheduling.
+    # Both shard paths return payloads in spec order and the collector
+    # orders each round's new corpus entries by shard, so the merge and
+    # the corpus are the same regardless of scheduling.
     shard_stats: list[CampaignStats] = []
     for parts in per_shard:
         merged_shard = CampaignStats.merge(parts)
@@ -767,8 +828,8 @@ def _run_rounds(
         shards=shard_stats,
         wall_seconds=wall,
         corpus=corpus,
-        new_fingerprints=sink.new_fingerprints,
-        duplicate_reports=sink.duplicates,
+        new_fingerprints=collector.new_fingerprints,
+        duplicate_reports=collector.duplicates,
         coverage=coverage,
         arm_schedules=(
             None
@@ -781,48 +842,20 @@ def _run_rounds(
     )
     _attach_clusters(result, corpus)
     telemetry.finish(
-        _snapshot(shard_stats, config, wall, sink, result.clusters),
-        merged,
-        wall,
+        collector.snapshot(
+            state="done",
+            elapsed=wall,
+            unique_plans=len(merged.unique_plans),
+            clusters=None if result.clusters is None else len(result.clusters),
+        )
     )
     return result
 
 
-def _run_one_inprocess(
-    spec: ShardSpec,
-    config: FleetConfig,
-    sink: _CorpusSink,
-    telemetry: FleetTelemetry,
-    start: float,
-    base: Counter,
-) -> dict:
-    def on_progress(stats: CampaignStats) -> None:
-        sink.absorb_remainder(spec.shard_index, stats)
-        telemetry.shard_seen(spec.shard_index)
-        latest = {spec.shard_index: _progress_payload(stats)}
-        telemetry.progress(
-            _queue_snapshot(latest, config, start, 0, sink, base), latest
-        )
-
-    payload = _run_shard(spec, on_progress=on_progress)
-    sink.absorb_remainder(spec.shard_index, payload["stats"])
-    telemetry.shard_seen(spec.shard_index, done=True)
-    return payload
-
-
-def _run_pool(
-    shards: list[ShardSpec],
-    config: FleetConfig,
-    sink: _CorpusSink,
-    telemetry: FleetTelemetry,
-    start: float,
-    report_cap: int,
-    base: Counter,
-) -> list[dict]:
-    """Run one round's *shards* in worker processes.  *report_cap* is
-    the report bound still remaining after earlier rounds; reaching it
-    sets the stop event.  *base* carries earlier rounds' counters so
-    progress lines never jump backward at a round barrier."""
+def _run_pool(shards: list[ShardSpec], collector: _Collector) -> None:
+    """Run one round's *shards* in worker processes and drain their
+    messages into *collector*.  Reaching the fleet's report cap sets the
+    stop event."""
     ctx = _mp_context()
     out_queue = ctx.Queue()
     stop_event = ctx.Event()
@@ -838,40 +871,27 @@ def _run_pool(
     for proc in procs:
         proc.start()
 
-    latest: dict[int, dict] = {}
-    results: dict[int, dict] = {}
+    results = collector.results
     errors: dict[int, str] = {}
     dead_since: dict[int, float] = {}
     try:
         while len(results) + len(errors) < len(shards):
             try:
-                kind, shard_index, payload = out_queue.get(timeout=0.5)
+                message = out_queue.get(timeout=0.5)
             except queue_mod.Empty:
                 _check_liveness(procs, results, errors, dead_since)
                 continue
-            if kind == "progress":
-                latest[shard_index] = payload
-                sink.absorb(shard_index, payload.pop("new_reports", []))
-                telemetry.shard_seen(shard_index)
-            elif kind == "result":
-                results[shard_index] = payload
-                latest[shard_index] = _progress_payload(payload["stats"])
-                sink.absorb_remainder(shard_index, payload["stats"])
-                telemetry.shard_seen(shard_index, done=True)
+            kind, shard_index, payload = message
+            if kind == "error":
+                errors[shard_index] = payload
+                continue
+            collector.post(message)
+            if kind == "result":
                 # A result that raced the liveness check wins.
                 errors.pop(shard_index, None)
                 dead_since.pop(shard_index, None)
-            else:  # "error"
-                errors[shard_index] = payload
-            if _reports_so_far(latest) >= report_cap:
+            if collector.reports >= collector.config.max_reports:
                 stop_event.set()
-            telemetry.progress(
-                _queue_snapshot(
-                    latest, config, start, len(results), sink, base
-                ),
-                latest,
-                set(results),
-            )
     finally:
         stop_event.set()
         for proc in procs:
@@ -887,7 +907,6 @@ def _run_pool(
         raise ReproError(
             f"{len(errors)}/{len(shards)} fleet shards failed:\n{detail}"
         )
-    return [results[i] for i in sorted(results)]
 
 
 def _mp_context():
@@ -925,8 +944,8 @@ def _check_liveness(procs, results, errors, dead_since) -> None:
 
 def _progress_payload(stats: CampaignStats) -> dict:
     """One shard's live counters, named after the
-    :class:`ProgressSnapshot` fields they sum into.  Workers stream this
-    dict, and the in-process shard builds the same one."""
+    :class:`ProgressSnapshot` fields they sum into: the body of every
+    ``progress`` message."""
     return {
         "tests": stats.tests,
         "skipped": stats.skipped,
@@ -937,59 +956,6 @@ def _progress_payload(stats: CampaignStats) -> dict:
         "cache_hits": stats.cache_hits,
         "cache_misses": stats.cache_misses,
     }
-
-
-def _reports_so_far(latest: dict[int, dict]) -> int:
-    return sum(p["reports"] for p in latest.values())
-
-
-def _queue_snapshot(
-    latest: dict[int, dict],
-    config: FleetConfig,
-    start: float,
-    done: int,
-    sink: _CorpusSink,
-    base: Counter,
-) -> ProgressSnapshot:
-    """The live fleet snapshot: *base* plus every shard's latest
-    progress payload."""
-    counters = Counter(base)
-    for payload in latest.values():
-        counters.update(payload)
-    return ProgressSnapshot(
-        elapsed=time.monotonic() - start,
-        workers=config.workers,
-        shards_done=done,
-        unique_reports=sink.unique,
-        **counters,
-    )
-
-
-def _snapshot(
-    shard_stats: list[CampaignStats],
-    config: FleetConfig,
-    wall: float,
-    sink: _CorpusSink,
-    clusters: "list | None" = None,
-) -> ProgressSnapshot:
-    merged = CampaignStats.merge(shard_stats)
-    return ProgressSnapshot(
-        elapsed=wall,
-        workers=config.workers,
-        shards_done=config.workers,
-        tests=merged.tests,
-        skipped=merged.skipped,
-        queries_ok=merged.queries_ok,
-        queries_err=merged.queries_err,
-        reports=len(merged.reports),
-        # Newly fingerprinted this run, so a resumed corpus shows how
-        # much of the run was already-known bugs.
-        unique_reports=sink.unique,
-        clusters=None if clusters is None else len(clusters),
-        cache_hits=merged.cache_hits,
-        cache_misses=merged.cache_misses,
-        unique_plans=len(merged.unique_plans),
-    )
 
 
 # ---------------------------------------------------------------------------

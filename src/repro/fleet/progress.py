@@ -1,9 +1,10 @@
 """Periodic fleet progress reporting.
 
-The orchestrator aggregates the latest per-shard snapshots and hands
-them here; this module owns formatting and rate-limiting so campaign
-logic never touches a terminal.  Lines go to stderr by default, keeping
-stdout clean for the rendered result tables.  Progress lines are the
+The orchestrator's collector builds a
+:class:`~repro.obs.status.ProgressSnapshot` per progress message and
+hands it here; this module owns formatting and rate-limiting so
+campaign logic never touches a terminal.  Lines go to stderr by
+default, keeping stdout clean for the rendered result tables.  Progress lines are the
 one deliberately non-deterministic surface (they report wall-clock
 throughput); everything on stdout stays a pure function of the seed.
 """
@@ -15,56 +16,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TextIO
 
-
-@dataclass
-class ProgressSnapshot:
-    """Fleet-wide counters at one instant."""
-
-    elapsed: float = 0.0
-    workers: int = 1
-    shards_done: int = 0
-    tests: int = 0
-    skipped: int = 0
-    queries_ok: int = 0
-    queries_err: int = 0
-    reports: int = 0
-    unique_reports: int | None = None  # None when no corpus is attached
-    #: Root-cause clusters in the attached corpus (end-of-run triage);
-    #: None when no corpus is attached or while the fleet is running.
-    clusters: int | None = None
-    #: Evaluation-cache counters summed across shards (0/0 when the
-    #: fleet runs uncached).
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: Sum of per-shard unique-plan counts -- a live upper bound on the
-    #: merged set-union the final table reports.
-    unique_plans: int = 0
-    #: Guided-fleet round progress (1-based); None when unguided.
-    round: int | None = None
-    rounds: int | None = None
-
-    @property
-    def tests_per_second(self) -> float:
-        return self.tests / self.elapsed if self.elapsed > 0 else 0.0
-
-    @property
-    def cache_hit_rate(self) -> float | None:
-        """Overall hit fraction; None when no cache lookups happened."""
-        total = self.cache_hits + self.cache_misses
-        if total == 0:
-            return None
-        return self.cache_hits / total
-
-    @property
-    def qpt(self) -> float:
-        return self.queries_ok / self.tests if self.tests else 0.0
-
-    @property
-    def dedup_rate(self) -> float | None:
-        """Fraction of reports that were duplicates of a known bug."""
-        if self.unique_reports is None or self.reports == 0:
-            return None
-        return 1.0 - self.unique_reports / self.reports
+from repro.obs.status import ProgressSnapshot
 
 
 @dataclass

@@ -1,13 +1,17 @@
 """Fleet-side telemetry: one bundle for progress lines, the live
 status endpoint, and the orchestrator's half of the trace stream.
 
-The orchestrator already aggregates per-shard counters to print
-progress lines; :class:`FleetTelemetry` fans that same data out to the
-optional surfaces -- a :class:`~repro.obs.status.StatusBoard` behind a
-stdlib HTTP server (``--status-port``) and an orchestrator-side trace
-record list merged with the workers' part files at the end
-(``--trace``).  Nothing here feeds back into campaign control flow, so
-a fleet with every surface enabled is bit-identical to a silent one
+The orchestrator's collector builds one
+:class:`~repro.obs.status.ProgressSnapshot` per progress message;
+:class:`FleetTelemetry` prints that record and publishes its
+:meth:`~repro.obs.status.ProgressSnapshot.to_status` form on a
+:class:`~repro.obs.status.StatusBoard` behind a stdlib HTTP server
+(``--status-port``), and keeps an orchestrator-side trace record list
+merged with the workers' part files at the end (``--trace``).  The
+final snapshot's counters also go into the trace's ``run_finish``
+record, so ``coddtest top`` of a finished trace shows what the
+endpoint showed.  Nothing here feeds back into campaign control flow,
+so a fleet with every surface enabled is bit-identical to a silent one
 (gated by ``tests/obs/test_fleet_obs.py`` and the obs-smoke CI job).
 
 Import direction: ``repro.fleet`` depends on ``repro.obs``, never the
@@ -20,8 +24,8 @@ from __future__ import annotations
 import os
 import time
 
-from repro.fleet.progress import ProgressPrinter, ProgressSnapshot
-from repro.obs.status import StatusBoard, StatusServer, now_monotonic
+from repro.fleet.progress import ProgressPrinter
+from repro.obs.status import ProgressSnapshot, StatusBoard, StatusServer
 from repro.obs.trace import (
     format_record,
     merge_trace_files,
@@ -38,7 +42,7 @@ class FleetTelemetry:
 
     Lifecycle: :meth:`open` (clear stale parts, start the server, emit
     ``run_start``), then :meth:`progress` from the orchestrator's
-    collection loop, :meth:`finish` once with the final snapshot, and
+    collector, :meth:`finish` once with the final snapshot, and
     :meth:`close` in a ``finally`` (idempotent; merges whatever part
     files exist even when the run died mid-way).
     """
@@ -52,11 +56,6 @@ class FleetTelemetry:
         #: Orchestrator-side records, already formatted; merged with the
         #: worker part files by :meth:`close`.
         self._lines: list[str] = []
-        self._round: "int | None" = None
-        self._rounds: "int | None" = None
-        self._last_seen: dict[int, float] = {}
-        self._last_shards: dict[int, dict] = {}
-        self._done: set[int] = set()
         self._closed = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -109,114 +108,32 @@ class FleetTelemetry:
             format_record(ev, time.time(), None, payload) + "\n"
         )
 
-    def round_barrier(
-        self, round_index: int, rounds: int, saturated: int, plans: int
-    ) -> None:
-        self._round, self._rounds = round_index + 1, rounds
-        self.emit(
-            "round_barrier",
-            round=round_index,
-            rounds=rounds,
-            saturated=saturated,
-            plans=plans,
-        )
+    # -- snapshot fan-out ----------------------------------------------------
 
-    def cluster_new(self, fingerprint: str, kind: str) -> None:
-        self.emit("cluster_new", fingerprint=fingerprint, kind=kind)
-
-    def cluster_saturated(self, fault: str) -> None:
-        self.emit("cluster_saturated", fault=fault)
-
-    # -- progress fan-out ----------------------------------------------------
-
-    def progress(
-        self,
-        snap: ProgressSnapshot,
-        shards: "dict[int, dict] | None" = None,
-        done: "set[int] | None" = None,
-    ) -> None:
-        """One aggregation step: rate-limited progress line plus a fresh
-        status snapshot.  *shards* maps shard index to its latest
-        progress payload; *done* holds finished shard indexes."""
-        snap.round, snap.rounds = self._round, self._rounds
+    def progress(self, snap: ProgressSnapshot) -> None:
+        """A live snapshot: rate-limited progress line, fresh status."""
         if self.printer is not None:
             self.printer.maybe_print(snap)
-        if shards:
-            self._last_shards = dict(shards)
-        self._publish(
-            snap, shards or self._last_shards, done or set(), state="running"
-        )
+        if self.board is not None:
+            self.board.publish(snap.to_status())
 
-    def finish(self, snap: ProgressSnapshot, merged, wall: float) -> None:
-        """Final progress line, ``run_finish`` record, terminal status."""
-        snap.round, snap.rounds = self._round, self._rounds
+    def finish(self, snap: ProgressSnapshot) -> None:
+        """The done snapshot: final progress line, ``run_finish`` record
+        (with the counters a trace cannot rebuild from its shard
+        records), terminal status."""
         if self.printer is not None:
             self.printer.final(snap)
         self.emit(
             "run_finish",
-            tests=merged.tests,
-            reports=len(merged.reports),
-            wall_s=round(wall, 6),
+            tests=snap.tests,
+            reports=snap.reports,
+            wall_s=round(snap.elapsed, 6),
+            unique_plans=snap.unique_plans,
+            unique_reports=snap.unique_reports,
+            clusters=snap.clusters,
         )
-        self._done = set(range(self.config.workers))
-        self._publish(snap, self._last_shards, self._done, state="done")
-
-    def shard_seen(self, shard_index: int, done: bool = False) -> None:
-        self._last_seen[shard_index] = now_monotonic()
-        if done:
-            self._done.add(shard_index)
-
-    def _publish(
-        self,
-        snap: ProgressSnapshot,
-        shards: "dict[int, dict]",
-        done: "set[int]",
-        state: str,
-    ) -> None:
-        if self.board is None:
-            return
-        now = now_monotonic()
-        shard_view: dict[str, dict] = {}
-        for index, payload in sorted(shards.items()):
-            last = self._last_seen.get(index)
-            shard_view[str(index)] = {
-                "tests": int(payload.get("tests", 0)),
-                "reports": int(payload.get("reports", 0)),
-                "done": index in done or index in self._done,
-                "age_s": round(now - last, 3) if last is not None else 0.0,
-            }
-        cache_total = snap.cache_hits + snap.cache_misses
-        self.board.publish(
-            {
-                "state": state,
-                "oracle": self.config.oracle,
-                "workers": self.config.workers,
-                "seed": self.config.seed,
-                "elapsed_s": round(snap.elapsed, 3),
-                "tests": snap.tests,
-                "tests_per_second": round(snap.tests_per_second, 2),
-                "qpt": round(snap.qpt, 3),
-                "skipped": snap.skipped,
-                "queries_ok": snap.queries_ok,
-                "queries_err": snap.queries_err,
-                "reports": snap.reports,
-                "unique_reports": snap.unique_reports,
-                "clusters": snap.clusters,
-                "unique_plans": snap.unique_plans,
-                "round": snap.round,
-                "rounds": snap.rounds,
-                "cache": {
-                    "hits": snap.cache_hits,
-                    "misses": snap.cache_misses,
-                    "hit_rate": (
-                        round(snap.cache_hits / cache_total, 4)
-                        if cache_total
-                        else 0.0
-                    ),
-                },
-                "shards": shard_view,
-            }
-        )
+        if self.board is not None:
+            self.board.publish(snap.to_status())
 
     # -- teardown ------------------------------------------------------------
 

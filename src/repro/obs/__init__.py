@@ -14,9 +14,11 @@ Three building blocks:
   around the generate / parse / execute / compare hot-path phases;
 * :mod:`repro.obs.trace`   -- schema-versioned JSONL trace events with
   per-worker non-blocking sinks and an orchestrator-side merge;
-* :mod:`repro.obs.status`  -- the live JSON status endpoint
-  (``coddtest fleet --status-port N``) plus
-  :mod:`repro.obs.report`'s offline ``trace report`` / ``top`` views.
+* :mod:`repro.obs.status`  -- :class:`ProgressSnapshot`, the one
+  fleet snapshot record, and the live JSON status endpoint that serves
+  it (``coddtest fleet --status-port N``), plus
+  :mod:`repro.obs.report`'s offline ``trace report`` / ``top`` views,
+  which fold a trace into the same record.
 """
 
 from repro.obs.phases import (

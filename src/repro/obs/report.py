@@ -6,10 +6,11 @@ Two consumers of the same trace stream:
   reconstructs the run timeline -- shard lifecycle, guided round
   barriers, bug arrivals -- and renders a per-phase time breakdown as a
   flamegraph-style table.
-* :func:`snapshot_from_trace` folds a trace into the same snapshot
-  schema the live status endpoint serves, so ``coddtest top`` renders
-  one frame from either a URL (live run) or a trace file (finished
-  run) with the same code path.
+* :func:`snapshot_from_trace` folds a trace into the
+  :class:`~repro.obs.status.ProgressSnapshot` record the live status
+  endpoint serves, so ``coddtest top`` renders one frame from either a
+  URL (live run) or a trace file (finished run) with the same code
+  path, and a finished trace shows the run's final status.
 
 Determinism guarantee: both renderers are pure functions of the input
 records -- re-rendering the same trace file is byte-identical (pinned
@@ -23,8 +24,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.obs.phases import merge_phase_totals
-from repro.obs.status import STATUS_SCHEMA_VERSION
-from repro.obs.trace import validate_record
+from repro.obs.status import ProgressSnapshot
+from repro.obs.trace import HEADER_FIELDS, validate_record
 
 #: Width of the flamegraph-style bar column.
 _BAR_WIDTH = 32
@@ -65,18 +66,9 @@ def summarize_trace(records: Iterable[dict]) -> dict:
             summary["last_ts"] = ts
         ev = record["ev"]
         shard = record["shard"]
-        if ev == "run_start":
-            summary["run"] = {
-                k: v
-                for k, v in record.items()
-                if k not in ("v", "ts", "ev", "shard")
-            }
-            summary["run"]["ts"] = ts
-        elif ev == "run_finish":
-            summary["finish"] = {
-                "tests": record["tests"],
-                "reports": record["reports"],
-                "wall_s": record["wall_s"],
+        if ev in ("run_start", "run_finish"):
+            summary["run" if ev == "run_start" else "finish"] = {
+                **{k: v for k, v in record.items() if k not in HEADER_FIELDS},
                 "ts": ts,
             }
         elif ev == "shard_start":
@@ -128,8 +120,23 @@ def summarize_trace(records: Iterable[dict]) -> dict:
             summary["clusters_new"] += 1
         elif ev == "cluster_saturated":
             summary["clusters_saturated"] += 1
-    summary["unique_plans"] = sum(
-        slot["unique_plans"] for slot in summary["shards"].values()
+    # A finished run's own totals win over the shard records' sums; a
+    # trace written before run_finish carried the set-union of plans
+    # falls back to the per-shard-round sum, an upper bound.
+    finish = summary["finish"] or {}
+    slots = summary["shards"].values()
+    summary["reports"] = finish.get(
+        "reports", sum(slot["reports"] for slot in slots)
+    )
+    summary["unique_plans"] = finish.get(
+        "unique_plans", sum(slot["unique_plans"] for slot in slots)
+    )
+    cache = summary["cache"]
+    summary["cache_hits"] = sum(
+        v for k, v in cache.items() if k.endswith("_hits")
+    )
+    summary["cache_misses"] = sum(
+        v for k, v in cache.items() if k.endswith("_misses")
     )
     return summary
 
@@ -173,25 +180,20 @@ def render_trace_report(records: Iterable[dict]) -> str:
     tests = s["tests"] or sum(
         sh["tests"] for sh in s["shards"].values()
     )
-    reports = (
-        s["finish"]["reports"]
-        if s["finish"]
-        else sum(sh["reports"] for sh in s["shards"].values())
-    )
-    lines.append(
+    # One cluster_new event per new corpus fingerprint: new bugs, not
+    # triage clusters.  The cluster count is the run_finish record's.
+    totals = (
         f"tests {tests}, skipped {s['skipped']}, "
         f"queries {s['queries_ok']} ok / {s['queries_err']} err, "
-        f"reports {reports}, clusters +{s['clusters_new']} new"
-        + (
-            f" / {s['clusters_saturated']} saturated"
-            if s["clusters_saturated"]
-            else ""
-        )
+        f"reports {s['reports']}, new bugs {s['clusters_new']}"
     )
-    cache = s["cache"]
-    if cache:
-        hits = sum(v for k, v in cache.items() if k.endswith("_hits"))
-        misses = sum(v for k, v in cache.items() if k.endswith("_misses"))
+    if (s["finish"] or {}).get("clusters") is not None:
+        totals += f", clusters {s['finish']['clusters']}"
+    if s["clusters_saturated"]:
+        totals += f", faults saturated {s['clusters_saturated']}"
+    lines.append(totals)
+    if s["cache"]:
+        hits, misses = s["cache_hits"], s["cache_misses"]
         total = hits + misses
         rate = (100 * hits / total) if total else 0.0
         lines.append(
@@ -263,61 +265,51 @@ def render_phase_table(phases: "dict[str, dict]") -> str:
 
 
 def snapshot_from_trace(records: Iterable[dict]) -> dict:
-    """A status-schema snapshot reconstructed from a (finished) trace."""
+    """The status snapshot a trace folds into.
+
+    A finished trace gives the run's final status; only ``elapsed_s``,
+    ``tests_per_second`` and the shards' ``age_s`` are measured from
+    the trace's timestamps instead.  Traces whose ``run_finish`` lacks
+    ``unique_plans``, ``unique_reports`` and ``clusters`` (or that have
+    no ``run_finish``) show the summed shard plans and null counts."""
     s = summarize_trace(records)
     epoch = s["first_ts"] or 0.0
-    wall = (s["last_ts"] - epoch) if s["last_ts"] is not None else 0.0
-    tests = s["tests"]
-    cache = s["cache"]
-    hits = sum(v for k, v in cache.items() if k.endswith("_hits"))
-    misses = sum(v for k, v in cache.items() if k.endswith("_misses"))
-    rounds = s["rounds"][-1]["rounds"] if s["rounds"] else None
+    last = epoch if s["last_ts"] is None else s["last_ts"]
+    finish = s["finish"] or {}
     run = s["run"]
-    shards = {}
-    for shard in sorted(s["shards"]):
-        slot = s["shards"][shard]
-        shards[str(shard)] = {
-            "tests": slot["tests"],
-            "reports": slot["reports"],
-            "done": bool(slot["finishes"]),
-            "age_s": (
-                round(s["last_ts"] - max(slot["finishes"]), 3)
-                if slot["finishes"]
-                else 0.0
-            ),
-        }
-    return {
-        "schema_version": STATUS_SCHEMA_VERSION,
-        "state": "done" if s["finish"] is not None else "running",
-        "oracle": run.get("oracle"),
-        "workers": run.get("workers", len(shards) or 1),
-        "seed": run.get("seed"),
-        "elapsed_s": round(wall, 3),
-        "tests": tests,
-        "tests_per_second": round(tests / wall, 2) if wall > 0 else 0.0,
-        "qpt": round(s["queries_ok"] / tests, 3) if tests else 0.0,
-        "skipped": s["skipped"],
-        "queries_ok": s["queries_ok"],
-        "queries_err": s["queries_err"],
-        "reports": (
-            s["finish"]["reports"]
-            if s["finish"]
-            else sum(sh["reports"] for sh in s["shards"].values())
-        ),
-        "unique_reports": None,
-        "clusters": s["clusters_new"] or None,
-        "unique_plans": s["unique_plans"],
-        "round": (s["rounds"][-1]["round"] + 1) if s["rounds"] else None,
-        "rounds": rounds,
-        "cache": {
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": round(hits / (hits + misses), 4)
-            if hits + misses
-            else 0.0,
+    last_round = s["rounds"][-1] if s["rounds"] else None
+    return ProgressSnapshot(
+        state="running" if s["finish"] is None else "done",
+        oracle=run.get("oracle"),
+        seed=run.get("seed"),
+        workers=run.get("workers", len(s["shards"]) or 1),
+        elapsed=last - epoch,
+        tests=s["tests"],
+        skipped=s["skipped"],
+        queries_ok=s["queries_ok"],
+        queries_err=s["queries_err"],
+        reports=s["reports"],
+        unique_reports=finish.get("unique_reports"),
+        clusters=finish.get("clusters"),
+        cache_hits=s["cache_hits"],
+        cache_misses=s["cache_misses"],
+        unique_plans=s["unique_plans"],
+        round=None if last_round is None else last_round["round"] + 1,
+        rounds=None if last_round is None else last_round["rounds"],
+        shards={
+            shard: {
+                "tests": slot["tests"],
+                "reports": slot["reports"],
+                "done": bool(slot["finishes"]),
+                "age_s": (
+                    round(last - max(slot["finishes"]), 3)
+                    if slot["finishes"]
+                    else 0.0
+                ),
+            }
+            for shard, slot in s["shards"].items()
         },
-        "shards": shards,
-    }
+    ).to_status()
 
 
 def render_top_frame(snapshot: dict) -> str:

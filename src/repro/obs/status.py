@@ -1,12 +1,13 @@
-"""Live fleet status: a JSON snapshot behind a stdlib HTTP endpoint.
+"""Live fleet status: one snapshot record behind a stdlib HTTP endpoint.
 
-``coddtest fleet --status-port N`` starts a :class:`StatusServer` in a
-daemon thread of the *orchestrator* process; the orchestrator's
-progress loop pushes fleet-wide counters into the shared
-:class:`StatusBoard`, and every ``GET`` serializes the latest snapshot.
-Nothing on the worker hot path ever touches the server: status is a
-read-only view over data the orchestrator already aggregates for
-progress lines, so a fleet with the endpoint enabled stays
+:class:`ProgressSnapshot` is the fleet's one snapshot record.  The
+orchestrator's collector builds it from the shards' progress messages;
+the progress line prints it, :meth:`ProgressSnapshot.to_status` turns
+it into the JSON that ``coddtest fleet --status-port N`` serves from a
+:class:`StatusServer` (a daemon thread of the *orchestrator* process),
+and :func:`repro.obs.report.snapshot_from_trace` folds a trace into the
+same record for ``coddtest top``.  Nothing on the worker hot path ever
+touches the server, so a fleet with the endpoint enabled stays
 bit-identical to one without it.
 
 Snapshot schema (``STATUS_SCHEMA_VERSION``)::
@@ -25,22 +26,118 @@ Snapshot schema (``STATUS_SCHEMA_VERSION``)::
                         "age_s": float}, ...}
     }
 
-``unique_plans`` is the *sum* of per-shard unique-plan counts -- an
-upper bound on the merged set-union the final table reports (shards may
-discover the same fingerprint); it is a live approximation, never a
-deterministic output.  ``age_s`` is seconds since the shard's last
-progress message: the per-shard liveness signal.
+Counters cover every round a fleet ran, fleet-wide and per shard, so
+the shards' ``tests`` and ``reports`` sum to the fleet's.  ``reports``
+counts every report the shards filed; when the fleet-wide
+``max_reports`` cap stops the shards, the merged result keeps only the
+first ``max_reports``.  While the fleet runs, ``unique_plans`` is the
+*sum* of per-shard-round unique-plan counts -- an upper bound, since
+shards and rounds may find the same fingerprint -- and ``clusters`` is
+null.  The ``done`` snapshot carries the merged set-union of plans and
+the corpus' triage cluster count.  ``unique_reports`` counts the
+corpus fingerprints new to this run; it and ``clusters`` are null
+without a corpus.  A finished trace folds into the same ``done``
+snapshot.  ``age_s`` is seconds since the shard's last progress
+message: the per-shard liveness signal.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-import time
+from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 #: Bump when snapshot fields are removed or change meaning.
 STATUS_SCHEMA_VERSION = 1
+
+
+@dataclass
+class ProgressSnapshot:
+    """Fleet-wide counters at one instant; see the module docstring for
+    what each field means while running and when done."""
+
+    state: str = "running"
+    oracle: str | None = None
+    seed: int | None = None
+    elapsed: float = 0.0
+    workers: int = 1
+    shards_done: int = 0
+    tests: int = 0
+    skipped: int = 0
+    queries_ok: int = 0
+    queries_err: int = 0
+    reports: int = 0
+    unique_reports: int | None = None  # None when no corpus is attached
+    #: Root-cause clusters in the attached corpus (end-of-run triage);
+    #: None when no corpus is attached or while the fleet is running.
+    clusters: int | None = None
+    #: Evaluation-cache counters summed across shards (0/0 when the
+    #: fleet runs uncached).
+    cache_hits: int = 0
+    cache_misses: int = 0
+    unique_plans: int = 0
+    #: Guided-fleet round progress (1-based); None when unguided.
+    round: int | None = None
+    rounds: int | None = None
+    #: Shard index -> ``{"tests", "reports", "done", "age_s"}``, the
+    #: counters summed over every round the shard ran.
+    shards: dict[int, dict] = field(default_factory=dict)
+
+    @property
+    def tests_per_second(self) -> float:
+        return self.tests / self.elapsed if self.elapsed > 0 else 0.0
+
+    @property
+    def cache_hit_rate(self) -> float | None:
+        """Overall hit fraction; None when no cache lookups happened."""
+        total = self.cache_hits + self.cache_misses
+        if total == 0:
+            return None
+        return self.cache_hits / total
+
+    @property
+    def qpt(self) -> float:
+        return self.queries_ok / self.tests if self.tests else 0.0
+
+    @property
+    def dedup_rate(self) -> float | None:
+        """Fraction of reports that were duplicates of a known bug."""
+        if self.unique_reports is None or self.reports == 0:
+            return None
+        return 1.0 - self.unique_reports / self.reports
+
+    def to_status(self) -> dict:
+        """This snapshot in the status schema."""
+        return {
+            "schema_version": STATUS_SCHEMA_VERSION,
+            "state": self.state,
+            "oracle": self.oracle,
+            "workers": self.workers,
+            "seed": self.seed,
+            "elapsed_s": round(self.elapsed, 3),
+            "tests": self.tests,
+            "tests_per_second": round(self.tests_per_second, 2),
+            "qpt": round(self.qpt, 3),
+            "skipped": self.skipped,
+            "queries_ok": self.queries_ok,
+            "queries_err": self.queries_err,
+            "reports": self.reports,
+            "unique_reports": self.unique_reports,
+            "clusters": self.clusters,
+            "unique_plans": self.unique_plans,
+            "round": self.round,
+            "rounds": self.rounds,
+            "cache": {
+                "hits": self.cache_hits,
+                "misses": self.cache_misses,
+                "hit_rate": round(self.cache_hit_rate or 0.0, 4),
+            },
+            "shards": {
+                str(index): dict(row)
+                for index, row in sorted(self.shards.items())
+            },
+        }
 
 
 class StatusBoard:
@@ -146,8 +243,3 @@ def fetch_status(url: str, timeout: float = 5.0) -> dict:
 
     with urlopen(url, timeout=timeout) as resp:  # noqa: S310 (http ok)
         return json.loads(resp.read().decode())
-
-
-def now_monotonic() -> float:
-    """Indirection point so tests can freeze liveness ages."""
-    return time.monotonic()

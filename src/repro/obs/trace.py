@@ -16,7 +16,11 @@ contract.
 Event taxonomy (``EVENT_SCHEMA`` below is the machine-readable form
 ``tools/trace_check.py`` validates against):
 
-* ``run_start`` / ``run_finish``   -- one fleet invocation,
+* ``run_start`` / ``run_finish``   -- one fleet invocation; the finish
+  record is the final status snapshot's counters: ``reports`` (every
+  report the shards filed), plus those a trace cannot rebuild from its
+  shard records (``unique_plans``, the merged set-union;
+  ``unique_reports`` and ``clusters``, null without a corpus),
 * ``shard_start`` / ``shard_finish`` -- worker lifecycle; the finish
   record carries the shard's cache stats and per-phase time breakdown,
 * ``round_barrier``                -- guided snapshot-exchange barrier,
@@ -238,12 +242,12 @@ def merge_trace_files(
     out_path: str,
     part_paths: Iterable[str],
     extra_lines: "Iterable[str] | None" = None,
-    remove_parts: bool = True,
 ) -> int:
     """Merge per-worker part files (plus the orchestrator's own
     already-formatted *extra_lines*) into one trace sorted by
     timestamp, stably -- records with equal timestamps keep their
-    per-writer order.  Returns the number of records written.
+    per-writer order, and remove the parts.  Returns the number of
+    records written.
 
     A part line that does not decode is skipped: a worker killed in the
     middle of a flush leaves its last line torn, and the fleet's own
@@ -270,8 +274,7 @@ def merge_trace_files(
     with open(out_path, "w", encoding="utf-8") as fh:
         for _, _, line in records:
             fh.write(line if line.endswith("\n") else line + "\n")
-    if remove_parts:
-        for path in part_paths:
-            if os.path.exists(path):
-                os.remove(path)
+    for path in part_paths:
+        if os.path.exists(path):
+            os.remove(path)
     return len(records)

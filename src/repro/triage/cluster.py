@@ -138,7 +138,8 @@ def cluster_corpus(entries) -> list[Cluster]:
     """Group *entries* into clusters, sorted by :meth:`Cluster.sort_key`.
 
     Entries keep their input order inside each cluster, so ``first_seen``
-    reflects corpus-file order (the fleet appends in discovery order).
+    reflects corpus-file order (a fleet orders each round's new entries
+    by shard, then by the shard's own report order).
     Entries sharing a fingerprint (the same bug loaded from overlapping
     corpus files) collapse into one: the first occurrence wins and later
     sightings accumulate, so "distinct bugs" stays an honest count.

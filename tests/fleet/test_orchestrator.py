@@ -310,42 +310,97 @@ class TestShardReduction:
             )
 
 
-class TestCorpusSink:
-    def test_streams_reports_without_double_counting(self):
-        # The sink absorbs reports as progress messages arrive and only
-        # the remainder when the shard's final stats land -- this is
-        # what makes an interrupted fleet keep its bugs.
-        from repro.fleet.orchestrator import _CorpusSink
-        from repro.oracles_base import TestReport
-        from repro.runner.campaign import CampaignStats
+def _report(i):
+    from repro.oracles_base import TestReport
 
-        def report(i):
-            return TestReport(
-                oracle="coddtest",
-                kind="logic",
-                statements=[f"SELECT {i}"],
-                description="d",
-            )
+    return TestReport(
+        oracle="coddtest",
+        kind="logic",
+        statements=[f"SELECT {i}"],
+        description="d",
+    )
+
+
+def _collector(corpus, workers=1):
+    from repro.fleet import FleetTelemetry
+    from repro.fleet.orchestrator import _Collector
+
+    config = fleet_config(workers=workers)
+    return _Collector(config, corpus, FleetTelemetry().open(config))
+
+
+def _progress(shard, reports, posted, upto):
+    """The progress message a shard posts after filing reports[:upto],
+    having posted reports[:posted] before."""
+    from repro.fleet.orchestrator import _progress_payload
+    from repro.runner.campaign import CampaignStats
+
+    stats = CampaignStats(oracle="coddtest", reports=reports[:upto])
+    return (
+        "progress",
+        shard,
+        {**_progress_payload(stats), "new_reports": reports[posted:upto]},
+    )
+
+
+class TestCorpusSink:
+    """The collector is the fleet's one corpus sink."""
+
+    def test_streams_reports_without_double_counting(self):
+        # Each progress message carries only the reports found since the
+        # shard's previous one, and the shard posts once more when its
+        # campaign returns -- this is what makes an interrupted fleet
+        # keep its bugs.
+        from repro.runner.campaign import CampaignStats
 
         corpus = BugCorpus()
-        sink = _CorpusSink(corpus)
-        reports = [report(i) for i in range(5)]
-        sink.absorb(0, reports[:2])  # first progress message
-        sink.absorb(0, reports[2:4])  # second progress message
+        collector = _collector(corpus)
+        reports = [_report(i) for i in range(5)]
+        collector.post(_progress(0, reports, 0, 2))  # first progress message
+        collector.post(_progress(0, reports, 2, 4))  # second progress message
+        collector.post(_progress(0, reports, 4, 5))  # only reports[4] is new
         final = CampaignStats(oracle="coddtest", reports=reports)
-        sink.absorb_remainder(0, final)  # only reports[4] is new
+        collector.post(("result", 0, {"stats": final}))
+        collector.end_round()
         assert len(corpus) == 5
-        assert sink.duplicates == 0
-        assert len(sink.new_fingerprints) == 5
+        assert collector.duplicates == 0
+        assert len(collector.new_fingerprints) == 5
 
     def test_no_corpus_is_a_noop(self):
-        from repro.fleet.orchestrator import _CorpusSink
-        from repro.runner.campaign import CampaignStats
+        collector = _collector(None)
+        collector.post(_progress(0, [], 0, 0))
+        collector.end_round()
+        assert collector.snapshot().unique_reports is None
+        assert collector.new_fingerprints == []
 
-        sink = _CorpusSink(None)
-        sink.absorb_remainder(0, CampaignStats(oracle="coddtest"))
-        assert sink.unique is None
-        assert sink.new_fingerprints == []
+    def test_corpus_order_does_not_depend_on_interleaving(self):
+        # Two shards' posts, in two arrival orders: the round's new
+        # entries end up in shard order, then in each shard's own
+        # report order, whatever the order of arrival.
+        ours = [_report(i) for i in range(3)]
+        theirs = [_report(i) for i in range(3, 6)]
+
+        def messages():
+            return [
+                _progress(0, ours, 0, 2),
+                _progress(0, ours, 2, 3),
+                _progress(1, theirs, 0, 1),
+                _progress(1, theirs, 1, 3),
+            ]
+
+        seen = []
+        for order in ((0, 1, 2, 3), (2, 0, 3, 1)):
+            corpus = BugCorpus()
+            collector = _collector(corpus, workers=2)
+            batch = messages()
+            for index in order:
+                collector.post(batch[index])
+            collector.end_round()
+            entries = [entry.to_dict() for entry in corpus.entries.values()]
+            seen.append((entries, collector.new_fingerprints))
+        assert seen[0] == seen[1]
+        shards = [entry["first_seen_shard"] for entry in seen[0][0]]
+        assert shards == [0, 0, 0, 1, 1, 1]
 
 
 class TestReportsAreReplayable:

@@ -19,11 +19,12 @@ import pytest
 from repro.adapters.minidb_adapter import MiniDBAdapter
 from repro.core import CoddTestOracle
 from repro.dialects import make_engine
-from repro.fleet import BugCorpus, FleetConfig, run_fleet
+from repro.fleet import BugCorpus, FleetConfig, make_replay_reducer, run_fleet
 from repro.fleet.telemetry import FleetTelemetry
 from repro.obs import (
     fetch_status,
     read_trace,
+    snapshot_from_trace,
     summarize_trace,
     validate_record,
 )
@@ -196,8 +197,8 @@ class _RecordingTelemetry(FleetTelemetry):
         super().__init__()
         self.snapshots = []
 
-    def progress(self, snap, shards=None, done=None) -> None:
-        super().progress(snap, shards, done)
+    def progress(self, snap) -> None:
+        super().progress(snap)
         self.snapshots.append(snap)
 
 
@@ -222,6 +223,54 @@ class TestLiveProgress:
         for before, after in zip(snaps, snaps[1:]):
             assert after.tests >= before.tests
             assert after.unique_plans >= before.unique_plans
+
+
+def _timeless(status: dict) -> dict:
+    """*status* without the fields measured from wall-clock."""
+    out = {
+        k: v
+        for k, v in status.items()
+        if k not in ("elapsed_s", "tests_per_second")
+    }
+    out["shards"] = {
+        index: {k: v for k, v in row.items() if k != "age_s"}
+        for index, row in status["shards"].items()
+    }
+    return out
+
+
+class TestOneSnapshot:
+    @pytest.mark.parametrize(
+        "workers,guidance",
+        [(1, "plan-coverage"), (2, None), (2, "plan-coverage")],
+    )
+    def test_final_status_equals_top_of_the_trace(
+        self, tmp_path, workers, guidance
+    ):
+        config = FleetConfig(
+            oracle="coddtest",
+            buggy=True,
+            workers=workers,
+            seed=5,
+            n_tests=600,
+            guidance=guidance,
+            trace_path=str(tmp_path / "run.jsonl"),
+            status_port=0,
+        )
+        telemetry = FleetTelemetry()
+        result = run_fleet(
+            config,
+            corpus=BugCorpus(reduce_fn=make_replay_reducer(config)),
+            telemetry=telemetry,
+        )
+        status = _timeless(telemetry.board.snapshot())
+        top = _timeless(snapshot_from_trace(read_trace(config.trace_path)))
+        assert status == top
+        assert status["state"] == "done"
+        rows = status["shards"].values()
+        assert sum(row["tests"] for row in rows) == status["tests"]
+        assert status["unique_plans"] == len(result.merged.unique_plans)
+        assert status["clusters"] == len(result.clusters)
 
 
 class TestCampaignPhaseStats:

@@ -20,6 +20,15 @@ def _rec(ev: str, ts: float, shard=None, **payload) -> dict:
     return json.loads(format_record(ev, ts, shard, payload))
 
 
+def _finished_trace() -> list[dict]:
+    """The fixture run, finished by a fleet that records its final
+    counters in run_finish."""
+    return _fixture_trace()[:-1] + [
+        _rec("run_finish", 101.3, tests=20, reports=1, wall_s=1.3,
+             unique_plans=12, unique_reports=1, clusters=1),
+    ]
+
+
 def _fixture_trace() -> list[dict]:
     return [
         _rec("run_start", 100.0, oracle="coddtest", workers=2, seed=7),
@@ -84,6 +93,16 @@ class TestRenderTraceReport:
         assert "bug at" in out
         assert "per-phase breakdown" in out
 
+    def test_new_corpus_entries_are_new_bugs_not_clusters(self):
+        # One cluster_new event per new corpus fingerprint; the cluster
+        # count is run_finish's, when the record carries one.
+        assert "reports 1, new bugs 1\n" in render_trace_report(
+            _fixture_trace()
+        )
+        assert "reports 1, new bugs 1, clusters 1\n" in render_trace_report(
+            _finished_trace()
+        )
+
     def test_empty_trace(self):
         assert render_trace_report([]) == "empty trace (0 records)\n"
 
@@ -114,6 +133,14 @@ class TestTopFromTrace:
         assert snap["round"] == 1 and snap["rounds"] == 2
         assert set(snap["shards"]) == {"0", "1"}
         assert snap["shards"]["1"]["done"] is True
+
+    def test_run_finish_counters_win_over_shard_sums(self):
+        old = snapshot_from_trace(_fixture_trace())
+        assert old["unique_plans"] == 16  # summed over shard records
+        assert old["clusters"] is None and old["unique_reports"] is None
+        new = snapshot_from_trace(_finished_trace())
+        assert new["unique_plans"] == 12
+        assert new["clusters"] == 1 and new["unique_reports"] == 1
 
     def test_unfinished_trace_reports_running(self):
         records = [r for r in _fixture_trace() if r["ev"] != "run_finish"]
