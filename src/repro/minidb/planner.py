@@ -11,7 +11,9 @@ The planner performs the optimizations the paper's bug classes live in:
   to an index path, a precondition of several injected faults;
 * **projection expansion** -- ``*`` and ``t.*`` resolved at plan time.
 
-Plans are cached by the engine per statement AST; DDL invalidates them.
+Every statement is planned afresh.  The only plan reuse is within one
+statement: the engine plans each nested SELECT once
+(``Engine._subplan_cache``, cleared at the start of every statement).
 """
 
 from __future__ import annotations

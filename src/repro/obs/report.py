@@ -269,7 +269,11 @@ def snapshot_from_trace(records: Iterable[dict]) -> dict:
 
     A finished trace gives the run's final status; only ``elapsed_s``,
     ``tests_per_second`` and the shards' ``age_s`` are measured from
-    the trace's timestamps instead.  Traces whose ``run_finish`` lacks
+    the trace's timestamps instead.  A shard is ``done`` once it has
+    finished every round it started, and its ``age_s`` counts from its
+    last ``shard_start`` or ``shard_finish``, so a trace cut mid-round
+    (an interrupted fleet leaves one) shows the round's shards
+    running.  Traces whose ``run_finish`` lacks
     ``unique_plans``, ``unique_reports`` and ``clusters`` (or that have
     no ``run_finish``) show the summed shard plans and null counts."""
     s = summarize_trace(records)
@@ -300,11 +304,11 @@ def snapshot_from_trace(records: Iterable[dict]) -> dict:
             shard: {
                 "tests": slot["tests"],
                 "reports": slot["reports"],
-                "done": bool(slot["finishes"]),
-                "age_s": (
-                    round(last - max(slot["finishes"]), 3)
-                    if slot["finishes"]
-                    else 0.0
+                "done": 0 < len(slot["finishes"]) == len(slot["starts"]),
+                "age_s": round(
+                    last
+                    - max(slot["starts"] + slot["finishes"], default=last),
+                    3,
                 ),
             }
             for shard, slot in s["shards"].items()

@@ -46,7 +46,10 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from http.server import ThreadingHTTPServer
 
 #: Bump when snapshot fields are removed or change meaning.
 STATUS_SCHEMA_VERSION = 1
@@ -163,33 +166,13 @@ class StatusBoard:
             return dict(self._snapshot)
 
 
-class _StatusHandler(BaseHTTPRequestHandler):
-    """GET / (or /status) -> the board's snapshot as JSON."""
-
-    board: StatusBoard  # set by StatusServer on the handler subclass
-
-    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        if self.path.split("?")[0] not in ("/", "/status"):
-            self.send_error(404, "unknown path (serve / or /status)")
-            return
-        body = (
-            json.dumps(self.board.snapshot(), sort_keys=True) + "\n"
-        ).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args) -> None:  # pragma: no cover
-        """Silence per-request stderr logging."""
-
-
 class StatusServer:
     """Stdlib HTTP server thread publishing a :class:`StatusBoard`.
 
     ``port=0`` binds an ephemeral port; :attr:`port` holds the bound
-    one after :meth:`start`.
+    one after :meth:`start`.  :mod:`http.server` (which loads ``ssl``
+    and ``email``) is imported by :meth:`start`, so only a run that
+    serves status pays for it.
     """
 
     def __init__(
@@ -202,10 +185,32 @@ class StatusServer:
         self._thread: "threading.Thread | None" = None
 
     def start(self) -> int:
-        handler = type(
-            "BoundStatusHandler", (_StatusHandler,), {"board": self.board}
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        board = self.board
+
+        class _StatusHandler(BaseHTTPRequestHandler):
+            """GET / (or /status) -> the board's snapshot as JSON."""
+
+            def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
+                if self.path.split("?")[0] not in ("/", "/status"):
+                    self.send_error(404, "unknown path (serve / or /status)")
+                    return
+                body = (
+                    json.dumps(board.snapshot(), sort_keys=True) + "\n"
+                ).encode()
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args) -> None:  # pragma: no cover
+                """Silence per-request stderr logging."""
+
+        self._httpd = ThreadingHTTPServer(
+            (self.host, self.port), _StatusHandler
         )
-        self._httpd = ThreadingHTTPServer((self.host, self.port), handler)
         self._httpd.daemon_threads = True
         self.port = self._httpd.server_address[1]
         self._thread = threading.Thread(

@@ -20,14 +20,26 @@ identical across the statements of one campaign (ROADMAP,
   campaign runs almost every query once, so the hits come from ddmin
   (in-process, seed 13 unless noted):
 
-  ==============================================  =======  ====
-  run                                             lookups  hits
-  ==============================================  =======  ====
-  ``hunt``, 1,000 tests                           3,040    16
-  ``diff`` minidb/sqlite3, 1,500 tests, seed 3    1,502    0
-  triage replay of that fleet's 75 clusters       75       0
-  reducing guided fleet, 1 worker, 600 tests      2,715    260
-  ==============================================  =======  ====
+  ==============================================  =======  ====  ========
+  run                                             lookups  hits  furthest
+  ==============================================  =======  ====  ========
+  ``hunt``, 1,000 tests                           3,040    16    52
+  ``diff`` minidb/sqlite3, 1,500 tests, seed 3    1,502    0     --
+  triage replay of that fleet's 75 clusters       75       0     --
+  reducing guided fleet, 1 worker, 600 tests      2,715    260   13
+  ==============================================  =======  ====  ========
+
+Both memos are LRU, and one constant,
+:data:`~repro.perf.cache.MEMO_ENTRIES` (256), bounds each of them.  It
+is sized from the measured *reuse distance*: how many other entries
+were touched between a hit and that entry's previous use ("furthest"
+above is the largest).  Over ``hunt`` (1,000 tests), ``diff``
+minidb/sqlite3 (1,500 tests) and reducing guided 1-worker fleets (600
+tests), at seeds 5 and 13, no statement hit came from further back than
+52 entries, and 96.0 % (``hunt``), 98.3 % (``diff``) and 99.9 % (fleet)
+of parse hits came from within 256.  So the cache's memory stays
+bounded instead of growing with the campaign: a larger bound only
+keeps entries that almost never come back.
 
 Both sit in the MiniDB adapter, above the engine: MiniDB itself has no
 cache-dependent code, so ``--no-cache`` and the shipped configuration

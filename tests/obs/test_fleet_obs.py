@@ -272,6 +272,41 @@ class TestOneSnapshot:
         assert status["unique_plans"] == len(result.merged.unique_plans)
         assert status["clusters"] == len(result.clusters)
 
+    def test_trace_cut_mid_round_shows_its_shards_running(self, tmp_path):
+        # An interrupted fleet leaves a trace that stops mid-round; a
+        # shard that started a round it has not finished is running.
+        config = FleetConfig(
+            oracle="coddtest",
+            buggy=True,
+            workers=2,
+            seed=5,
+            n_tests=600,
+            guidance="plan-coverage",
+            trace_path=str(tmp_path / "run.jsonl"),
+        )
+        run_fleet(config)
+        records = read_trace(config.trace_path)
+        cut = 1 + max(
+            i
+            for i, record in enumerate(records)
+            if record["ev"] == "shard_start" and record["round"] == 2
+        )
+        snap = snapshot_from_trace(records[:cut])
+        assert snap["state"] == "running"
+        assert snap["round"] == 3
+        # Each shard's age counts from its round-3 start, its last
+        # lifecycle record.
+        starts = {
+            str(r["shard"]): r["ts"]
+            for r in records[:cut]
+            if r["ev"] == "shard_start"
+        }
+        assert set(snap["shards"]) == set(starts) == {"0", "1"}
+        last = records[cut - 1]["ts"]
+        for shard, row in snap["shards"].items():
+            assert row["done"] is False
+            assert row["age_s"] == round(last - starts[shard], 3)
+
 
 class TestCampaignPhaseStats:
     def test_phase_stats_populated_but_excluded_from_signature(self):

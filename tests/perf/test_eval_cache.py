@@ -11,10 +11,12 @@ import pytest
 
 from repro.adapters.minidb_adapter import MiniDBAdapter
 from repro.errors import CatalogError, InternalError
+from repro.fleet import BugCorpus, FleetConfig, make_replay_reducer, run_fleet
 from repro.minidb.engine import Engine
 from repro.minidb.faults import BugStatus, BugType, Fault, always
 from repro.minidb.parser import parse_statement
 from repro.perf import EvalCache, parser_normal
+from repro.perf import cache as cache_module
 from repro.perf.cache import INITIAL_STATE_TOKEN, advance_state_token
 from repro.runner.campaign import CampaignStats
 
@@ -317,8 +319,9 @@ def test_prime_parse_never_overwrites():
     assert cache.parse(sql) is parsed
 
 
-def test_lru_bounds_are_enforced():
-    cache = EvalCache(max_statements=2, max_parses=2)
+def test_lru_bounds_are_enforced(monkeypatch):
+    monkeypatch.setattr(cache_module, "MEMO_ENTRIES", 2)
+    cache = EvalCache()
     for i in range(5):
         cache.parse(f"SELECT {i}")
     assert len(cache._parse) == 2
@@ -327,6 +330,33 @@ def test_lru_bounds_are_enforced():
     for i in range(5):
         cache.store_statement(("ns", "tok", f"SELECT {i}"), CachedStatement())
     assert len(cache._stmt) == 2
+
+
+def _reducing_fleet_cache_stats() -> dict:
+    """Cache counters of the ``reducing-fleet-1w`` golden configuration
+    (``tests/perf/test_signature_goldens.py``): a guided 1-worker fleet
+    whose shard ddmin-reduces every new bug on its own cache."""
+    config = FleetConfig(
+        oracle="coddtest",
+        buggy=True,
+        workers=1,
+        seed=5,
+        n_tests=200,
+        guidance="plan-coverage",
+    )
+    corpus = BugCorpus(reduce_fn=make_replay_reducer(config))
+    return run_fleet(config, corpus=corpus).merged.cache_stats
+
+
+def test_memo_bound_keeps_the_reused_entries(monkeypatch):
+    """The shipped bound loses no statement hit and under 5 % of the
+    parse hits an unbounded cache gets on the traffic it was sized on."""
+    shipped = _reducing_fleet_cache_stats()
+    monkeypatch.setattr(cache_module, "MEMO_ENTRIES", 10**9)
+    unbounded = _reducing_fleet_cache_stats()
+    assert unbounded["stmt_hits"] > 0
+    assert shipped["stmt_hits"] == unbounded["stmt_hits"]
+    assert shipped["parse_hits"] >= 0.95 * unbounded["parse_hits"]
 
 
 # ---------------------------------------------------------------------------

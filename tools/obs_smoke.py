@@ -9,7 +9,10 @@ from the outside, the way a user would hit it:
    live ``--status-port`` endpoint, polled concurrently over HTTP
    while the fleet runs.  Must be bit-identical to the baseline on
    every deterministic output (the telemetry-off/on promise of
-   :mod:`repro.obs`).
+   :mod:`repro.obs`).  ``http.server`` must be absent from
+   ``sys.modules`` until this run's endpoint starts, and present once
+   it has served a poll: only a run that serves status loads the HTTP
+   stack.
 3. **Offline consumers** -- the merged trace must validate against the
    event schema (``tools/trace_check.py``), render a deterministic
    ``coddtest trace report``, and fold into a ``top`` snapshot equal to
@@ -118,6 +121,13 @@ def main(argv: "list[str] | None" = None) -> int:
         f"{args.tests} tests, {len(baseline['corpus'])} corpus entries"
     )
 
+    # The status server imports the HTTP stack itself: a run without
+    # an endpoint, the baseline included, never loads it.
+    check(
+        "http.server" not in sys.modules,
+        "http.server not loaded before the status server starts",
+    )
+
     with tempfile.TemporaryDirectory(prefix="obs_smoke_") as tmp:
         trace_path = os.path.join(tmp, "run.trace.jsonl")
         traced_config = config(trace_path=trace_path, status_port=0)
@@ -135,6 +145,10 @@ def main(argv: "list[str] | None" = None) -> int:
             "traced+status run bit-identical to silent run",
         )
         check(len(snapshots) > 0, f"live endpoint polled ({len(snapshots)} snapshots)")
+        check(
+            "http.server" in sys.modules,
+            "http.server loaded once the endpoint served a poll",
+        )
         if snapshots:
             last = snapshots[-1]
             check(
