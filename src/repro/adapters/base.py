@@ -113,7 +113,7 @@ class EngineAdapter(abc.ABC):
     def prime_parse(self, sql: str, ast) -> None:
         """Offer the parser-normal AST of *sql* to the parse memo.
 
-        Called by the oracles right after rendering *ast* to *sql*, so
-        a cached adapter can skip re-parsing text it is about to
-        receive.  No-op without an attached cache or for adapters that
-        do not parse."""
+        Called by the oracles and the state generator right after
+        rendering *ast* to *sql*, so a cached adapter can skip
+        re-parsing text it is about to receive.  No-op without an
+        attached cache or for adapters that do not parse."""

@@ -1,11 +1,12 @@
 """Adapter exposing a MiniDB engine through the black-box protocol.
 
 With an attached :class:`repro.perf.EvalCache` the adapter memoizes on
-two levels -- parsed statements (optionally primed by the oracles with
-parser-normal ASTs) and whole read-only statement outcomes keyed by a
-state-token hash chain -- while staying observationally identical to
-the uncached path: statement-result replays restore fired fault ids,
-coverage tags, ``statements_executed``, and re-raise recorded errors.
+two levels -- parsed statements (primed by the oracles and the state
+generator with parser-normal ASTs) and whole read-only statement
+outcomes keyed by a state-token hash chain -- while staying
+observationally identical to the uncached path: statement-result
+replays restore fired fault ids, coverage tags,
+``statements_executed``, and re-raise recorded errors.
 The engine underneath runs the same code either way.
 """
 

@@ -566,7 +566,7 @@ def _corpus_run(args, config: FleetConfig, reduce_fn):
     corpus, known_before = _open_corpus(args.corpus, reduce_fn)
     result = _run(args, config, corpus=corpus, coverage=coverage)
     stats, pair = result.merged, config.backend_pair
-    print(render_fleet_table(result.shards, stats))
+    print(render_fleet_table(result.shards, stats, result.reports_past_cap))
     if pair is None:
         print(
             f"\nfleet wall-clock {result.wall_seconds:.1f}s, "

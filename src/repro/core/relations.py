@@ -15,6 +15,11 @@ chosen at random (paper Section 3.4):
 A wrapper predicate applied identically to both relations makes the test
 sensitive to downstream evaluation too (the CockroachDB CTE bug of
 Listing 7 requires exactly this shape).
+
+Every SELECT and INSERT here is built as an AST, like the paper's
+folded queries (Section 4), and runs as its rendered SQL with the AST
+handed along, so a cached MiniDB adapter need not parse it back.  Only
+the scratch tables' ``CREATE`` and ``DROP`` are written as text.
 """
 
 from __future__ import annotations
@@ -24,14 +29,19 @@ from typing import TYPE_CHECKING
 from repro.errors import SqlError
 from repro.generator.expr_gen import ScopeColumn
 from repro.minidb import ast_nodes as A
-from repro.minidb.values import SqlType, SqlValue, sql_literal
+from repro.minidb.values import SqlType, SqlValue
 from repro.oracles_base import OracleSkip, TestReport
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.adapters.base import ExecResult
     from repro.core.coddtest import CoddTestOracle
 
 #: Row cap for folded VALUES constructors.
 MAX_RELATION_ROWS = 24
+
+#: The name the original and folded relations go by in the queries over
+#: them; the wrapper predicate is generated against it.
+_RELATION = "codd_rel"
 
 _TYPE_NAMES = {
     SqlType.INTEGER: "INT",
@@ -62,15 +72,14 @@ class RelationFolder:
 
         # The source subquery Q (must be non-correlated and non-empty).
         source = self._source_query(table)
-        source_sql = source.to_sql()
-        rows = oracle.execute(source_sql).rows
+        rows = self._execute(source).rows
         if not rows or len(rows) > MAX_RELATION_ROWS:
             raise OracleSkip()
 
         columns = [f"rc{i}" for i in range(len(table.columns))]
         col_types = [c.sql_type for c in table.columns]
         scope = [
-            ScopeColumn("codd_rel", name, t) for name, t in zip(columns, col_types)
+            ScopeColumn(_RELATION, name, t) for name, t in zip(columns, col_types)
         ]
         if rng.random() < 0.2 and len(scope) >= 1:
             # The Listing-7 shape: NOT BETWEEN with a CASE-valued bound
@@ -160,26 +169,15 @@ class RelationFolder:
         col_types: list[SqlType | None],
         predicate: A.Expr | None,
     ) -> list[tuple[SqlValue, ...]]:
-        oracle = self.oracle
         if kind == "insert_select":
             self._create_table("codd_o", columns, col_types)
-            oracle.execute(f"INSERT INTO codd_o {source.to_sql()}")
-            sql = self._select_over("codd_o", predicate)
-            return oracle.execute(sql, is_main_query=True).rows
-        if kind == "derived":
-            pred = _rebind(predicate, "codd_rel", "codd_rel")
-            where = f" WHERE {pred.to_sql()}" if pred is not None else ""
-            sql = f"SELECT * FROM ({source.to_sql()}) AS codd_rel{where}"
-            return oracle.execute(sql, is_main_query=True).rows
-        # CTE
-        pred = _rebind(predicate, "codd_rel", "codd_rel")
-        where = f" WHERE {pred.to_sql()}" if pred is not None else ""
-        cols = ", ".join(columns)
-        sql = (
-            f"WITH codd_rel({cols}) AS ({source.to_sql()}) "
-            f"SELECT * FROM codd_rel{where}"
-        )
-        return oracle.execute(sql, is_main_query=True).rows
+            self._execute(A.Insert("codd_o", (), source))
+            query = _select_over("codd_o", predicate)
+        elif kind == "derived":
+            query = _select_star(A.DerivedTable(source, _RELATION), predicate)
+        else:
+            query = _select_from_cte(source, columns, predicate)
+        return self._execute(query, is_main_query=True).rows
 
     def _run_folded(
         self,
@@ -189,33 +187,27 @@ class RelationFolder:
         col_types: list[SqlType | None],
         predicate: A.Expr | None,
     ) -> list[tuple[SqlValue, ...]]:
-        oracle = self.oracle
-        values_sql = ", ".join(
-            "(" + ", ".join(sql_literal(v) for v in row) + ")" for row in rows
-        )
+        values = tuple(tuple(A.Literal(v) for v in row) for row in rows)
         if kind == "insert_values":
             self._create_table("codd_f", columns, col_types)
-            oracle.execute(f"INSERT INTO codd_f VALUES {values_sql}")
-            sql = self._select_over("codd_f", predicate)
-            return oracle.execute(sql).rows
-        pred = _rebind(predicate, "codd_rel", "codd_rel")
-        where = f" WHERE {pred.to_sql()}" if pred is not None else ""
-        cols = ", ".join(columns)
-        if kind == "derived_values":
-            sql = (
-                f"SELECT * FROM (VALUES {values_sql}) AS codd_rel({cols}){where}"
+            self._execute(A.Insert("codd_f", (), A.ValuesSource(values)))
+            query = _select_over("codd_f", predicate)
+        elif kind == "derived_values":
+            query = _select_star(
+                A.ValuesTable(values, _RELATION, tuple(columns)), predicate
             )
-            return oracle.execute(sql).rows
-        sql = (
-            f"WITH codd_rel({cols}) AS (VALUES {values_sql}) "
-            f"SELECT * FROM codd_rel{where}"
-        )
-        return oracle.execute(sql).rows
+        else:
+            query = _select_from_cte(A.ValuesSource(values), columns, predicate)
+        return self._execute(query).rows
 
-    def _select_over(self, table_name: str, predicate: A.Expr | None) -> str:
-        pred = _rebind(predicate, "codd_rel", table_name)
-        where = f" WHERE {pred.to_sql()}" if pred is not None else ""
-        return f"SELECT * FROM {table_name}{where}"
+    def _execute(
+        self, stmt: A.Node, is_main_query: bool = False
+    ) -> "ExecResult":
+        """Run *stmt* as its rendered SQL, handing the AST along so a
+        cached adapter need not parse the text back."""
+        return self.oracle.execute(
+            stmt.to_sql(), is_main_query=is_main_query, ast=stmt
+        )
 
     def _create_table(
         self, name: str, columns: list[str], col_types: list[SqlType | None]
@@ -238,11 +230,42 @@ class RelationFolder:
                 pass
 
 
+def _select_star(
+    relation: A.TableRef,
+    predicate: A.Expr | None,
+    ctes: tuple[A.Cte, ...] = (),
+) -> A.Select:
+    """``[WITH ...] SELECT * FROM relation [WHERE predicate]``."""
+    return A.Select(
+        items=(A.SelectItem(None),),
+        from_clause=relation,
+        where=predicate,
+        ctes=ctes,
+    )
+
+
+def _select_from_cte(
+    body: "A.Select | A.ValuesSource",
+    columns: list[str],
+    predicate: A.Expr | None,
+) -> A.Select:
+    """``WITH codd_rel(columns) AS (body) SELECT * FROM codd_rel ...``."""
+    cte = A.Cte(_RELATION, tuple(columns), body)
+    return _select_star(A.NamedTable(_RELATION), predicate, ctes=(cte,))
+
+
+def _select_over(table_name: str, predicate: A.Expr | None) -> A.Select:
+    """The wrapper query over a scratch table filled by INSERT."""
+    return _select_star(
+        A.NamedTable(table_name), _rebind(predicate, _RELATION, table_name)
+    )
+
+
 def _rebind(
     expr: A.Expr | None, old_binding: str, new_binding: str
 ) -> A.Expr | None:
     """Re-qualify column references from one relation alias to another."""
-    if expr is None or old_binding == new_binding:
+    if expr is None:
         return expr
 
     def fn(node: A.Expr) -> A.Expr | None:

@@ -62,9 +62,6 @@ class DifferentialAdapter(EngineAdapter):
         self.portable_generation = True
         #: Reason the pair is desynchronized, None while healthy.
         self._desync: str | None = None
-        #: (primary, secondary) results of the last teed statement;
-        #: secondary is None when the statement ran one-sided.
-        self.last_pair: tuple[ExecResult, ExecResult | None] | None = None
         #: Statements that ran on the primary only (skipped or failed
         #: plan-only statements on the secondary).
         self.secondary_skips = 0
@@ -162,7 +159,6 @@ class DifferentialAdapter(EngineAdapter):
                     )
                     raise StateDesyncError(self._desync) from exc
 
-        self.last_pair = (result_a, result_b)
         if result_b is not None and kind == KIND_SELECT:
             self._compare(sql, result_a, result_b)
         return result_a
@@ -195,4 +191,3 @@ class DifferentialAdapter(EngineAdapter):
         self.primary.reset()
         self.secondary.reset()
         self._desync = None
-        self.last_pair = None

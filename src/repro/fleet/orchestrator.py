@@ -205,6 +205,15 @@ class FleetResult:
     arm_schedules: "list[list[str]] | None" = None
 
     @property
+    def reports_past_cap(self) -> int:
+        """Reports the shards filed past ``max_reports`` before the stop
+        reached them.  ``merged.reports`` is capped, but the corpus took
+        every report, so the merged count plus this equals the new plus
+        the duplicate corpus reports."""
+        filed = sum(len(shard.reports) for shard in self.shards)
+        return filed - len(self.merged.reports)
+
+    @property
     def arm_summary(self) -> "list[tuple[str, int, int]]":
         """``(arm, pulls, new_plans)`` rows of a guided run, best first."""
         if self.coverage is None:

@@ -22,6 +22,7 @@ offline tools alike.
 from __future__ import annotations
 
 import os
+import sys
 import time
 
 from repro.fleet.progress import ProgressPrinter
@@ -77,14 +78,15 @@ class FleetTelemetry:
             self.board = StatusBoard()
             self.server = StatusServer(self.board, port=config.status_port)
             self.server.start()
-            if self.printer is not None:
-                # The bound port is wall-clock-free but run-specific
-                # (--status-port 0 picks a free one), so it goes to the
-                # progress stream, never stdout.
-                self.printer.stream.write(
-                    f"status endpoint: {self.server.url}\n"
-                )
-                self.printer.stream.flush()
+            # The bound port is run-specific (--status-port 0 picks a
+            # free one), so it goes to the progress stream, never
+            # stdout -- and to stderr without a printer (--quiet), or
+            # nobody would learn the port.
+            stream = (
+                sys.stderr if self.printer is None else self.printer.stream
+            )
+            stream.write(f"status endpoint: {self.server.url}\n")
+            stream.flush()
         self.emit(
             "run_start",
             oracle=config.oracle,

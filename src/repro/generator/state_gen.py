@@ -16,20 +16,14 @@ import random
 
 from repro.adapters.base import EngineAdapter, SchemaInfo
 from repro.errors import SqlError
-from repro.minidb.values import SqlValue, sql_literal
+from repro.minidb import ast_nodes as A
+from repro.minidb.values import SqlValue
 
 #: A large INT8 constant family (outside INT4 range) -- needed to reach
 #: value-list bugs like paper Listing 9.
 LARGE_INTS = [8628276060272066657, 2**33, -(2**35), 2**31 + 1]
 
 TEXT_POOL = ["a", "b", "abc", "x", "", "1", "0.5x"]
-
-
-def _insert_sql(table: str, rows: "list[list[SqlValue]]") -> str:
-    rendered = ", ".join(
-        "(" + ", ".join(sql_literal(v) for v in row) + ")" for row in rows
-    )
-    return f"INSERT INTO {table} VALUES {rendered}"
 
 
 class StateGenerator:
@@ -83,6 +77,17 @@ class StateGenerator:
         adapter.execute(sql)
         self.last_statements.append(sql)
 
+    def _insert(
+        self, adapter: EngineAdapter, table: str, rows: "list[list[SqlValue]]"
+    ) -> None:
+        """Insert *rows* with one ``INSERT ... VALUES``, built as an AST
+        and offered to the adapter's parse memo (DDL stays text)."""
+        values = tuple(tuple(A.Literal(v) for v in row) for row in rows)
+        stmt = A.Insert(table, (), A.ValuesSource(values))
+        sql = stmt.to_sql()
+        adapter.prime_parse(sql, stmt)
+        self._exec(adapter, sql)
+
     # -- pieces -------------------------------------------------------------
 
     def _create_table(self, adapter: EngineAdapter, name: str) -> None:
@@ -112,7 +117,7 @@ class StateGenerator:
             for _ in range(n_rows)
         ]
         try:
-            self._exec(adapter, _insert_sql(name, rows))
+            self._insert(adapter, name, rows)
         except SqlError:
             # NOT NULL violation: statements are atomic, so nothing was
             # inserted.  Patch the offending NULLs and retry with the
@@ -128,10 +133,10 @@ class StateGenerator:
                 for row in rows
             ]
             try:
-                self._exec(adapter, _insert_sql(name, patched))
+                self._insert(adapter, name, patched)
             except SqlError:
                 safe = [[self._safe_value(t) for t in col_types]]
-                self._exec(adapter, _insert_sql(name, safe))
+                self._insert(adapter, name, safe)
 
         if self.create_indexes and self.rng.random() < 0.7:
             self._create_index(adapter, name, n_cols)

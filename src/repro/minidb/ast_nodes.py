@@ -5,13 +5,14 @@ by the random generators (:mod:`repro.generator`), and transformed by the
 test oracles (:mod:`repro.core`, :mod:`repro.baselines`).
 
 Every node the generators and oracles build renders back to SQL text via
-:meth:`Node.to_sql`; nodes only the parser builds (derived and VALUES
-tables, DDL, UPDATE, DELETE) do not render.  Rendering is
-deliberately over-parenthesized: the oracles compare *results* of queries,
-never their text, so unambiguous round-tripping matters more than pretty
-output.  This mirrors the paper's implementation note that folded queries
-are derived "by replacing child nodes in the Abstract Syntax Tree"
-(Section 4, Implementation).
+:meth:`Node.to_sql`, the derived and VALUES tables of relation folding
+included; nodes only the parser builds (DDL, UPDATE, DELETE) do not
+render.  Rendering is deliberately over-parenthesized: the oracles
+compare *results* of queries, never their text, so unambiguous
+round-tripping matters more than pretty output.  This mirrors the
+paper's implementation note that folded queries are derived "by
+replacing child nodes in the Abstract Syntax Tree" (Section 4,
+Implementation).
 """
 
 from __future__ import annotations
@@ -392,6 +393,12 @@ class DerivedTable(TableRef):
     alias: str
     column_aliases: tuple[str, ...] = ()
 
+    def to_sql(self) -> str:
+        return (
+            f"({self.query.to_sql()}) AS {self.alias}"
+            f"{_name_list(self.column_aliases)}"
+        )
+
 
 @dataclass(frozen=True)
 class ValuesTable(TableRef):
@@ -401,6 +408,12 @@ class ValuesTable(TableRef):
     rows: tuple[tuple[Expr, ...], ...]
     alias: str
     column_aliases: tuple[str, ...] = ()
+
+    def to_sql(self) -> str:
+        return (
+            f"({_values_sql(self.rows)}) AS {self.alias}"
+            f"{_name_list(self.column_aliases)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -470,7 +483,7 @@ class Cte:
     query: "Select | ValuesSource"
 
     def to_sql(self) -> str:
-        cols = f"({', '.join(self.columns)})" if self.columns else ""
+        cols = _name_list(self.columns)
         return f"{self.name}{cols} AS ({self.query.to_sql()})"
 
 
@@ -524,6 +537,20 @@ class ValuesSource(Node):
     """``VALUES (...), (...)`` used as an INSERT source or CTE body."""
 
     rows: tuple[tuple[Expr, ...], ...]
+
+    def to_sql(self) -> str:
+        return _values_sql(self.rows)
+
+
+def _values_sql(rows: tuple[tuple[Expr, ...], ...]) -> str:
+    return "VALUES " + ", ".join(
+        "(" + ", ".join(e.to_sql() for e in row) + ")" for row in rows
+    )
+
+
+def _name_list(names: tuple[str, ...]) -> str:
+    """``(a, b)`` for a column-name list, nothing for an empty one."""
+    return f"({', '.join(names)})" if names else ""
 
 
 @dataclass(frozen=True)

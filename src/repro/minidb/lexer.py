@@ -48,8 +48,9 @@ def tokenize(sql: str) -> list[Token]:
             i = n if end == -1 else end + 1
             continue
         if ch == "'":
+            start = i
             text, value, i = _read_string(sql, i)
-            tokens.append(Token("STRING", text, value, i))
+            tokens.append(Token("STRING", text, value, start))
             continue
         if ch == '"':
             # Double-quoted identifier.
@@ -61,9 +62,10 @@ def tokenize(sql: str) -> list[Token]:
             i = end + 1
             continue
         if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
+            start = i
             text, value, i = _read_number(sql, i)
             kind = "FLOAT" if isinstance(value, float) else "INT"
-            tokens.append(Token(kind, text, value, i))
+            tokens.append(Token(kind, text, value, start))
             continue
         if ch.isalpha() or ch == "_":
             start = i

@@ -1,8 +1,9 @@
 """Parser-normal form of generator-built ASTs.
 
-The oracles build queries as ASTs, render them with ``to_sql()``, and
-execute the text -- which the MiniDB adapter parses right back.  Priming
-the parse memo with the AST the oracle already holds would skip that
+The oracles, the relation folder and the state generator build their
+SELECT and INSERT statements as ASTs, render them with ``to_sql()``,
+and execute the text -- which the MiniDB adapter parses right back.
+Priming the parse memo with the AST the caller already holds skips that
 round-trip, but only if the primed AST is **exactly** what
 ``parse_statement(to_sql(ast))`` would return: fault triggers consume
 structural features (node counts, depths), so a structurally different
@@ -18,6 +19,10 @@ render as division expressions (see
 rewrites exactly those literals, mirroring ``sql_literal`` case by
 case, and leaves everything else untouched.
 
+The walk runs once per primed statement, so it visits per AST class
+only the fields that can hold AST parts (read once from the dataclass
+annotations): operator strings, names and flags are never looked at.
+
 The load-bearing property -- ``parser_normal(ast) ==
 parse_statement(ast.to_sql())`` for every AST the oracles render -- is
 asserted over full campaign streams in ``tests/perf/`` and re-gated on
@@ -28,21 +33,38 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 from repro.minidb import ast_nodes as A
 
-#: Per-class field-name memo: normalization runs once per rendered
-#: statement on the oracle hot path, so the dataclass reflection is
-#: hoisted out of the per-node walk.
-_FIELDS: dict[type, tuple[str, ...]] = {}
+#: Everything a statement field can hold besides scalars and tuples:
+#: Node subclasses plus the auxiliary dataclasses (CASE arms, select
+#: items, ORDER BY items, CTEs) that are not Nodes themselves.
+_AST_PARTS = (A.Node, A.CaseWhen, A.SelectItem, A.OrderItem, A.Cte)
 
 
-def _field_names(cls: type) -> tuple[str, ...]:
-    names = _FIELDS.get(cls)
-    if names is None:
-        names = tuple(f.name for f in dataclasses.fields(cls))
-        _FIELDS[cls] = names
-    return names
+def _plan(cls: type) -> tuple[str, ...]:
+    """The fields of *cls* whose annotation names an AST part class."""
+    names = []
+    for f in dataclasses.fields(cls):
+        words = re.findall(r"\w+", str(f.type))
+        if any(
+            isinstance(getattr(A, w, None), type)
+            and issubclass(getattr(A, w), _AST_PARTS)
+            for w in words
+        ):
+            names.append(f.name)
+    return tuple(names)
+
+
+#: Per AST class, the names of the fields that can hold AST parts.  Any
+#: other class (the strings and flags inside a ``set_op`` tuple) has
+#: none.
+_PLANS: dict[type, tuple[str, ...]] = {
+    cls: _plan(cls)
+    for cls in vars(A).values()
+    if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+}
 
 
 def parser_normal(node):
@@ -51,39 +73,41 @@ def parser_normal(node):
     Shares unchanged subtrees with the input (the common case: most
     generated trees contain no negative or non-finite literals).
     """
-    if isinstance(node, A.Literal):
+    cls = node.__class__
+    if cls is A.Literal:
         return _normal_literal(node)
-    if dataclasses.is_dataclass(node) and not isinstance(node, type):
-        updates = None
-        for name in _field_names(type(node)):
-            value = getattr(node, name)
-            normal = _normal_value(value)
-            if normal is not value:
-                if updates is None:
-                    updates = {}
-                updates[name] = normal
-        if updates:
-            return dataclasses.replace(node, **updates)
+    updates = None
+    for name in _PLANS.get(cls, ()):
+        value = getattr(node, name)
+        if value is None:
+            continue
+        if value.__class__ is tuple:
+            normal = _normal_items(value)
+        else:
+            normal = parser_normal(value)
+        if normal is not value:
+            if updates is None:
+                updates = {}
+            updates[name] = normal
+    if updates:
+        return dataclasses.replace(node, **updates)
     return node
 
 
-def _normal_value(value):
-    if isinstance(value, A.Literal):
-        return _normal_literal(value)
-    if isinstance(value, tuple):
-        items = tuple(_normal_value(v) for v in value)
-        if any(a is not b for a, b in zip(items, value)):
-            return items
-        return value
-    if isinstance(value, _AST_PARTS):
-        return parser_normal(value)
-    return value
-
-
-#: Everything a statement field can hold besides scalars and tuples:
-#: Node subclasses plus the auxiliary dataclasses (CASE arms, select
-#: items, ORDER BY items, CTEs) that are not Nodes themselves.
-_AST_PARTS = (A.Node, A.CaseWhen, A.SelectItem, A.OrderItem, A.Cte)
+def _normal_items(items: tuple) -> tuple:
+    """*items* with each element normalized; *items* itself when no
+    element changed."""
+    changed = None
+    for i, value in enumerate(items):
+        if value.__class__ is tuple:
+            normal = _normal_items(value)
+        else:
+            normal = parser_normal(value)
+        if normal is not value:
+            if changed is None:
+                changed = list(items)
+            changed[i] = normal
+    return items if changed is None else tuple(changed)
 
 
 def _normal_literal(lit: A.Literal):

@@ -98,12 +98,14 @@ def render_efficiency_table(rows: Iterable[Mapping]) -> str:
     return "\n".join(lines)
 
 
-def render_fleet_table(shards: Iterable, merged) -> str:
+def render_fleet_table(shards: Iterable, merged, past_cap: int = 0) -> str:
     """Per-shard and merged stats of a fleet run.
 
     *shards* is a list of :class:`~repro.runner.campaign.CampaignStats`
     in shard order; *merged* is their fleet-wide merge (plans as
     set-union, coverage as max, QPT recomputed from merged counters).
+    *past_cap* reports were filed past ``--max-reports`` and cut from
+    the merged list; a non-zero count is shown next to the merged row.
     """
     header = (
         f"{'Shard':8s} {'#tests':>8s} {'#skip':>7s} {'#ok q':>9s} "
@@ -123,7 +125,10 @@ def render_fleet_table(shards: Iterable, merged) -> str:
     for i, stats in enumerate(shards):
         lines.append(row(str(i), stats))
     lines.append("-" * len(header))
-    lines.append(row("merged", merged))
+    merged_row = row("merged", merged)
+    if past_cap:
+        merged_row += f"  (+{past_cap} past --max-reports)"
+    lines.append(merged_row)
     return "\n".join(lines)
 
 

@@ -114,6 +114,24 @@ class TestMultiWorker:
         )
         assert len(result.merged.reports) <= 6
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reports_past_the_cap_are_what_the_corpus_took_beyond_it(
+        self, workers
+    ):
+        # However the shards' reports interleave with the stop, the
+        # merged list plus the reports past the cap is every report the
+        # corpus took: new entries and duplicates alike.
+        result = run_fleet(
+            fleet_config(workers=workers, n_tests=4000, max_reports=6),
+            corpus=BugCorpus(),
+        )
+        assert len(result.merged.reports) == 6
+        absorbed = len(result.new_fingerprints) + result.duplicate_reports
+        assert 6 + result.reports_past_cap == absorbed
+        if workers == 1:
+            # One shard stops at the cap exactly.
+            assert result.reports_past_cap == 0
+
     def test_worker_failure_streams_error_not_hang(self):
         # A spec whose oracle cannot even be constructed must come back
         # over the queue as an error message, not kill the pool.

@@ -47,6 +47,17 @@ class TestLexer:
         assert toks[0].kind == "IDENT"
         assert toks[0].value == "weird name"
 
+    def test_literal_tokens_record_where_they_start(self):
+        sql = "SELECT 'a''b', 42 FROM t WHERE x > 1.5e3"
+        toks = tokenize(sql)
+        literals = [(t.kind, t.pos) for t in toks if t.value is not None]
+        assert ("STRING", 7) in literals
+        assert ("INT", 15) in literals
+        assert ("FLOAT", 35) in literals
+        # Every token starts where its text does.
+        for tok in toks[:-1]:
+            assert sql.startswith(tok.text, tok.pos), tok
+
 
 class TestExpressionParsing:
     def test_precedence_or_lower_than_and(self):
@@ -232,6 +243,19 @@ class TestStatementParsing:
     def test_cte_with_values(self):
         stmt = parse_statement("WITH x(a) AS (VALUES (1), (2)) SELECT * FROM x")
         assert isinstance(stmt.ctes[0].query, A.ValuesSource)
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT * FROM (SELECT t0.c0 AS rc0 FROM t0 AS src0 LIMIT 3) AS d",
+            "SELECT * FROM (SELECT 1) AS d(a) WHERE (d.a > 0)",
+            "SELECT * FROM (VALUES (1, 'x'), (NULL, TRUE)) AS v(a, b)",
+            "WITH x(a) AS (VALUES (1), (2)) SELECT * FROM x",
+            "INSERT INTO t VALUES (1, 2.5), (3, 'it''s')",
+        ],
+    )
+    def test_derived_and_values_tables_render_back(self, sql):
+        assert parse_statement(sql).to_sql() == sql
 
     def test_union_chain(self):
         stmt = parse_statement("SELECT 1 UNION SELECT 2 UNION ALL SELECT 3")

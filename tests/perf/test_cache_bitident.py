@@ -10,6 +10,8 @@ the Python level; the perf-smoke CI job re-gates it end to end
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -131,18 +133,32 @@ def test_any_interleaving_yields_identical_report_sequences(schedule, seed):
 
 
 class _PrimeCheckingAdapter(MiniDBAdapter):
-    """Asserts, for every AST an oracle renders, that its parser-normal
-    form is exactly what parsing the rendered SQL yields -- the property
-    that makes priming the parse memo behaviour-preserving."""
+    """Asserts, for every AST an oracle or the state generator renders,
+    that its parser-normal form is exactly what parsing the rendered SQL
+    yields -- the property that makes priming the parse memo
+    behaviour-preserving."""
 
-    checked = 0
+    checked: list[str] = []
 
     def prime_parse(self, sql: str, ast) -> None:
         normal = parser_normal(ast)
         parsed = parse_statement(sql)
         assert normal == parsed, sql
-        type(self).checked += 1
+        type(self).checked.append(sql)
         super().prime_parse(sql, ast)
+
+
+#: The statement shapes of the relation folder's original and folded
+#: relations (paper Section 3.4), and the state generator's INSERT.
+_PRIMED_SHAPES = {
+    "insert_select": r"INSERT INTO codd_o SELECT ",
+    "derived": r"SELECT \* FROM \(SELECT ",
+    "cte": r"WITH codd_rel\([^)]*\) AS \(SELECT ",
+    "insert_values": r"INSERT INTO codd_f VALUES ",
+    "derived_values": r"SELECT \* FROM \(VALUES ",
+    "cte_values": r"WITH codd_rel\([^)]*\) AS \(VALUES ",
+    "state insert": r"INSERT INTO t\d+ VALUES ",
+}
 
 
 @pytest.mark.parametrize(
@@ -151,20 +167,63 @@ class _PrimeCheckingAdapter(MiniDBAdapter):
         lambda: CoddTestOracle(max_depth=5),
         lambda: CoddTestOracle(max_depth=5, expression_only=True),
         lambda: CoddTestOracle(max_depth=3, subquery_only=True),
+        lambda: CoddTestOracle(max_depth=5, relation_mode_prob=1.0),
         NoRECOracle,
         TLPOracle,
         EETOracle,
     ],
-    ids=["coddtest", "coddtest-expr", "coddtest-subq", "norec", "tlp", "eet"],
+    ids=[
+        "coddtest",
+        "coddtest-expr",
+        "coddtest-subq",
+        "coddtest-relation",
+        "norec",
+        "tlp",
+        "eet",
+    ],
 )
 def test_parser_normal_matches_parse_roundtrip_on_oracle_streams(
-    oracle_factory,
+    oracle_factory, monkeypatch
 ):
-    _PrimeCheckingAdapter.checked = 0
+    from repro.core.relations import RelationFolder
+
+    # Which original/folded relation kinds ran together.
+    pairs: set[tuple[str, str]] = set()
+    originals: list[str] = []
+    run_original = RelationFolder._run_original
+    run_folded = RelationFolder._run_folded
+
+    def spy_original(self, kind, *args):
+        originals.append(kind)
+        return run_original(self, kind, *args)
+
+    def spy_folded(self, kind, *args):
+        pairs.add((originals[-1], kind))
+        return run_folded(self, kind, *args)
+
+    monkeypatch.setattr(RelationFolder, "_run_original", spy_original)
+    monkeypatch.setattr(RelationFolder, "_run_folded", spy_folded)
+    _PrimeCheckingAdapter.checked = []
     adapter = _PrimeCheckingAdapter(
         make_engine("sqlite", with_catalog_faults=True)
     )
     adapter.attach_eval_cache(EvalCache())
-    campaign = Campaign(oracle_factory(), adapter, seed=2)
+    oracle = oracle_factory()
+    campaign = Campaign(oracle, adapter, seed=2)
     campaign.run(n_tests=120)
-    assert _PrimeCheckingAdapter.checked > 100
+    checked = _PrimeCheckingAdapter.checked
+    assert len(checked) > 100
+    shapes = {
+        shape
+        for shape, pattern in _PRIMED_SHAPES.items()
+        if any(re.match(pattern, sql) for sql in checked)
+    }
+    if getattr(oracle, "relation_mode_prob", 0.0) == 1.0:
+        assert pairs == {
+            (o, f)
+            for o in RelationFolder.ORIGINAL_KINDS
+            for f in RelationFolder.FOLDED_KINDS
+        }
+        assert shapes == set(_PRIMED_SHAPES)
+    else:
+        assert "state insert" in shapes

@@ -296,6 +296,44 @@ class TestFleetCli:
         assert captured.out == ""
         assert checkpoint.read_text() == content + "\n"
 
+    @pytest.mark.parametrize("command", ["fleet", "diff"])
+    def test_quiet_run_names_its_status_endpoint_on_stderr(
+        self, command, capsys
+    ):
+        argv = [
+            command, "--workers", "2", "--tests", "60", "--buggy",
+            "--seed", "3", "--status-port", "0", "--quiet",
+        ]
+        assert cli_main(argv) == 0
+        captured = capsys.readouterr()
+        assert re.fullmatch(
+            r"status endpoint: http://127\.0\.0\.1:\d+/\n", captured.err
+        )
+        assert "status endpoint" not in captured.out
+
+    @pytest.mark.parametrize("command", ["fleet", "diff"])
+    def test_early_stop_shows_the_reports_past_the_cap(
+        self, command, tmp_path, capsys
+    ):
+        argv = [
+            command, "--workers", "2", "--tests", "2000", "--buggy",
+            "--seed", "3", "--max-reports", "3", "--quiet",
+            "--corpus", str(tmp_path / "bugs.jsonl"),
+        ]
+        assert cli_main(argv) == 0
+        out = capsys.readouterr().out
+        merged = re.search(
+            r"^merged .* (\d+) +[\d.]+(?:  \(\+(\d+) past --max-reports\))?$",
+            out,
+            re.M,
+        )
+        absorbed = re.search(r"\((\d+) new unique, (\d+) duplicates", out)
+        assert merged and absorbed, out
+        assert int(merged[1]) == 3
+        assert int(merged[1]) + int(merged[2] or 0) == int(absorbed[1]) + int(
+            absorbed[2]
+        )
+
     def test_fleet_lists_new_bugs_in_a_deterministic_order(self, capsys):
         # Reports reach the corpus in an order that depends on how the
         # two shards are scheduled; the listing must not.

@@ -12,7 +12,11 @@ Two duties:
    bit-identity promise of :mod:`repro.perf`, checked end to end on
    every push.  Only the MiniDB adapter caches, so the differential
    gate checks the MiniDB primary's memos; the sqlite3 secondary has
-   none.
+   none.  The shipped hunt run also counts its parse-memo misses by
+   leading keyword and fails on any SELECT, WITH or INSERT: the
+   generators build those as ASTs and prime the memo, so only DDL
+   should reach the parser, and a miss means a generator path renders
+   SQL without handing its AST along.
 2. **Bench artifact** -- sweep the fig2 workload over MaxDepth 3/5/7
    in both modes and write ``BENCH_perf.json``
    (:mod:`repro.perf.bench` schema) with tests/sec, speedup, and hit
@@ -37,8 +41,11 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+from collections import Counter
 
+import repro.perf.cache as cache_module
 from repro.fleet import BugCorpus, FleetConfig, make_replay_reducer, run_fleet
 from repro.obs.phases import format_phase_breakdown
 from repro.perf.bench import bench_payload, measure_depth
@@ -80,10 +87,48 @@ def _fleet_signature(config: FleetConfig, reduce: bool = False) -> dict:
     return witness
 
 
-def _gate(name: str, make_config, reduce: bool = False) -> dict:
+#: Leading keywords of the statements the generators prime into the
+#: parse memo; a parse-memo miss on one of them is a gate failure.
+_PRIMED_KEYWORDS = ("SELECT", "WITH", "INSERT")
+
+
+def _count_parse_misses(run):
+    """``(run(), misses)``: *misses* counts the parse-memo misses of
+    *run* by leading keyword, in forked fleet workers too -- each miss
+    appends its keyword to a file the workers inherit the path of."""
+    fd, path = tempfile.mkstemp(prefix="perf-smoke-misses-")
+    os.close(fd)
+    parse = cache_module.parse_statement
+
+    def counted(sql: str):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(sql.split(None, 1)[0].upper() + "\n")
+        return parse(sql)
+
+    cache_module.parse_statement = counted
+    try:
+        result = run()
+    finally:
+        cache_module.parse_statement = parse
+    with open(path, encoding="utf-8") as fh:
+        misses = Counter(fh.read().split())
+    os.remove(path)
+    return result, misses
+
+
+def _gate(
+    name: str, make_config, reduce: bool = False, count_misses: bool = False
+) -> dict:
     """Run one workload as shipped and cache-off and require identical
-    signatures.  *make_config* takes ``use_cache``."""
-    shipped = _fleet_signature(make_config(True), reduce)
+    signatures.  *make_config* takes ``use_cache``.  With
+    *count_misses*, the shipped run's parse-memo misses must all be
+    DDL."""
+    if count_misses:
+        shipped, misses = _count_parse_misses(
+            lambda: _fleet_signature(make_config(True), reduce)
+        )
+    else:
+        shipped = _fleet_signature(make_config(True), reduce)
     reference = _fleet_signature(make_config(False), reduce)
     identical = shipped == reference
     status = "identical" if identical else "MISMATCH"
@@ -94,7 +139,22 @@ def _gate(name: str, make_config, reduce: bool = False) -> dict:
                 print(f"  shipped differs from cache-off in {key!r}:")
                 print(f"    shipped: {str(shipped[key])[:300]}")
                 print(f"    cache-off: {str(reference[key])[:300]}")
-    return {"name": name, "identical": identical}
+    record = {"name": name, "identical": identical}
+    if count_misses:
+        unprimed = sum(misses[keyword] for keyword in _PRIMED_KEYWORDS)
+        counts = ", ".join(f"{k} {n}" for k, n in sorted(misses.items()))
+        print(f"[perf-smoke] {name:20s} parse-memo misses: {counts or 'none'}")
+        if not misses:
+            # DDL always misses: no count means the counter never ran.
+            print("  no parse-memo miss was counted; the count is broken")
+            unprimed = None
+        elif unprimed:
+            print(
+                f"  {unprimed} SELECT/WITH/INSERT miss(es): a generator "
+                "path renders SQL without priming the parse memo"
+            )
+        record["unprimed_parse_misses"] = unprimed
+    return record
 
 
 def tree_provenance(root: str = _REPO_ROOT) -> dict:
@@ -180,6 +240,7 @@ def main(argv: "list[str] | None" = None) -> int:
                 n_tests=args.tests,
                 use_cache=cache,
             ),
+            count_misses=True,
         ),
         _gate(
             "diff minidb/sqlite3",
@@ -257,7 +318,17 @@ def main(argv: "list[str] | None" = None) -> int:
             file=sys.stderr,
         )
         return 1
-    print("[perf-smoke] OK: shipped and cache-off runs are bit-identical")
+    if any(w.get("unprimed_parse_misses", 0) != 0 for w in workloads):
+        print(
+            "[perf-smoke] FAIL: generated SQL reached the parser "
+            "(only DDL may miss the parse memo)",
+            file=sys.stderr,
+        )
+        return 1
+    print(
+        "[perf-smoke] OK: shipped and cache-off runs are bit-identical, "
+        "and only DDL missed the parse memo"
+    )
     return 0
 
 
