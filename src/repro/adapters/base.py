@@ -94,13 +94,13 @@ class EngineAdapter(abc.ABC):
         (simulated engines only; real DBMSs return an empty set)."""
         return frozenset()
 
-    def attach_eval_cache(self, cache, namespace: str = "") -> None:
-        """Attach a worker-local :class:`repro.perf.EvalCache`.
+    def attach_eval_cache(self, cache) -> None:
+        """Attach the parse memo of a worker-local
+        :class:`repro.perf.EvalCache`.
 
         Only the MiniDB adapter caches; real-DBMS adapters ignore the
-        call.  *namespace* disambiguates statement-result keys when one
-        cache serves several adapters (e.g. a differential pair whose
-        two backends may share a display name but not behaviour).
+        call.  Parsing is pure, so any number of adapters may share one
+        cache.
         """
 
     def attach_profiler(self, profiler) -> None:

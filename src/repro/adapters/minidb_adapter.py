@@ -1,13 +1,13 @@
 """Adapter exposing a MiniDB engine through the black-box protocol.
 
-With an attached :class:`repro.perf.EvalCache` the adapter memoizes on
-two levels -- parsed statements (primed by the oracles and the state
-generator with parser-normal ASTs) and whole read-only statement
-outcomes keyed by a state-token hash chain -- while staying
-observationally identical to the uncached path: statement-result
-replays restore fired fault ids, coverage tags,
-``statements_executed``, and re-raise recorded errors.
-The engine underneath runs the same code either way.
+An attached :class:`repro.perf.EvalCache` lends the adapter its parse
+memo, primed by the oracles and the state generator with parser-normal
+ASTs; that is all a campaign or triage replay attaches.  ddmin's
+candidate adapters also attach its statement memo
+(:meth:`MiniDBAdapter.attach_replay_memo`): read-only statement outcomes
+keyed by a state-token hash chain, whose replays restore the fired
+fault ids and re-raise recorded errors.  The engine underneath runs the
+same code either way.
 """
 
 from __future__ import annotations
@@ -35,24 +35,25 @@ class MiniDBAdapter(EngineAdapter):
         self.supports_any_all = self.engine.profile.supports_any_all
         self.strict_typing = self.engine.mode is TypingMode.STRICT
         self._cache = None
-        self._cache_ns = self.name
-        self._state_token = ""
+        #: Hash-chain token of the writes since the last reset while a
+        #: replay memo is attached, else None.
+        self._state_token: str | None = None
 
     # -- perf layer ----------------------------------------------------------
 
-    def attach_eval_cache(self, cache, namespace: str = "") -> None:
+    def attach_eval_cache(self, cache) -> None:
+        self._cache = cache
+        self._state_token = None
+
+    def attach_replay_memo(self, cache) -> None:
+        """Attach *cache* with its statement memo too, to a fresh
+        adapter.  Its hash chain starts at ``init``, so adapters of one
+        configuration that replay the same write prefix share the
+        outcomes of the SELECTs after it: ddmin's candidates."""
         from repro.perf.cache import INITIAL_STATE_TOKEN
 
         self._cache = cache
-        self._cache_ns = namespace or self.name
-        # A pristine engine starts the shared hash chain (so fresh
-        # adapters replaying the same program share results); an engine
-        # with history gets a token no other chain can collide with.
-        self._state_token = (
-            INITIAL_STATE_TOKEN
-            if self.engine.statements_executed == 0
-            else cache.unique_token()
-        )
+        self._state_token = INITIAL_STATE_TOKEN
 
     def prime_parse(self, sql: str, ast) -> None:
         # Membership check first: the normalization walk would be
@@ -88,13 +89,13 @@ class MiniDBAdapter(EngineAdapter):
             prof.end("parse", t0)
         t0 = prof.begin()
         try:
-            if cache is None:
+            if self._state_token is None:
                 return self._to_exec_result(self.engine.execute_ast(stmt))
-            return self._execute_cached(sql, cache, stmt)
+            return self._execute_replayed(sql, cache, stmt)
         finally:
             prof.end("execute", t0)
 
-    def _execute_cached(self, sql: str, cache, stmt) -> ExecResult:
+    def _execute_replayed(self, sql: str, cache, stmt) -> ExecResult:
         from repro.perf.cache import CachedStatement, advance_state_token
 
         engine = self.engine
@@ -105,17 +106,13 @@ class MiniDBAdapter(EngineAdapter):
             self._state_token = advance_state_token(self._state_token, sql)
             return self._to_exec_result(engine.execute_ast(stmt))
 
-        key = (self._cache_ns, self._state_token, sql)
+        key = (self._state_token, sql)
         entry = cache.lookup_statement(key)
         if entry is not None:
-            # Replay every observable side effect of the recorded
-            # execution, then return (or raise) its outcome.
-            engine.statements_executed += 1
+            # Replay what the still-fails check observes -- the fired
+            # fault ids -- then return (or raise) the recorded outcome.
             engine.faults.reset_fired()
             engine.faults.fired |= entry.fired
-            coverage = engine.coverage
-            for tag in entry.cov_tags:
-                coverage.hit(tag)
             entry.raise_error()
             return ExecResult(
                 columns=list(entry.columns),
@@ -124,12 +121,6 @@ class MiniDBAdapter(EngineAdapter):
                 rows_affected=entry.rows_affected,
             )
 
-        # Capture the statement's *full* tag set (not the delta against
-        # this engine's cumulative hits): the entry may be replayed on a
-        # different engine with the same state token -- the ddmin and
-        # triage-replay sharing pattern -- whose tracker has seen none
-        # of these tags yet.
-        saved_hits = engine.coverage.begin_capture()
         try:
             result = engine.execute_ast(stmt)
         except (SqlError, EngineFailure) as exc:
@@ -137,16 +128,10 @@ class MiniDBAdapter(EngineAdapter):
                 key,
                 CachedStatement(
                     fired=frozenset(engine.faults.fired),
-                    cov_tags=engine.coverage.end_capture(saved_hits),
                     error_type=type(exc),
                     error_message=str(exc),
                 ),
             )
-            raise
-        except BaseException:
-            # Unexpected failure class: restore cumulative coverage and
-            # cache nothing.
-            engine.coverage.end_capture(saved_hits)
             raise
         cache.store_statement(
             key,
@@ -156,7 +141,6 @@ class MiniDBAdapter(EngineAdapter):
                 plan_fingerprint=result.plan_fingerprint,
                 rows_affected=result.rows_affected,
                 fired=frozenset(engine.faults.fired),
-                cov_tags=engine.coverage.end_capture(saved_hits),
             ),
         )
         return self._to_exec_result(result)
@@ -190,8 +174,8 @@ class MiniDBAdapter(EngineAdapter):
         profile = self.engine.profile
         faults = self.engine.faults.faults
         self.engine = Engine(profile=profile, faults=faults)
-        if self._cache is not None:
-            self.attach_eval_cache(self._cache, self._cache_ns)
+        if self._state_token is not None:
+            self.attach_replay_memo(self._cache)
 
     def fired_fault_ids(self) -> frozenset[str]:
         return frozenset(self.engine.faults.fired)

@@ -6,10 +6,9 @@ is expected to yield no discrepancies -- the examples use it to show
 applicability, not to claim new bugs.
 
 The adapter does not cache: it inherits the no-op
-:meth:`~repro.adapters.base.EngineAdapter.attach_eval_cache`.
-Differential campaigns and their triage replays run each read-only
-statement once and are never ddmin-reduced, so a statement memo here
-would not hit.
+:meth:`~repro.adapters.base.EngineAdapter.attach_eval_cache`.  SQLite
+parses its own SQL, and the statement memo serves only ddmin, which
+never reduces a real backend's reports.
 """
 
 from __future__ import annotations

@@ -16,6 +16,8 @@ Like NoREC, TLP generates no subqueries.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.generator.expr_gen import ExprGenerator
 from repro.generator.query_gen import FromSkeleton, QueryGenerator
 from repro.minidb import ast_nodes as A
@@ -77,12 +79,15 @@ class TLPOracle(Oracle):
             # Execute the three partitions as one UNION ALL query -- the
             # paper notes TLP randomly chooses between the two forms,
             # which is why its QPT averages just above 2 (Section 4.3).
-            parts_sql = [
-                self.query_gen.star_query(skeleton, part).to_sql()
-                for part in partitions
-            ]
-            combined = " UNION ALL ".join(parts_sql)
-            union = list(self.execute(combined, is_main_query=True).rows)
+            # The chain nests to the right, as the parser builds it.
+            combined = None
+            for part in reversed(partitions):
+                q = self.query_gen.star_query(skeleton, part)
+                if combined is not None:
+                    q = dataclasses.replace(q, set_op=("UNION", True, combined))
+                combined = q
+            sql = combined.to_sql()
+            union = list(self.execute(sql, is_main_query=True, ast=combined).rows)
         else:
             for i, part in enumerate(partitions):
                 q = self.query_gen.star_query(skeleton, part)

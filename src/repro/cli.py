@@ -227,7 +227,6 @@ def _add_corpus_parser(sub) -> None:
         help="override the MiniDB profile used for replay (default: "
         "the dialect recorded per entry, else inferred from fault ids)",
     )
-    _add_replay_cache_arg(report)
 
     merge = csub.add_parser(
         "merge",
@@ -263,7 +262,6 @@ def _add_corpus_parser(sub) -> None:
         help="exit nonzero when any cluster replays as stale "
         "(unverifiable clusters have nothing to re-check and pass)",
     )
-    _add_replay_cache_arg(replay)
 
 
 def _add_backends_parser(sub) -> None:
@@ -384,17 +382,6 @@ def _add_obs_args(sub_parser) -> None:
     )
     sub_parser.add_argument(
         "--quiet", action="store_true", help="suppress progress lines"
-    )
-
-
-def _add_replay_cache_arg(sub_parser) -> None:
-    sub_parser.add_argument(
-        "--cache",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="share one evaluation cache across replayed witnesses "
-        "(default: on; verdicts are identical either way).  --no-cache "
-        "replays every witness on the uncached reference path.",
     )
 
 
@@ -838,9 +825,7 @@ def _corpus_report(args) -> int:
     verdicts = (
         None
         if args.no_replay
-        else replay_clusters(
-            clusters, dialect=args.dialect, use_cache=args.cache
-        )
+        else replay_clusters(clusters, dialect=args.dialect)
     )
     print(render_triage(clusters, verdicts, fmt=args.format))
     return 0
@@ -858,9 +843,7 @@ def _corpus_merge(args) -> int:
 
 def _corpus_replay(args) -> int:
     clusters = cluster_corpus(load_corpus(args.paths))
-    verdicts = replay_clusters(
-        clusters, dialect=args.dialect, use_cache=args.cache
-    )
+    verdicts = replay_clusters(clusters, dialect=args.dialect)
     stale = 0
     for cluster in clusters:
         verdict = verdicts[cluster.cluster_id]

@@ -80,14 +80,10 @@ class DifferentialAdapter(EngineAdapter):
     def backend_names(self) -> tuple[str, str]:
         return self.policy.backend_names()
 
-    def attach_eval_cache(self, cache, namespace: str = "") -> None:
-        """One cache serves both backends, under role-based namespaces:
-        the pair may be built from two engines with the same display
-        name but different fault catalogs (only the primary is seeded
-        with bugs), so results must never cross between roles."""
-        prefix = namespace or "diff"
-        self.primary.attach_eval_cache(cache, f"{prefix}/primary")
-        self.secondary.attach_eval_cache(cache, f"{prefix}/secondary")
+    def attach_eval_cache(self, cache) -> None:
+        """One parse memo serves both backends."""
+        self.primary.attach_eval_cache(cache)
+        self.secondary.attach_eval_cache(cache)
 
     def attach_profiler(self, profiler) -> None:
         """Both backends report into the same profiler: the pair's

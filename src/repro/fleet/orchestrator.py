@@ -996,11 +996,11 @@ class ReplayReducer:
         check it.  Candidates replay on *cache*; None replays uncached.
 
         A fleet shard passes its own cache, warm with the campaign that
-        found the bug: the witness's statements are parsed, and SELECTs
-        the campaign ran after the same writes are memoized.  Sharing it
-        is exact because the campaign's adapter and the candidates'
-        adapters are built from one configuration, so they share a
-        namespace and start their state-token chains at ``init``.
+        found the bug, so the witness's statements are parse hits.  The
+        candidates also share its statement memo with each other, the
+        one traffic that repeats a SELECT after the same writes: they
+        are fresh adapters of one configuration, so equal write
+        prefixes reach equal state tokens.
         """
         target = set(report.fired_faults)
         if not target and report.kind == "logic":
@@ -1018,7 +1018,7 @@ class ReplayReducer:
                     self.adapter, dialect=self.dialect, buggy=self.buggy
                 )
                 if cache is not None:
-                    adapter.attach_eval_cache(cache)
+                    adapter.attach_replay_memo(cache)
                 verdicts[key] = replay_witness(
                     adapter, stmts, report.kind, target, pair=False
                 )[0]

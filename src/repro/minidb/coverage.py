@@ -35,29 +35,6 @@ class CoverageTracker:
     def reset(self) -> None:
         self._hits.clear()
 
-    def begin_capture(self) -> set[str]:
-        """Start recording the *full* tag set of the next statement.
-
-        Swaps in an empty hit set and returns the saved one; pass it to
-        :meth:`end_capture`.  Needed by the perf layer: a cached
-        statement outcome must record every tag the statement exercises
-        (not just the tags new to this tracker), because the entry may
-        be replayed onto a different engine whose tracker has not seen
-        them yet.
-        """
-        saved = self._hits
-        self._hits = set()
-        return saved
-
-    def end_capture(self, saved: set[str]) -> frozenset[str]:
-        """Finish a :meth:`begin_capture` scope: fold the captured tags
-        back into *saved* (restoring cumulative state exactly as if no
-        capture had happened) and return them."""
-        captured = frozenset(self._hits)
-        saved.update(self._hits)
-        self._hits = saved
-        return captured
-
     @property
     def hits(self) -> frozenset[str]:
         return frozenset(self._hits)

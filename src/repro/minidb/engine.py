@@ -86,7 +86,6 @@ class Engine:
         self.database = Database()
         self.coverage = CoverageTracker()
         self.faults = FaultInjector(faults)
-        self.statements_executed = 0
         self._feature_cache: dict[int, dict] = {}
         self._subplan_cache: dict[int, object] = {}
         self._subquery_result_cache: dict[int, Materialized] = {}
@@ -118,7 +117,6 @@ class Engine:
 
     def execute_ast(self, stmt: A.Statement) -> QueryResult:
         """Execute an already-parsed statement."""
-        self.statements_executed += 1
         self.faults.reset_fired()
         self._feature_cache.clear()
         self._subplan_cache.clear()

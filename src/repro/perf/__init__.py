@@ -15,23 +15,37 @@ identical across the statements of one campaign (ROADMAP,
   ``hunt --buggy`` misses the memo 458 times, all on ``CREATE`` and
   ``DROP``; before the relation folder and the state generator primed
   theirs, it missed 1,565 times.
-* **statement** -- ``(namespace, state token, SQL)`` -> the full
-  observable outcome of a read-only statement: result rows, plan
-  fingerprint, fired fault ids, newly hit coverage tags, or the raised
-  error.  The state token is a hash chain over every state-changing
-  statement since ``reset()``, so DML/DDL invalidates implicitly and
-  two adapters replaying the same program prefix share entries.  A
-  campaign runs almost every query once, so the hits come from ddmin
-  (in-process, seed 13 unless noted):
+* **statement** -- ``(state token, SQL)`` -> the outcome of a read-only
+  statement as ddmin observes it: result rows, plan fingerprint, fired
+  fault ids, or the raised error.  The state token is a hash chain over
+  every state-changing statement since ``reset()``, so DML/DDL
+  invalidates implicitly and two adapters replaying the same program
+  prefix share entries.
 
-  ==============================================  =======  ====  ========
-  run                                             lookups  hits  furthest
-  ==============================================  =======  ====  ========
-  ``hunt``, 1,000 tests                           3,040    16    52
-  ``diff`` minidb/sqlite3, 1,500 tests, seed 3    1,502    0     --
-  triage replay of that fleet's 75 clusters       75       0     --
-  reducing guided fleet, 1 worker, 600 tests      2,715    260   13
-  ==============================================  =======  ====  ========
+Each job attaches the memos its traffic uses.  A campaign runs the
+auxiliary, original and folded query of a test once each (paper
+Algorithm 1), and triage replays each witness once, so both attach the
+parse memo alone
+(:meth:`~repro.adapters.base.EngineAdapter.attach_eval_cache`).  Only
+ddmin re-runs statement prefixes: the fresh adapters it builds for its
+candidates attach the statement memo too
+(:meth:`~repro.adapters.minidb_adapter.MiniDBAdapter.attach_replay_memo`).
+Statement-memo traffic, in-process:
+
+  ==================================================  =======  ====  ========
+  run                                                 lookups  hits  furthest
+  ==================================================  =======  ====  ========
+  ``hunt``, 1,000 tests, seed 13                      0        0     --
+  ``diff`` minidb/sqlite3, 1,500 tests, seed 3        0        0     --
+  triage replay of that fleet's 75 clusters           0        0     --
+  reducing guided 1-worker fleet, 600 tests, seed 5   713      186   11
+  the same fleet at seed 13                           882      228   13
+  ==================================================  =======  ====  ========
+
+Attached to campaigns, the statement memo got 16 hits in 3,040 lookups
+on ``hunt`` and none in 1,502 on ``diff``, at the price of a lookup, a
+row copy and an LRU insert per SELECT; ddmin found 29 and 25 of its
+hits (seeds 5 and 13) among the campaign's entries.
 
 Both memos are LRU, and one constant,
 :data:`~repro.perf.cache.MEMO_ENTRIES` (256), bounds each of them.  It
@@ -40,7 +54,7 @@ were touched between a hit and that entry's previous use ("furthest"
 above is the largest).  Over ``hunt`` (1,000 tests), ``diff``
 minidb/sqlite3 (1,500 tests) and reducing guided 1-worker fleets (600
 tests), at seeds 5 and 13, no statement hit came from further back than
-52 entries, and 96.0 % (``hunt``), 98.3 % (``diff``) and 99.9 % (fleet)
+13 entries, and 96.0 % (``hunt``), 98.3 % (``diff``) and 99.9 % (fleet)
 of parse hits came from within 256.  So the cache's memory stays
 bounded instead of growing with the campaign: a larger bound only
 keeps entries that almost never come back.

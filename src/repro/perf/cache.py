@@ -1,10 +1,10 @@
 """The worker-local evaluation cache.
 
 See :mod:`repro.perf` for its two memo domains, parse and statement,
-and the determinism contract.  The cache is deliberately dumb storage:
-the MiniDB adapter decides what is safe to memoize and how to replay
-recorded side effects; the cache only bounds memory (LRU per domain)
-and counts hits/misses.
+which job attaches which, and the determinism contract.  The cache is
+deliberately dumb storage: the MiniDB adapter decides what is safe to
+memoize and how to replay recorded side effects; the cache only bounds
+memory (LRU per domain) and counts hits/misses.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from repro.minidb.parser import parse_statement
 #: statement hit and 96-99.9 % of parse hits fall within it.
 MEMO_ENTRIES = 256
 
-#: Token of a freshly reset database state.  Every adapter starts its
-#: hash chain here, so two adapters replaying the same statement prefix
-#: arrive at the same token (cross-replay sharing in ddmin/triage).
+#: Token of a freshly reset database state.  Every replay adapter
+#: starts its hash chain here, so two candidates replaying the same
+#: statement prefix arrive at the same token (sharing within ddmin).
 INITIAL_STATE_TOKEN = "init"
 
 
@@ -78,13 +78,13 @@ class CacheStats:
 
 @dataclass(frozen=True)
 class CachedStatement:
-    """The full observable outcome of one read-only statement.
+    """The outcome of one read-only statement, as ddmin observes it.
 
     Replaying an entry must be indistinguishable from re-executing the
-    statement, so it records not just the result but every engine side
-    effect the campaign can observe: fired fault ids (ground-truth bug
-    attribution), newly hit coverage tags (branch coverage), and -- for
-    statements that raised -- the exception class and message.
+    statement for the still-fails check, so it records the result, the
+    fired fault ids (ground-truth bug attribution) and -- for statements
+    that raised -- the exception class and message.  Coverage is not
+    recorded: nothing reads a replay adapter's coverage.
     """
 
     columns: tuple[str, ...] = ()
@@ -92,7 +92,6 @@ class CachedStatement:
     plan_fingerprint: str | None = None
     rows_affected: int = 0
     fired: frozenset = frozenset()
-    cov_tags: frozenset = frozenset()
     error_type: type | None = None
     error_message: str = ""
 
@@ -104,6 +103,10 @@ class CachedStatement:
 class EvalCache:
     """One worker's evaluation cache (never shared across processes).
 
+    Campaigns and triage replay use only the parse memo
+    (:meth:`~repro.adapters.base.EngineAdapter.attach_eval_cache`);
+    ddmin's candidate adapters also use the statement memo
+    (:meth:`~repro.adapters.minidb_adapter.MiniDBAdapter.attach_replay_memo`).
     :data:`MEMO_ENTRIES` bounds each of the two keyed domains via LRU
     eviction, so its memory does not grow with the campaign; eviction
     order is a pure function of the lookup sequence, so the bounded
@@ -114,19 +117,6 @@ class EvalCache:
         self.stats = CacheStats()
         self._parse: OrderedDict[str, A.Statement] = OrderedDict()
         self._stmt: OrderedDict[tuple, CachedStatement] = OrderedDict()
-        self._token_seq = 0
-
-    def unique_token(self) -> str:
-        """A state token no other chain can reach.
-
-        Used when a cache is attached to an adapter whose database is
-        not pristine: its true history is unknown, so it must not claim
-        :data:`INITIAL_STATE_TOKEN` and alias a genuinely fresh state.
-        Deterministic (a per-cache counter), so campaigns that attach
-        mid-life stay replayable.
-        """
-        self._token_seq += 1
-        return f"attach:{self._token_seq}"
 
     # -- parse memo ---------------------------------------------------------
 

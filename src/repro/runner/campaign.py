@@ -187,8 +187,10 @@ class Campaign:
         self.oracle = oracle
         self.adapter = adapter
         #: Worker-local evaluation cache (:class:`repro.perf.EvalCache`)
-        #: attached to the adapter for the campaign's lifetime; None runs
-        #: the historical uncached path.  Campaign results are
+        #: whose parse memo the adapter uses for the campaign's
+        #: lifetime; None runs the historical uncached path.  A campaign
+        #: runs almost every SELECT once, so it leaves the statement
+        #: memo to ddmin (``on_report``).  Campaign results are
         #: bit-identical either way (asserted by tests/perf and the
         #: perf-smoke CI gate); only wall-clock and the cache_stats
         #: counters differ.

@@ -33,6 +33,7 @@ from typing import Iterable
 from repro.backends import backend_names, build_backend
 from repro.dialects import FAULTS_BY_ID
 from repro.differential import build_pair_adapter
+from repro.perf.cache import EvalCache
 from repro.runner.reducer import replay_witness
 from repro.triage.cluster import Cluster
 
@@ -101,13 +102,13 @@ def replay_representative(
     recorded program (a too-aggressive past reduction must not condemn
     a live bug as stale).
 
-    *cache* (a :class:`repro.perf.EvalCache`) is attached to every
-    freshly built engine, so the state-building DDL prefix the reduced
-    and full witnesses share is parsed once instead of once per
+    *cache* (a :class:`repro.perf.EvalCache`) lends its parse memo to
+    every freshly built engine, so the state-building DDL prefix the
+    reduced and full witnesses share is parsed once instead of once per
     verification -- and once per *corpus* when :func:`replay_clusters`
     shares one cache across clusters.  Verdicts are identical with or
-    without the cache; None replays uncached (the CLI's
-    ``--no-cache``).
+    without the cache; None parses every statement afresh.  A witness
+    runs each SELECT once, so replay has no use for the statement memo.
     """
     rep = cluster.representative
     target = set(cluster.faults)
@@ -148,14 +149,10 @@ def replay_representative(
 def replay_clusters(
     clusters: Iterable[Cluster],
     dialect: "str | None" = None,
-    use_cache: bool = True,
 ) -> dict[str, ReplayVerdict]:
-    """Verdict per :attr:`Cluster.cluster_id` for every cluster."""
-    cache = None
-    if use_cache:
-        from repro.perf import EvalCache
-
-        cache = EvalCache()
+    """Verdict per :attr:`Cluster.cluster_id` for every cluster, replayed
+    on one parse memo."""
+    cache = EvalCache()
     return {
         c.cluster_id: replay_representative(c, dialect=dialect, cache=cache)
         for c in clusters
@@ -177,14 +174,7 @@ def _replay_once(
     else:
         adapter = build_backend("minidb", dialect=dialect, buggy=buggy)
     if cache is not None:
-        # The namespace pins the full engine configuration: one shared
-        # cache must never replay a result recorded under a different
-        # fault catalog, dialect, or backend pair.
-        namespace = (
-            f"replay/{'|'.join(pair) if pair else 'minidb'}"
-            f"/{dialect}/buggy={buggy}"
-        )
-        adapter.attach_eval_cache(cache, namespace)
+        adapter.attach_eval_cache(cache)
     return replay_witness(
         adapter, statements, kind, target, pair=pair is not None
     )

@@ -276,7 +276,7 @@ class TestShardReduction:
             def fired_fault_ids(self):
                 return frozenset({"f"})
 
-            def attach_eval_cache(self, cache, namespace=""):
+            def attach_replay_memo(self, cache):
                 pass
 
         monkeypatch.setattr(

@@ -1,17 +1,23 @@
 """Unit tests for the worker-local evaluation cache (repro.perf).
 
 Covers the two memo domains (parse, statement), the state-token
-invalidation on DML and DDL, side-effect replay (fired faults, coverage
-tags, recorded errors), LRU bounds, and cross-adapter sharing rules.
+invalidation on DML and DDL, side-effect replay (fired faults, recorded
+errors), LRU bounds, cross-adapter sharing rules, and which job
+consults which memo: campaigns and triage the parse memo alone, ddmin
+the statement memo too.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.adapters.minidb_adapter import MiniDBAdapter
+from repro.cli import main as cli_main
 from repro.errors import CatalogError, InternalError
 from repro.fleet import BugCorpus, FleetConfig, make_replay_reducer, run_fleet
+from repro.fleet.orchestrator import ReplayReducer
 from repro.minidb.engine import Engine
 from repro.minidb.faults import BugStatus, BugType, Fault, always
 from repro.minidb.parser import parse_statement
@@ -19,6 +25,7 @@ from repro.perf import EvalCache, parser_normal
 from repro.perf import cache as cache_module
 from repro.perf.cache import INITIAL_STATE_TOKEN, advance_state_token
 from repro.runner.campaign import CampaignStats
+from repro.triage.replay import replay_clusters
 
 
 def _invert_fault(site: str = "where_result") -> Fault:
@@ -46,10 +53,11 @@ def _error_fault() -> Fault:
     )
 
 
-def _cached_adapter(faults=None) -> tuple[MiniDBAdapter, EvalCache]:
+def _replay_adapter(faults=None) -> tuple[MiniDBAdapter, EvalCache]:
+    """A fresh adapter with the statement memo, as ddmin attaches it."""
     adapter = MiniDBAdapter(Engine(faults=faults))
     cache = EvalCache()
-    adapter.attach_eval_cache(cache)
+    adapter.attach_replay_memo(cache)
     return adapter, cache
 
 
@@ -64,7 +72,7 @@ def _seed_table(adapter) -> None:
 
 
 def test_state_token_advances_on_every_write_kind():
-    adapter, _cache = _cached_adapter()
+    adapter, _cache = _replay_adapter()
     tokens = [adapter._state_token]
     for sql in (
         "CREATE TABLE t (a INT)",
@@ -83,7 +91,7 @@ def test_state_token_advances_on_every_write_kind():
 
 
 def test_failed_write_still_advances_state_token():
-    adapter, _cache = _cached_adapter()
+    adapter, _cache = _replay_adapter()
     adapter.execute("CREATE TABLE t (a INT)")
     before = adapter._state_token
     with pytest.raises(CatalogError):
@@ -92,7 +100,7 @@ def test_failed_write_still_advances_state_token():
 
 
 def test_statement_cache_hit_and_dml_invalidation():
-    adapter, cache = _cached_adapter()
+    adapter, cache = _replay_adapter()
     _seed_table(adapter)
     first = adapter.execute("SELECT a FROM t WHERE b >= 20").rows
     again = adapter.execute("SELECT a FROM t WHERE b >= 20").rows
@@ -121,7 +129,7 @@ def test_divergent_histories_never_share_results():
     rows = {}
     for value in (1, 2):
         adapter = MiniDBAdapter(Engine())
-        adapter.attach_eval_cache(cache, "shared")
+        adapter.attach_replay_memo(cache)
         adapter.execute("CREATE TABLE t (a INT)")
         adapter.execute(f"INSERT INTO t VALUES ({value})")
         rows[value] = adapter.execute("SELECT a FROM t").rows
@@ -135,36 +143,10 @@ def test_identical_histories_share_results_across_adapters():
     cache = EvalCache()
     for _ in range(2):
         adapter = MiniDBAdapter(Engine())
-        adapter.attach_eval_cache(cache, "shared")
+        adapter.attach_replay_memo(cache)
         _seed_table(adapter)
         assert adapter.execute("SELECT COUNT(*) FROM t").rows == [(3,)]
     assert cache.stats.stmt_hits == 1
-
-
-def test_attach_to_used_adapter_gets_unique_token():
-    cache = EvalCache()
-    used = MiniDBAdapter(Engine())
-    used.execute("CREATE TABLE t (a INT)")
-    used.attach_eval_cache(cache, "shared")
-    assert used._state_token != INITIAL_STATE_TOKEN
-    fresh = MiniDBAdapter(Engine())
-    fresh.attach_eval_cache(cache, "shared")
-    assert fresh._state_token == INITIAL_STATE_TOKEN
-
-
-def test_namespaces_partition_the_statement_cache():
-    cache = EvalCache()
-    plain = MiniDBAdapter(Engine())
-    plain.attach_eval_cache(cache, "plain")
-    buggy = MiniDBAdapter(Engine(faults=[_invert_fault()]))
-    buggy.attach_eval_cache(cache, "buggy")
-    for adapter in (plain, buggy):
-        _seed_table(adapter)
-    sql = "SELECT a FROM t WHERE a = 2"
-    assert plain.execute(sql).rows == [(2,)]
-    # The inverting fault flips the WHERE verdict; a namespace-less
-    # cache would have replayed the plain adapter's rows here.
-    assert buggy.execute(sql).rows == [(1,), (3,)]
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +155,7 @@ def test_namespaces_partition_the_statement_cache():
 
 
 def test_cache_hit_replays_fired_faults():
-    adapter, cache = _cached_adapter(faults=[_invert_fault()])
+    adapter, cache = _replay_adapter(faults=[_invert_fault()])
     _seed_table(adapter)
     sql = "SELECT a FROM t WHERE a = 1"
     first = adapter.execute(sql)
@@ -186,7 +168,7 @@ def test_cache_hit_replays_fired_faults():
 
 
 def test_cache_hit_replays_recorded_sql_errors():
-    adapter, cache = _cached_adapter()
+    adapter, cache = _replay_adapter()
     _seed_table(adapter)
     sql = "SELECT missing FROM t"
     with pytest.raises(CatalogError) as first:
@@ -198,7 +180,7 @@ def test_cache_hit_replays_recorded_sql_errors():
 
 
 def test_cache_hit_replays_internal_errors_with_attribution():
-    adapter, cache = _cached_adapter(faults=[_error_fault()])
+    adapter, cache = _replay_adapter(faults=[_error_fault()])
     _seed_table(adapter)
     sql = "SELECT a FROM t WHERE a = 1"
     with pytest.raises(InternalError) as first:
@@ -212,60 +194,14 @@ def test_cache_hit_replays_internal_errors_with_attribution():
     assert adapter.fired_fault_ids() == fired
 
 
-def test_cache_hit_replays_coverage_tags():
-    adapter, cache = _cached_adapter()
-    _seed_table(adapter)
-    sql = "SELECT a FROM t WHERE a BETWEEN 1 AND 2"
-    adapter.execute(sql)
-    hits_before = adapter.engine.coverage.hits
-    adapter.engine.coverage.reset()
-    adapter.execute(sql)  # replayed from cache onto a reset tracker
-    assert cache.stats.stmt_hits == 1
-    replayed = adapter.engine.coverage.hits
-    assert "eval.between" in replayed
-    assert replayed <= hits_before
-
-
-def test_cross_engine_hit_replays_full_coverage_tag_set():
-    """A cached entry records the statement's FULL tag set, not the
-    delta against the recording engine's cumulative hits: a fresh
-    engine replaying the same write history (the ddmin/triage sharing
-    pattern) must end up with exactly the coverage an uncached engine
-    running the identical program would have."""
-    program = [
-        "CREATE TABLE t (a INT)",
-        "INSERT INTO t VALUES (1), (2), (3)",
-        "SELECT a FROM t WHERE a > 1",              # warms recorder coverage
-        "SELECT a FROM t WHERE a > 1 ORDER BY a",   # the shared entry
-    ]
-    cache = EvalCache()
-    recorder = MiniDBAdapter(Engine())
-    recorder.attach_eval_cache(cache, "shared")
-    for sql in program:
-        recorder.execute(sql)
-
-    # Fresh cached engine replays only the writes + the last SELECT:
-    # the SELECT is a cross-engine cache hit.
-    replayer = MiniDBAdapter(Engine())
-    replayer.attach_eval_cache(cache, "shared")
-    for sql in program[:2] + program[3:]:
-        replayer.execute(sql)
-    assert cache.stats.stmt_hits == 1
-
-    uncached = MiniDBAdapter(Engine())
-    for sql in program[:2] + program[3:]:
-        uncached.execute(sql)
-    assert replayer.engine.coverage.hits == uncached.engine.coverage.hits
-
-
 def test_recording_does_not_disturb_cumulative_coverage():
-    adapter, _cache = _cached_adapter()
+    adapter, _cache = _replay_adapter()
     uncached = MiniDBAdapter(Engine())
     for sql in (
         "CREATE TABLE t (a INT)",
         "INSERT INTO t VALUES (1), (2)",
         "SELECT a FROM t WHERE a BETWEEN 1 AND 2",
-        "SELECT missing FROM t",  # error path also uses capture scopes
+        "SELECT missing FROM t",  # the error path records too
         "SELECT COUNT(*) FROM t",
     ):
         for a in (adapter, uncached):
@@ -274,16 +210,6 @@ def test_recording_does_not_disturb_cumulative_coverage():
             except CatalogError:
                 pass
     assert adapter.engine.coverage.hits == uncached.engine.coverage.hits
-
-
-def test_statements_executed_counts_cache_hits():
-    adapter, cache = _cached_adapter()
-    _seed_table(adapter)
-    before = adapter.engine.statements_executed
-    adapter.execute("SELECT * FROM t")
-    adapter.execute("SELECT * FROM t")
-    assert cache.stats.stmt_hits == 1
-    assert adapter.engine.statements_executed == before + 2
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +254,7 @@ def test_lru_bounds_are_enforced(monkeypatch):
     from repro.perf.cache import CachedStatement
 
     for i in range(5):
-        cache.store_statement(("ns", "tok", f"SELECT {i}"), CachedStatement())
+        cache.store_statement(("tok", f"SELECT {i}"), CachedStatement())
     assert len(cache._stmt) == 2
 
 
@@ -357,6 +283,64 @@ def test_memo_bound_keeps_the_reused_entries(monkeypatch):
     assert unbounded["stmt_hits"] > 0
     assert shipped["stmt_hits"] == unbounded["stmt_hits"]
     assert shipped["parse_hits"] >= 0.95 * unbounded["parse_hits"]
+
+
+# ---------------------------------------------------------------------------
+# Which job consults the statement memo
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def stmt_lookups(monkeypatch):
+    """Statement-memo lookups by ``(made by ddmin?, hit?)``."""
+    lookups: Counter = Counter()
+    reducing = [0]
+    lookup = EvalCache.lookup_statement
+    reduce = ReplayReducer.__call__
+
+    def counted(cache, key):
+        entry = lookup(cache, key)
+        lookups[bool(reducing[0]), entry is not None] += 1
+        return entry
+
+    def reducer(self, *args, **kwargs):
+        reducing[0] += 1
+        try:
+            return reduce(self, *args, **kwargs)
+        finally:
+            reducing[0] -= 1
+
+    monkeypatch.setattr(EvalCache, "lookup_statement", counted)
+    monkeypatch.setattr(ReplayReducer, "__call__", reducer)
+    return lookups
+
+
+def test_only_ddmin_consults_the_statement_memo(stmt_lookups, capsys):
+    """Campaigns run almost every SELECT once, so they attach the parse
+    memo alone; ddmin's candidates replay statement prefixes, so they
+    attach the statement memo too."""
+    assert cli_main(["hunt", "--buggy", "--tests", "200", "--seed", "5"]) == 0
+    assert cli_main(
+        ["diff", "--backends", "minidb,sqlite3", "--buggy", "--tests", "150",
+         "--seed", "3"]
+    ) == 0
+    assert "eval cache:" in capsys.readouterr().out
+    assert not stmt_lookups
+
+    config = FleetConfig(
+        oracle="coddtest",
+        buggy=True,
+        workers=1,
+        seed=5,
+        n_tests=200,
+        guidance="plan-coverage",
+    )
+    corpus = BugCorpus(reduce_fn=make_replay_reducer(config))
+    result = run_fleet(config, corpus=corpus)
+    replay_clusters(result.clusters)
+    assert stmt_lookups[True, True] > 0
+    assert stmt_lookups[True, True] == result.merged.cache_stats["stmt_hits"]
+    assert stmt_lookups[False, True] == stmt_lookups[False, False] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -467,9 +467,8 @@ class TestCorpusCli:
         out = capsys.readouterr().out
         assert "0 stale" in out
 
-    @pytest.mark.parametrize("cache_flag", [[], ["--no-cache"]])
     def test_replay_prints_each_verdict_and_strict_fails_on_stale(
-        self, capsys, cache_flag
+        self, capsys
     ):
         # The fixture's clusters replay on one engine (logic by fault
         # firing, internal error by failure class) and on a backend pair
@@ -481,7 +480,7 @@ class TestCorpusCli:
             Path(__file__).parents[1] / "triage" / "fixtures"
             / "corpus_small.jsonl"
         )
-        assert cli_main(["corpus", "replay", *cache_flag, corpus]) == 0
+        assert cli_main(["corpus", "replay", corpus]) == 0
         assert capsys.readouterr().out.splitlines() == [
             "1bba4b2f58  stale        [logic] sqlite_having_between: "
             "faults ['sqlite_having_between'] no longer fire on replay",
@@ -495,9 +494,7 @@ class TestCorpusCli:
             "",
             "4 cluster(s): 3 stale, 1 reproducing or unverifiable",
         ]
-        assert cli_main(
-            ["corpus", "replay", "--strict", *cache_flag, corpus]
-        ) == 1
+        assert cli_main(["corpus", "replay", "--strict", corpus]) == 1
 
     def test_report_rejects_missing_file(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.jsonl")

@@ -10,13 +10,15 @@ Two duties:
    deterministic campaign signatures, corpus fingerprints, guided arm
    schedules, reduced witnesses and replay verdicts.  This is the
    bit-identity promise of :mod:`repro.perf`, checked end to end on
-   every push.  Only the MiniDB adapter caches, so the differential
-   gate checks the MiniDB primary's memos; the sqlite3 secondary has
-   none.  The shipped hunt run also counts its parse-memo misses by
-   leading keyword and fails on any SELECT, WITH or INSERT: the
-   generators build those as ASTs and prime the memo, so only DDL
-   should reach the parser, and a miss means a generator path renders
-   SQL without handing its AST along.
+   every push.  Campaigns use only the parse memo; the reducing-fleet
+   gate is the one that exercises the statement memo, which serves
+   ddmin's candidate replays alone.  Only the MiniDB adapter caches,
+   so the differential gate checks the MiniDB primary's parse memo;
+   the sqlite3 secondary has none.  The shipped hunt run also counts
+   its parse-memo misses by leading keyword and fails on any SELECT,
+   WITH or INSERT: the generators build those as ASTs and prime the
+   memo, so only DDL should reach the parser, and a miss means a
+   generator path renders SQL without handing its AST along.
 2. **Bench artifact** -- sweep the fig2 workload over MaxDepth 3/5/7
    in both modes and write ``BENCH_perf.json``
    (:mod:`repro.perf.bench` schema) with tests/sec, speedup, and hit
@@ -66,8 +68,8 @@ def _fleet_signature(config: FleetConfig, reduce: bool = False) -> dict:
     """Deterministic witness of one fleet run: merged campaign
     signature, sorted corpus fingerprints, and (guided) arm schedules.
     A reducing run adds every entry's reduced witness and the replay
-    verdict of every triage cluster, replayed with the run's cache
-    setting."""
+    verdict of every triage cluster (triage replays on its own parse
+    memo either way)."""
     corpus = BugCorpus(reduce_fn=make_replay_reducer(config) if reduce else None)
     result = run_fleet(config, corpus=corpus)
     witness = {
@@ -80,7 +82,7 @@ def _fleet_signature(config: FleetConfig, reduce: bool = False) -> dict:
             fp: entry.reduced_statements
             for fp, entry in sorted(corpus.entries.items())
         }
-        verdicts = replay_clusters(result.clusters, use_cache=config.use_cache)
+        verdicts = replay_clusters(result.clusters)
         witness["verdicts"] = {
             cid: (v.status, v.witness) for cid, v in sorted(verdicts.items())
         }
@@ -266,8 +268,9 @@ def main(argv: "list[str] | None" = None) -> int:
                 use_cache=cache,
             ),
         ),
-        # Shards reduce on the cache their campaign warmed, so this is
-        # the end-to-end check that sharing it is exact.
+        # Shards reduce on the cache their campaign warmed, and ddmin's
+        # candidates share its statement memo: the one gate that
+        # exercises that memo, end to end.
         _gate(
             "reducing guided fleet",
             lambda cache: FleetConfig(
