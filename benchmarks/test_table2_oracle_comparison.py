@@ -6,7 +6,7 @@ Paper (manual analysis of the 24 logic bugs):
 Reproduction: for every logic fault, enable *only that fault* and run a
 bounded campaign per oracle; detected = at least one bug report.  This
 replaces the paper's manual analysis with a measurement over the same
-question (see DESIGN.md).
+question (EXPERIMENTS.md, Table 2 row).
 """
 
 from conftest import run_once

@@ -14,10 +14,21 @@ from __future__ import annotations
 from repro.errors import SqlError
 from repro.generator.expr_gen import ExprGenerator, ScopeColumn
 from repro.minidb import ast_nodes as A
-from repro.minidb.values import sql_literal
 from repro.oracles_base import Oracle, OracleSkip, TestReport
 
 WORK_TABLE = "dqe_w"
+
+
+def _ids_where(where: "A.Expr | None") -> A.Select:
+    """``SELECT dqe_id FROM dqe_w [WHERE where]``."""
+    item = A.SelectItem(A.ColumnRef(None, "dqe_id"))
+    return A.Select((item,), A.NamedTable(WORK_TABLE), where=where)
+
+
+#: The rows UPDATE marked.  ``to_sql()`` would parenthesize the
+#: comparison, so the query keeps its text and hands its AST along.
+_MARKED_SQL = f"SELECT dqe_id FROM {WORK_TABLE} WHERE dqe_mark = 1"
+_MARKED = _ids_where(A.Binary("=", A.ColumnRef(None, "dqe_mark"), A.Literal(1)))
 
 
 class DQEOracle(Oracle):
@@ -53,8 +64,11 @@ class DQEOracle(Oracle):
     def _differential(self, table) -> TestReport | None:
         assert self.expr_gen is not None
 
-        # Build the work table: original columns + id + marker.
-        rows = self.execute(f"SELECT * FROM {table.name}").rows
+        # Build the work table: original columns + id + marker.  DDL is
+        # written as text; the other statements are built as ASTs and
+        # handed along, so MiniDB's parse memo need not parse them.
+        source = A.Select((A.SelectItem(None),), A.NamedTable(table.name))
+        rows = self.execute(source.to_sql(), ast=source).rows
         if not rows:
             raise OracleSkip()
         col_defs = ", ".join(c.name for c in table.columns)
@@ -66,39 +80,34 @@ class DQEOracle(Oracle):
         indexed = self.rng.choice(table.columns).name
         self.execute(f"CREATE INDEX dqe_ix ON {WORK_TABLE} ({indexed})")
         for i, row in enumerate(rows):
-            values = ", ".join(sql_literal(v) for v in row)
-            self.execute(
-                f"INSERT INTO {WORK_TABLE} VALUES ({values}, {i}, 0)"
-            )
+            values = (*map(A.Literal, row), A.Literal(i), A.Literal(0))
+            insert = A.Insert(WORK_TABLE, (), A.ValuesSource((values,)))
+            self.execute(insert.to_sql(), ast=insert)
         all_ids = set(range(len(rows)))
 
         scope = [
             ScopeColumn(WORK_TABLE, c.name, c.sql_type) for c in table.columns
         ]
         predicate = self.expr_gen.predicate(scope).expr
-        p_sql = predicate.to_sql()
 
+        selected = _ids_where(predicate)
         select_ids = {
             r[0]
             for r in self.execute(
-                f"SELECT dqe_id FROM {WORK_TABLE} WHERE {p_sql}",
-                is_main_query=True,
+                selected.to_sql(), is_main_query=True, ast=selected
             ).rows
         }
 
-        self.execute(f"UPDATE {WORK_TABLE} SET dqe_mark = 1 WHERE {p_sql}")
-        update_ids = {
-            r[0]
-            for r in self.execute(
-                f"SELECT dqe_id FROM {WORK_TABLE} WHERE dqe_mark = 1"
-            ).rows
-        }
+        update = A.Update(WORK_TABLE, (("dqe_mark", A.Literal(1)),), predicate)
+        self.execute(update.to_sql(), ast=update)
+        update_ids = {r[0] for r in self.execute(_MARKED_SQL, ast=_MARKED).rows}
 
-        self.execute(f"DELETE FROM {WORK_TABLE} WHERE {p_sql}")
-        remaining = {
-            r[0] for r in self.execute(f"SELECT dqe_id FROM {WORK_TABLE}").rows
+        delete = A.Delete(WORK_TABLE, predicate)
+        self.execute(delete.to_sql(), ast=delete)
+        remaining = _ids_where(None)
+        delete_ids = all_ids - {
+            r[0] for r in self.execute(remaining.to_sql(), ast=remaining).rows
         }
-        delete_ids = all_ids - remaining
 
         if select_ids == update_ids == delete_ids:
             return None

@@ -616,11 +616,20 @@ class Update(Node):
     assignments: tuple[tuple[str, Expr], ...]
     where: Expr | None = None
 
+    def to_sql(self) -> str:
+        sets = ", ".join(f"{col} = {e.to_sql()}" for col, e in self.assignments)
+        where = "" if self.where is None else f" WHERE {self.where.to_sql()}"
+        return f"UPDATE {self.table} SET {sets}{where}"
+
 
 @dataclass(frozen=True)
 class Delete(Node):
     table: str
     where: Expr | None = None
+
+    def to_sql(self) -> str:
+        where = "" if self.where is None else f" WHERE {self.where.to_sql()}"
+        return f"DELETE FROM {self.table}{where}"
 
 
 Statement = (

@@ -8,10 +8,11 @@ identical across the statements of one campaign (ROADMAP,
 
 * **parse** -- SQL text -> parsed statement AST.  Pure, so entries are
   state-independent.  The oracles, the relation folder and the state
-  generator build every SELECT and INSERT as an AST and *prime* this
-  memo with its parser-normal form (see :func:`parser_normal`), which
-  removes the ``to_sql() -> parse()`` round-trip from the hot path:
-  MiniDB parses only the DDL, which is written as text.  A 2,000-test
+  generator build every SELECT, INSERT, UPDATE and DELETE as an AST
+  and *prime* this memo with its parser-normal form (see
+  :func:`parser_normal`), which removes the ``to_sql() -> parse()``
+  round-trip from the hot path: MiniDB parses only the DDL, which is
+  written as text.  A 2,000-test
   ``hunt --buggy`` misses the memo 458 times, all on ``CREATE`` and
   ``DROP``; before the relation folder and the state generator primed
   theirs, it missed 1,565 times.

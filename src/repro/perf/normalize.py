@@ -1,8 +1,9 @@
 """Parser-normal form of generator-built ASTs.
 
 The oracles, the relation folder and the state generator build their
-SELECT and INSERT statements as ASTs, render them with ``to_sql()``,
-and execute the text -- which the MiniDB adapter parses right back.
+SELECT, INSERT, UPDATE and DELETE statements as ASTs, render them with
+``to_sql()``, and execute the text -- which the MiniDB adapter parses
+right back.
 Priming the parse memo with the AST the caller already holds skips that
 round-trip, but only if the primed AST is **exactly** what
 ``parse_statement(to_sql(ast))`` would return: fault triggers consume

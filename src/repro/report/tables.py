@@ -82,18 +82,22 @@ def render_efficiency_table(rows: Iterable[Mapping]) -> str:
     """Paper Table 3: per-oracle efficiency metrics.
 
     Each row needs: oracle, tests, queries_ok, queries_err, qpt,
-    unique_plans, coverage.
+    unique_plans, coverage, and the throughput without the evaluation
+    cache and as shipped (tests_per_second, shipped_tests_per_second).
     """
     header = (
         f"{'Oracle':18s} {'#tests':>9s} {'#ok q':>9s} {'#err q':>8s} "
-        f"{'QPT':>6s} {'plans':>7s} {'branch%':>8s}"
+        f"{'QPT':>6s} {'plans':>7s} {'branch%':>8s} "
+        f"{'uncached t/s':>12s} {'shipped t/s':>12s}"
     )
     lines = [header, "-" * len(header)]
     for row in rows:
         lines.append(
             f"{row['oracle']:18s} {row['tests']:>9d} {row['queries_ok']:>9d} "
             f"{row['queries_err']:>8d} {row['qpt']:>6.2f} "
-            f"{row['unique_plans']:>7d} {100 * row['coverage']:>7.2f}%"
+            f"{row['unique_plans']:>7d} {100 * row['coverage']:>7.2f}% "
+            f"{row['tests_per_second']:>12.1f} "
+            f"{row['shipped_tests_per_second']:>12.1f}"
         )
     return "\n".join(lines)
 
@@ -133,15 +137,21 @@ def render_fleet_table(shards: Iterable, merged, past_cap: int = 0) -> str:
 
 
 def render_maxdepth_series(series: Mapping[int, Mapping[str, float]]) -> str:
-    """Figures 2-3: MaxDepth sweep (time/query, #tests, unique plans)."""
+    """Figure 2: MaxDepth sweep (time/query, #tests, unique plans, and
+    tests/s without the evaluation cache and as shipped, with the
+    shipped run's cache hit rate)."""
     header = (
-        f"{'MaxDepth':>8s} {'us/query':>10s} {'#tests':>8s} {'plans':>7s}"
+        f"{'MaxDepth':>8s} {'us/query':>10s} {'#tests':>8s} {'plans':>7s} "
+        f"{'uncached t/s':>12s} {'shipped t/s':>12s} {'hit%':>6s}"
     )
     lines = [header, "-" * len(header)]
     for depth in sorted(series):
         row = series[depth]
         lines.append(
             f"{depth:>8d} {row['us_per_query']:>10.1f} "
-            f"{int(row['tests']):>8d} {int(row['unique_plans']):>7d}"
+            f"{int(row['tests']):>8d} {int(row['unique_plans']):>7d} "
+            f"{row['tests_per_second']:>12.1f} "
+            f"{row['shipped_tests_per_second']:>12.1f} "
+            f"{100 * row['hit_rate']:>5.1f}%"
         )
     return "\n".join(lines)

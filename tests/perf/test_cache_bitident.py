@@ -32,6 +32,7 @@ def _run(oracle_factory, seed, cache=None, buggy=True, tests=120):
 
 ORACLES = {
     "coddtest": lambda: CoddTestOracle(max_depth=4),
+    "coddtest-expr": lambda: CoddTestOracle(max_depth=5, expression_only=True),
     "coddtest-subq": lambda: CoddTestOracle(max_depth=3, subquery_only=True),
     "norec": NoRECOracle,
     "tlp": TLPOracle,
@@ -170,6 +171,7 @@ _PRIMED_SHAPES = {
         lambda: CoddTestOracle(max_depth=5, relation_mode_prob=1.0),
         NoRECOracle,
         TLPOracle,
+        DQEOracle,
         EETOracle,
     ],
     ids=[
@@ -179,6 +181,7 @@ _PRIMED_SHAPES = {
         "coddtest-relation",
         "norec",
         "tlp",
+        "dqe",
         "eet",
     ],
 )

@@ -1,11 +1,11 @@
 """Generated SQL reaches MiniDB with its AST already in the parse memo.
 
-CODDTest, TLP, the relation folder and the state generator build every
-SELECT and INSERT as an AST and prime the parse memo with its
-parser-normal form, so the only statements MiniDB parses for them are
-DDL, which is written as text.  :func:`parser_normal` walks only the
-fields that can hold AST parts; a copy of the generic walk it replaced
-checks it here.
+CODDTest, TLP, DQE, the relation folder and the state generator build
+every SELECT, INSERT, UPDATE and DELETE as an AST and prime the parse
+memo with its parser-normal form, so the only statements MiniDB parses
+for them are DDL, which is written as text.  :func:`parser_normal`
+walks only the fields that can hold AST parts; a copy of the generic
+walk it replaced checks it here.
 """
 
 from __future__ import annotations
@@ -17,7 +17,13 @@ from collections import Counter
 import pytest
 
 import repro.perf.cache as cache_module
-from repro import CoddTestOracle, MiniDBAdapter, TLPOracle, make_engine
+from repro import (
+    CoddTestOracle,
+    DQEOracle,
+    MiniDBAdapter,
+    TLPOracle,
+    make_engine,
+)
 from repro.cli import main as cli_main
 from repro.minidb import ast_nodes as A
 from repro.perf import EvalCache, parser_normal
@@ -56,6 +62,17 @@ def test_tlp_campaign_parses_only_ddl(parse_misses):
     # TLP's UNION ALL of its three partitions is built as an AST too.
     adapter = MiniDBAdapter(make_engine("sqlite", with_catalog_faults=True))
     campaign = Campaign(TLPOracle(), adapter, seed=5, cache=EvalCache())
+    stats = campaign.run(n_tests=300)
+    assert stats.tests == 300
+    assert parse_misses["CREATE"] > 0
+    assert set(parse_misses) <= {"CREATE", "DROP"}, parse_misses
+
+
+def test_dqe_campaign_parses_only_ddl(parse_misses):
+    # DQE's SELECT, INSERT, UPDATE and DELETE are built as ASTs; its work
+    # table's CREATE and DROP stay text.
+    adapter = MiniDBAdapter(make_engine("sqlite", with_catalog_faults=True))
+    campaign = Campaign(DQEOracle(), adapter, seed=5, cache=EvalCache())
     stats = campaign.run(n_tests=300)
     assert stats.tests == 300
     assert parse_misses["CREATE"] > 0

@@ -5,7 +5,9 @@ perfbench lives outside the test tree and runs by name.  It wraps
 (``perfbench/benchspans.py::LAYERS``) and builds each workload's
 FleetConfig and corpus itself (``perfbench/rep.py::_configs``).  These
 tests read those files, so a rename or deletion in ``src/`` that would
-break the benchmark fails tier-1 too.
+break the benchmark fails tier-1 too.  Its provenance line stamps every
+BENCH_perf.json record (``tools/perf_smoke.py``) with the tree it
+measured.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import importlib
 import importlib.util
 import inspect
 import os
+import shutil
+import subprocess
 import sys
 
 import pytest
@@ -76,3 +80,34 @@ def test_every_workload_builds_its_config_and_corpus(perfbench):
             assert corpus.reduce_fn in (None, make_replay_reducer(config))
         # The call rep.main makes.
         inspect.signature(run_fleet).bind(config, corpus=corpus)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_provenance_marks_uncommitted_src_dirty(perfbench, tmp_path):
+    def git(*args: str) -> None:
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=tmp_path,
+            check=True,
+            capture_output=True,
+        )
+
+    source = tmp_path / "src" / "mod.py"
+    source.parent.mkdir()
+    source.write_text("x = 1\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "init")
+    provenance = perfbench["run"].provenance
+
+    clean = provenance(str(tmp_path))
+    assert clean["dirty"] is False
+    assert clean["commit"] is not None
+
+    source.write_text("x = 2\n")
+    dirty = provenance(str(tmp_path))
+    assert {"commit": dirty["commit"], "dirty": dirty["dirty"]} == {
+        "commit": clean["commit"],
+        "dirty": True,
+    }
+    assert dirty["source_sha256"] != clean["source_sha256"]

@@ -65,16 +65,31 @@ class TestRenderOtherTables:
                 "qpt": 2.0,
                 "unique_plans": 42,
                 "coverage": 0.63,
+                "tests_per_second": 698.04,
+                "shipped_tests_per_second": 1331.26,
             }
         ]
         text = render_efficiency_table(rows)
         assert "norec" in text and "63.00%" in text
+        assert "uncached t/s" in text and "shipped t/s" in text
+        assert text.splitlines()[-1].split()[-2:] == ["698.0", "1331.3"]
 
     def test_maxdepth_series(self):
         text = render_maxdepth_series(
-            {1: {"us_per_query": 10.0, "tests": 100, "unique_plans": 5}}
+            {
+                1: {
+                    "us_per_query": 10.0,
+                    "tests": 100,
+                    "unique_plans": 5,
+                    "tests_per_second": 410.44,
+                    "shipped_tests_per_second": 951.06,
+                    "hit_rate": 0.9375,
+                }
+            }
         )
         assert "MaxDepth" in text and "10.0" in text
+        assert "uncached t/s" in text and "shipped t/s" in text
+        assert text.splitlines()[-1].split()[-3:] == ["410.4", "951.1", "93.8%"]
 
     def test_fleet_table(self):
         from repro.runner.campaign import CampaignStats

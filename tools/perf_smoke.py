@@ -2,38 +2,39 @@
 
 Two duties:
 
-1. **Correctness gate** -- run fixed-seed campaigns over every cached
+1. **Correctness gates** -- run fixed-seed campaigns over every cached
    code path (single-engine hunt with injected faults, cross-backend
-   differential, plan-coverage-guided fleet, and a guided fleet whose
-   shards reduce its bugs on their campaign's cache) as shipped and
-   cache-off, and fail (exit 1) unless both produced identical
-   deterministic campaign signatures, corpus fingerprints, guided arm
-   schedules, reduced witnesses and replay verdicts.  This is the
-   bit-identity promise of :mod:`repro.perf`, checked end to end on
-   every push.  Campaigns use only the parse memo; the reducing-fleet
-   gate is the one that exercises the statement memo, which serves
-   ddmin's candidate replays alone.  Only the MiniDB adapter caches,
-   so the differential gate checks the MiniDB primary's parse memo;
-   the sqlite3 secondary has none.  The shipped hunt run also counts
-   its parse-memo misses by leading keyword and fails on any SELECT,
-   WITH or INSERT: the generators build those as ASTs and prime the
-   memo, so only DDL should reach the parser, and a miss means a
-   generator path renders SQL without handing its AST along.
-2. **Bench artifact** -- sweep the fig2 workload over MaxDepth 3/5/7
-   in both modes and write ``BENCH_perf.json``
-   (:mod:`repro.perf.bench` schema) with tests/sec, speedup, and hit
-   rates.  Each run *appends* a record to the ``history`` trajectory
-   carried in the file, stamped with the commit and whether ``src/``
-   or ``tools/`` differed from it, so the perf trajectory is
-   machine-readable across commits, not just for the latest one.
+   differential, plan-coverage-guided fleet, a guided fleet whose
+   shards reduce its bugs on their campaign's cache, and TLP and DQE
+   fleets) as shipped and cache-off, and fail (exit 1) unless both
+   produced identical deterministic campaign signatures, corpus
+   fingerprints, guided arm schedules, reduced witnesses and replay
+   verdicts.  This is the bit-identity promise of :mod:`repro.perf`,
+   checked end to end on every push.  Campaigns use only the parse
+   memo; the reducing-fleet gate is the one that exercises the
+   statement memo, which serves ddmin's candidate replays alone.  Only
+   the MiniDB adapter caches, so the differential gate checks the
+   MiniDB primary's parse memo; the sqlite3 secondary has none.  The
+   shipped hunt, TLP and DQE runs also count their parse-memo misses by
+   leading keyword and fail on any SELECT, WITH, INSERT, UPDATE or
+   DELETE: the generators and oracles build those as ASTs and prime the
+   memo, so only DDL should reach the parser, and a miss means a code
+   path renders SQL without handing its AST along.
+2. **Benchmark record** -- once the gates pass, run the repository
+   benchmark (``perfbench/run.py``) once for each workload that
+   ``BENCHMARK.json`` names, for its ``run_seconds`` with ``--trace 0``,
+   and append one record to the ``history`` of ``BENCH_perf.json``:
+   perfbench's provenance (commit, dirty flag, source digest, machine),
+   a timestamp, and each workload's result line (``correct``,
+   ``attempted``, ``failed`` and the end-to-end metrics).  Earlier
+   records stay as written.  A perfbench run that is incorrect or exits
+   non-zero fails perf-smoke, and nothing is appended.
 
-Only the signature checks gate.  Speedups are recorded, not asserted,
-because shared CI hardware is noisy (benchmarks/test_cache_speedup.py
-asserts the speedup shape on quieter boxes).
+Speeds are recorded, not asserted: shared CI hardware is noisy.
 
 Usage::
 
-    PYTHONPATH=src python tools/perf_smoke.py [--tests N] [--out BENCH_perf.json]
+    PYTHONPATH=src python tools/perf_smoke.py [--tests N] [--seed S] [--out PATH]
 """
 
 from __future__ import annotations
@@ -49,19 +50,19 @@ from collections import Counter
 
 import repro.perf.cache as cache_module
 from repro.fleet import BugCorpus, FleetConfig, make_replay_reducer, run_fleet
-from repro.obs.phases import format_phase_breakdown
-from repro.perf.bench import bench_payload, measure_depth
 from repro.triage.replay import replay_clusters
 
-DEPTHS = (3, 5, 7)
+#: Layout of the records this script appends to the ``history`` of
+#: BENCH_perf.json.  v4 records one perfbench run per workload; v2 and
+#: v3 records, kept as written, hold the fig2 cache sweep that earlier
+#: versions of this script measured.
+RECORD_SCHEMA_VERSION = 4
 
-#: Keep at most this many per-commit records in the BENCH_perf.json
-#: ``history`` trajectory (oldest dropped first).
-_HISTORY_CAP = 200
-
-#: Default artifact location: the repo root, regardless of the cwd the
-#: smoke run was launched from, so CI and local runs update one file.
+#: The repo root, regardless of the cwd the smoke run was launched
+#: from, so CI and local runs update one file.
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+_PROVENANCE_PREFIX = "perfbench provenance "
 
 
 def _fleet_signature(config: FleetConfig, reduce: bool = False) -> dict:
@@ -89,9 +90,10 @@ def _fleet_signature(config: FleetConfig, reduce: bool = False) -> dict:
     return witness
 
 
-#: Leading keywords of the statements the generators prime into the
-#: parse memo; a parse-memo miss on one of them is a gate failure.
-_PRIMED_KEYWORDS = ("SELECT", "WITH", "INSERT")
+#: Leading keywords of the statements the generators and oracles prime
+#: into the parse memo; a parse-memo miss on one of them is a gate
+#: failure.
+_PRIMED_KEYWORDS = ("SELECT", "WITH", "INSERT", "UPDATE", "DELETE")
 
 
 def _count_parse_misses(run):
@@ -120,11 +122,11 @@ def _count_parse_misses(run):
 
 def _gate(
     name: str, make_config, reduce: bool = False, count_misses: bool = False
-) -> dict:
+) -> bool:
     """Run one workload as shipped and cache-off and require identical
     signatures.  *make_config* takes ``use_cache``.  With
     *count_misses*, the shipped run's parse-memo misses must all be
-    DDL."""
+    DDL.  True when the gate passes."""
     if count_misses:
         shipped, misses = _count_parse_misses(
             lambda: _fleet_signature(make_config(True), reduce)
@@ -141,88 +143,114 @@ def _gate(
                 print(f"  shipped differs from cache-off in {key!r}:")
                 print(f"    shipped: {str(shipped[key])[:300]}")
                 print(f"    cache-off: {str(reference[key])[:300]}")
-    record = {"name": name, "identical": identical}
-    if count_misses:
-        unprimed = sum(misses[keyword] for keyword in _PRIMED_KEYWORDS)
-        counts = ", ".join(f"{k} {n}" for k, n in sorted(misses.items()))
-        print(f"[perf-smoke] {name:20s} parse-memo misses: {counts or 'none'}")
-        if not misses:
-            # DDL always misses: no count means the counter never ran.
-            print("  no parse-memo miss was counted; the count is broken")
-            unprimed = None
-        elif unprimed:
-            print(
-                f"  {unprimed} SELECT/WITH/INSERT miss(es): a generator "
-                "path renders SQL without priming the parse memo"
-            )
-        record["unprimed_parse_misses"] = unprimed
-    return record
+    if not count_misses:
+        return identical
+    counts = ", ".join(f"{k} {n}" for k, n in sorted(misses.items()))
+    print(f"[perf-smoke] {name:20s} parse-memo misses: {counts or 'none'}")
+    if not misses:
+        # DDL always misses: no count means the counter never ran.
+        print("  no parse-memo miss was counted; the count is broken")
+        return False
+    unprimed = sum(misses[keyword] for keyword in _PRIMED_KEYWORDS)
+    if unprimed:
+        print(
+            f"  {unprimed} {'/'.join(_PRIMED_KEYWORDS)} miss(es): a code "
+            "path renders SQL without priming the parse memo"
+        )
+    return identical and not unprimed
 
 
-def tree_provenance(root: str = _REPO_ROOT) -> dict:
-    """The tree a record measures: ``commit`` is HEAD's short hash
-    ("unknown" outside a git checkout) and ``dirty`` says whether
-    ``src/`` or ``tools/`` differ from it (None when git cannot tell).
-    A run before the measured change is committed is then stamped
-    with its base commit *and* ``dirty: true``."""
+# ---------------------------------------------------------------------------
+# The BENCH_perf.json record
+# ---------------------------------------------------------------------------
 
-    def git(*args: str) -> "str | None":
+
+def _perfbench(
+    command: "list[str]", workload: str, seed: int, seconds
+) -> "tuple[int, str]":
+    """``(exit code, stdout)`` of one perfbench run; its stdout is
+    echoed, its stderr passes through."""
+    argv = [*command, "--workload", workload, "--seed", str(seed)]
+    argv += ["--seconds", str(seconds), "--trace", "0"]
+    print(f"[perf-smoke] {' '.join(argv)}", flush=True)
+    proc = subprocess.run(argv, cwd=_REPO_ROOT, stdout=subprocess.PIPE, text=True)
+    print(proc.stdout, end="", flush=True)
+    return proc.returncode, proc.stdout
+
+
+def _record(runs: "dict[str, tuple[int, str]]") -> "dict | None":
+    """Provenance and result lines of perfbench *runs*, or None when a
+    run failed or the runs measured different trees."""
+    provenance = None
+    results = {}
+    for workload, (code, stdout) in runs.items():
+        lines = stdout.splitlines()
+        infos = [
+            json.loads(line[len(_PROVENANCE_PREFIX):])
+            for line in lines
+            if line.startswith(_PROVENANCE_PREFIX)
+        ]
         try:
-            out = subprocess.run(
-                ["git", *args],
-                cwd=root,
-                capture_output=True,
-                text=True,
-                timeout=10,
+            result = json.loads(lines[-1])
+        except (IndexError, ValueError):
+            result = {}
+        if code != 0 or len(infos) != 1 or result.get("correct") is not True:
+            print(
+                f"[perf-smoke] perfbench {workload} failed: exit code {code}, "
+                f"correct: {result.get('correct')}"
             )
-        except OSError:
             return None
-        return out.stdout.strip() if out.returncode == 0 else None
-
-    status = git("status", "--porcelain", "--", "src", "tools")
-    return {
-        "commit": git("rev-parse", "--short", "HEAD") or "unknown",
-        "dirty": None if status is None else bool(status),
-    }
-
-
-def _history_record(payload: dict) -> dict:
-    """Compact summary of one run, appended to the trajectory."""
-    return {
-        **tree_provenance(),
-        "timestamp": int(time.time()),
-        "schema_version": payload["schema_version"],
-        "min_speedup_at_depth_ge_5": payload["min_speedup_at_depth_ge_5"],
-        "all_signatures_identical": payload["all_signatures_identical"],
-        "sweep": [
-            {
-                "max_depth": r["max_depth"],
-                "tests_per_second_cache_off": r["tests_per_second_cache_off"],
-                "tests_per_second_cache_on": r["tests_per_second_cache_on"],
-                "speedup": r["speedup"],
-            }
-            for r in payload["maxdepth_sweep"]
-        ],
-    }
+        if provenance not in (None, infos[0]):
+            print(f"[perf-smoke] perfbench {workload} measured another tree")
+            return None
+        provenance = infos[0]
+        results[workload] = result
+    return {"provenance": provenance, "workloads": results}
 
 
-def _load_history(path: str) -> list:
-    """Prior trajectory from an existing artifact, records of earlier
-    schema versions included as written (tolerates the pre-trajectory
-    layout and a missing or corrupt file)."""
+def append_record(
+    path: str, runs: "dict[str, tuple[int, str]]", seed: int, seconds
+) -> bool:
+    """Append one record of perfbench *runs* (workload -> ``(exit code,
+    stdout)``, each run with *seed* and *seconds*) to the ``history`` in
+    *path*, which is created when missing.  False, and *path* left as it
+    was, when a run exited non-zero, printed no provenance or result
+    line, or was not correct, or when the runs measured different
+    trees.  The file is rewritten in one layout, so earlier records keep
+    their bytes."""
+    measured = _record(runs)
+    if measured is None:
+        return False
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            previous = json.load(fh)
-    except (OSError, ValueError):
-        return []
-    history = previous.get("history", [])
-    return history if isinstance(history, list) else []
+        with open(path, encoding="utf-8") as fh:
+            history = json.load(fh)["history"]
+    except FileNotFoundError:
+        history = []
+    history.append(
+        {
+            **measured["provenance"],
+            "schema_version": RECORD_SCHEMA_VERSION,
+            "timestamp": int(time.time()),
+            "seed": seed,
+            "seconds": seconds,
+            "workloads": measured["workloads"],
+        }
+    )
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(
+            {"schema_version": RECORD_SCHEMA_VERSION, "history": history},
+            fh,
+            indent=2,
+            sort_keys=True,
+        )
+        fh.write("\n")
+    print(f"[perf-smoke] wrote {path} ({len(history)} history record(s))")
+    return True
 
 
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--tests", type=int, default=400, help="budget per workload gate")
-    parser.add_argument("--bench-tests", type=int, default=400, dest="bench_tests")
+    parser.add_argument("--tests", type=int, default=400, help="budget per gate")
     parser.add_argument("--seed", type=int, default=17)
     parser.add_argument(
         "--out",
@@ -231,100 +259,40 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    workloads = [
-        _gate(
-            "hunt (buggy)",
-            lambda cache: FleetConfig(
-                oracle="coddtest",
-                buggy=True,
-                workers=2,
-                seed=args.seed,
-                n_tests=args.tests,
-                use_cache=cache,
-            ),
-            count_misses=True,
-        ),
+    def fleet(oracle: str = "coddtest", **fields):
+        fields.setdefault("n_tests", args.tests)
+        return lambda cache: FleetConfig(
+            oracle=oracle,
+            buggy=True,
+            workers=2,
+            seed=args.seed,
+            use_cache=cache,
+            **fields,
+        )
+
+    gates = [
+        _gate("hunt (buggy)", fleet(), count_misses=True),
         _gate(
             "diff minidb/sqlite3",
-            lambda cache: FleetConfig(
-                oracle="differential",
+            fleet(
+                "differential",
                 backend_pair=("minidb", "sqlite3"),
-                buggy=True,
-                workers=2,
-                seed=args.seed,
                 n_tests=max(100, args.tests // 2),
-                use_cache=cache,
             ),
         ),
-        _gate(
-            "guided fleet",
-            lambda cache: FleetConfig(
-                oracle="coddtest",
-                buggy=True,
-                workers=2,
-                seed=args.seed,
-                n_tests=args.tests,
-                guidance="plan-coverage",
-                use_cache=cache,
-            ),
-        ),
+        _gate("guided fleet", fleet(guidance="plan-coverage")),
         # Shards reduce on the cache their campaign warmed, and ddmin's
         # candidates share its statement memo: the one gate that
         # exercises that memo, end to end.
-        _gate(
-            "reducing guided fleet",
-            lambda cache: FleetConfig(
-                oracle="coddtest",
-                buggy=True,
-                workers=2,
-                seed=args.seed,
-                n_tests=args.tests,
-                guidance="plan-coverage",
-                use_cache=cache,
-            ),
-            reduce=True,
-        ),
+        _gate("reducing guided fleet", fleet(guidance="plan-coverage"), reduce=True),
+        _gate("TLP fleet", fleet("tlp"), count_misses=True),
+        _gate("DQE fleet", fleet("dqe"), count_misses=True),
     ]
-
-    sweep = []
-    for depth in DEPTHS:
-        record = measure_depth(depth, tests=args.bench_tests, seed=args.seed)
-        sweep.append(record)
+    if not all(gates):
         print(
-            f"[perf-smoke] fig2 MaxDepth {depth}: "
-            f"{record['tests_per_second_cache_off']:.0f} -> "
-            f"{record['tests_per_second_cache_on']:.0f} tests/s "
-            f"(cache {record['speedup']:.2f}x, "
-            f"hit rate {100 * record['cache_hit_rate']:.1f}%, "
-            f"signatures {'identical' if record['signatures_identical'] else 'MISMATCH'})"
-        )
-        breakdown = format_phase_breakdown(record["phases"]["cache_on"])
-        if breakdown:
-            print(f"[perf-smoke]   cache-on {breakdown}")
-
-    payload = bench_payload(sweep, workloads)
-    history = _load_history(args.out)
-    history.append(_history_record(payload))
-    payload["history"] = history[-_HISTORY_CAP:]
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(
-        f"[perf-smoke] wrote {args.out} "
-        f"({len(payload['history'])} history record(s))"
-    )
-
-    if not payload["all_signatures_identical"]:
-        print(
-            "[perf-smoke] FAIL: shipped and cache-off runs are not "
-            "bit-identical",
-            file=sys.stderr,
-        )
-        return 1
-    if any(w.get("unprimed_parse_misses", 0) != 0 for w in workloads):
-        print(
-            "[perf-smoke] FAIL: generated SQL reached the parser "
-            "(only DDL may miss the parse memo)",
+            "[perf-smoke] FAIL: shipped and cache-off runs differ, or "
+            "generated SQL reached the parser (only DDL may miss the "
+            "parse memo); no record appended",
             file=sys.stderr,
         )
         return 1
@@ -332,6 +300,20 @@ def main(argv: "list[str] | None" = None) -> int:
         "[perf-smoke] OK: shipped and cache-off runs are bit-identical, "
         "and only DDL missed the parse memo"
     )
+
+    with open(os.path.join(_REPO_ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        benchmark = json.load(fh)
+    seconds = benchmark["run_seconds"]
+    runs = {
+        w["name"]: _perfbench(benchmark["command"], w["name"], args.seed, seconds)
+        for w in benchmark["workloads"]
+    }
+    if not append_record(args.out, runs, args.seed, seconds):
+        print(
+            "[perf-smoke] FAIL: a perfbench run failed; no record appended",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 
