@@ -22,8 +22,12 @@ def main() -> None:
     adapter = Sqlite3Adapter()
     print(f"Testing SQLite {sqlite3.sqlite_version} via the stdlib driver.\n")
 
-    # Relation-mode folding uses VALUES-with-column-alias syntax that
-    # SQLite does not accept in FROM; those tests would only be skipped.
+    # Relation-mode folding stays off.  Its folds do run on SQLite,
+    # through their CTE forms: with relation_mode_prob=1.0, all 300
+    # tests at seed 3 ran on SQLite 3.40.1.  But the folded VALUES
+    # columns carry no type affinity while the source columns do, so
+    # SQLite's affinity rules would show up as false positives
+    # (ROADMAP item 1).
     oracle = CoddTestOracle(relation_mode_prob=0.0)
     stats = run_campaign(oracle, adapter, n_tests=n_tests, seed=1)
 

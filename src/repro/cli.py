@@ -31,8 +31,6 @@ import dataclasses
 import os
 import sys
 
-from repro.adapters import Sqlite3Adapter
-from repro.core import CoddTestOracle
 from repro.dialects import PROFILES
 from repro.fleet import (
     BugCorpus,
@@ -42,7 +40,7 @@ from repro.fleet import (
     make_replay_reducer,
     run_fleet,
 )
-from repro.fleet.orchestrator import ORACLE_FACTORIES as ORACLES, check_budget
+from repro.fleet.orchestrator import ORACLE_FACTORIES as ORACLES
 from repro.guidance import GUIDANCE_MODES, CoverageMap
 
 #: Oracles usable against a single backend (``hunt``/``fleet``/
@@ -50,7 +48,6 @@ from repro.guidance import GUIDANCE_MODES, CoverageMap
 #: its own ``diff`` subcommand.
 SINGLE_ENGINE_ORACLES = sorted(n for n in ORACLES if n != "differential")
 from repro.report import render_fleet_table
-from repro.runner import run_campaign
 from repro.triage import (
     cluster_corpus,
     load_corpus,
@@ -151,7 +148,9 @@ def main(argv: list[str] | None = None) -> int:
         "generates the same statements (findings depend on the "
         "installed SQLite version).",
     )
-    real.add_argument("--tests", type=int, default=200)
+    real.add_argument(
+        "--tests", type=int, default=200, dest="n_tests", metavar="TESTS"
+    )
     real.add_argument("--seed", type=int, default=0)
 
     _add_corpus_parser(sub)
@@ -315,9 +314,10 @@ def _add_top_parser(sub) -> None:
         "top",
         help="render a top-style status frame from a trace or live URL",
         description="Render one top-style frame of a fleet's status: "
-        "pass a trace file for a finished run, or the http://HOST:PORT "
-        "URL of a live --status-port endpoint.  Frames rendered from a "
-        "trace file are deterministic; live frames report wall-clock.",
+        "pass the --trace file of a running or finished run, or the "
+        "http://HOST:PORT URL of a live --status-port endpoint.  A "
+        "frame rendered from a trace file is a pure function of the "
+        "file; live frames report wall-clock.",
     )
     top.add_argument(
         "source",
@@ -327,8 +327,8 @@ def _add_top_parser(sub) -> None:
     top.add_argument(
         "--follow",
         action="store_true",
-        help="poll a live URL every --interval seconds until the run "
-        "reports state=done (ignored for trace files)",
+        help="re-read the trace or poll the URL every --interval "
+        "seconds until the run reports state=done",
     )
     top.add_argument(
         "--interval",
@@ -491,7 +491,8 @@ def _fleet_config(args, **fixed) -> FleetConfig:
 
     Every parsed option named after a FleetConfig field sets it; *fixed*
     sets the fields the subcommand decides itself (``diff``'s oracle
-    and backend pair, ``compare``'s oracle)."""
+    and backend pair, ``compare``'s oracle, ``sqlite3``'s adapter and
+    oracle arguments)."""
     settings = {
         f.name: getattr(args, f.name)
         for f in dataclasses.fields(FleetConfig)
@@ -669,17 +670,18 @@ def _top(args) -> int:
         snapshot_from_trace,
     )
 
-    if args.source.startswith(("http://", "https://")):
-        while True:
-            snap = fetch_status(args.source)
-            sys.stdout.write(render_top_frame(snap))
-            sys.stdout.flush()
-            if not args.follow or snap.get("state") == "done":
-                return 0
-            _time.sleep(args.interval)
-    records = read_trace(args.source)
-    sys.stdout.write(render_top_frame(snapshot_from_trace(records)))
-    return 0
+    def status() -> dict:
+        if args.source.startswith(("http://", "https://")):
+            return fetch_status(args.source)
+        return snapshot_from_trace(read_trace(args.source))
+
+    while True:
+        snap = status()
+        sys.stdout.write(render_top_frame(snap))
+        sys.stdout.flush()
+        if not args.follow or snap.get("state") == "done":
+            return 0
+        _time.sleep(args.interval)
 
 
 def _trace(args) -> int:
@@ -867,11 +869,14 @@ def _corpus_replay(args) -> int:
 
 
 def _sqlite3(args) -> int:
-    # The only subcommand that builds no FleetConfig; same budget rule.
-    check_budget(args.tests, None)
-    adapter = Sqlite3Adapter()
-    oracle = CoddTestOracle(relation_mode_prob=0.0)
-    stats = run_campaign(oracle, adapter, n_tests=args.tests, seed=args.seed)
+    # Relation folding stays off.  Its folds run on SQLite through their
+    # CTE forms, but the folded VALUES columns carry no type affinity,
+    # so SQLite's affinity rules would show up as false positives
+    # (ROADMAP item 1).
+    config = _fleet_config(
+        args, adapter="sqlite3", oracle_kwargs={"relation_mode_prob": 0.0}
+    )
+    stats = run_fleet(config).merged
     print(
         f"coddtest on real sqlite3: {stats.tests} tests, "
         f"{stats.queries_ok} queries, {len(stats.reports)} reports"

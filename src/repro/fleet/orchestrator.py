@@ -53,7 +53,7 @@ from repro.guidance import (
     policy_seed,
 )
 from repro.obs.status import ProgressSnapshot
-from repro.obs.trace import TraceWriter, shard_part_path
+from repro.obs.trace import TraceWriter
 from repro.oracles_base import Oracle, TestReport
 from repro.perf import EvalCache
 from repro.runner.campaign import Campaign, CampaignStats
@@ -74,16 +74,6 @@ PROGRESS_EVERY = 0.5
 
 #: Fleet-wide sightings at which a fault counts as saturated.
 SATURATION_THRESHOLD = 20
-
-
-def check_budget(n_tests: int | None, seconds: float | None) -> None:
-    """Reject a missing budget, or a set one that could run no test."""
-    if n_tests is None and seconds is None:
-        raise ValueError("specify n_tests and/or seconds")
-    if n_tests is not None and n_tests < 1:
-        raise ValueError(f"n_tests must be >= 1, got {n_tests}")
-    if seconds is not None and not seconds > 0:
-        raise ValueError(f"seconds must be > 0, got {seconds}")
 
 
 @dataclass
@@ -121,10 +111,10 @@ class FleetConfig:
     #: cache-on campaigns are bit-identical to cache-off ones (gated by
     #: the perf-smoke CI job); ``coddtest ... --no-cache`` turns it off.
     use_cache: bool = True
-    #: Structured trace output (``--trace out.jsonl``): workers write
-    #: per-shard part files, the orchestrator merges them plus its own
-    #: events into one JSONL stream sorted by timestamp.  None traces
-    #: nothing; tracing never changes deterministic outputs.
+    #: Structured trace output (``--trace out.jsonl``): the shards hand
+    #: their records to the orchestrator with each progress message, and
+    #: it appends them and its own events to this file as they arrive.
+    #: None traces nothing; tracing never changes deterministic outputs.
     trace_path: str | None = None
     #: Live status endpoint (``--status-port N``): a stdlib HTTP server
     #: in the orchestrator serving the latest fleet snapshot as JSON.
@@ -142,8 +132,9 @@ class FleetConfig:
             )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        # A met report cap runs no test; an empty batch per state never
-        # ends.  Both must fail here, before any worker starts.
+        # A met report cap or a budget that allows no test runs no
+        # test; an empty batch per state never ends.  All must fail
+        # here, before any worker starts.
         if self.max_reports < 1:
             raise ValueError(
                 f"max_reports must be >= 1, got {self.max_reports}"
@@ -152,7 +143,12 @@ class FleetConfig:
             raise ValueError(
                 f"tests_per_state must be >= 1, got {self.tests_per_state}"
             )
-        check_budget(self.n_tests, self.seconds)
+        if self.n_tests is None and self.seconds is None:
+            raise ValueError("specify n_tests and/or seconds")
+        if self.n_tests is not None and self.n_tests < 1:
+            raise ValueError(f"n_tests must be >= 1, got {self.n_tests}")
+        if self.seconds is not None and not self.seconds > 0:
+            raise ValueError(f"seconds must be > 0, got {self.seconds}")
         if self.backend_pair is not None:
             self.backend_pair = tuple(self.backend_pair)
             if len(self.backend_pair) != 2 or any(
@@ -339,9 +335,10 @@ def _run_shard(
     """Run one shard to completion in the current process.
 
     The shard posts ``("progress", shard_index, payload)`` messages
-    through *post*: its live counters plus the reports found since its
-    last post, at most every :data:`PROGRESS_EVERY` seconds and once
-    more when its campaign returns.  Returns the shard payload:
+    through *post*: its live counters plus the reports and the trace
+    lines recorded since its last post, at most every
+    :data:`PROGRESS_EVERY` seconds and once more when its campaign
+    returns or raises.  Returns the shard payload:
     ``{"stats": CampaignStats}`` plus, for guided shards, the serialized
     policy state (coverage map included) the orchestrator merges at the
     next round barrier.
@@ -362,6 +359,11 @@ def _run_shard(
             if fingerprint not in skip:
                 skip.add(fingerprint)
                 report.reduced_statements = spec.reducer(report, cache)
+    tracer = (
+        None
+        if config.trace_path is None
+        else TraceWriter(shard=spec.shard_index)
+    )
     last_post = 0.0
     posted = 0
 
@@ -373,22 +375,13 @@ def _run_shard(
         last_post = now
         new_reports = stats.reports[posted:]
         posted = len(stats.reports)
-        post(
-            (
-                "progress",
-                spec.shard_index,
-                {**_progress_payload(stats), "new_reports": new_reports},
-            )
-        )
+        payload = {
+            **_progress_payload(stats),
+            "new_reports": new_reports,
+            "trace": [] if tracer is None else tracer.drain(),
+        }
+        post(("progress", spec.shard_index, payload))
 
-    tracer = (
-        TraceWriter(
-            shard_part_path(config.trace_path, spec.shard_index),
-            shard=spec.shard_index,
-        )
-        if config.trace_path is not None
-        else None
-    )
     if tracer is not None:
         tracer.emit("shard_start", seed=spec.seed, round=spec.round_index)
     campaign = Campaign(
@@ -406,22 +399,20 @@ def _run_shard(
     )
     try:
         stats = campaign.run(n_tests=spec.n_tests, seconds=spec.seconds)
-    finally:
         if tracer is not None:
-            tracer.flush()
-    if tracer is not None:
-        tracer.emit(
-            "shard_finish",
-            tests=stats.tests,
-            skipped=stats.skipped,
-            reports=len(stats.reports),
-            round=spec.round_index,
-            phases=stats.phase_stats,
-            cache=stats.cache_stats,
-            unique_plans=len(stats.unique_plans),
-        )
-        tracer.close()
-    on_progress(stats, final=True)
+            tracer.emit(
+                "shard_finish",
+                tests=stats.tests,
+                skipped=stats.skipped,
+                reports=len(stats.reports),
+                round=spec.round_index,
+                phases=stats.phase_stats,
+                cache=stats.cache_stats,
+                unique_plans=len(stats.unique_plans),
+            )
+    finally:
+        # A campaign that raises still posts what it recorded.
+        on_progress(campaign.stats, final=True)
     payload: dict = {"stats": stats}
     if policy is not None:
         payload["policy"] = policy.to_state()
@@ -449,12 +440,13 @@ class _Collector:
 
     Both shard paths post the same messages here: the in-process shard
     calls :meth:`post` itself, and the pool drains its workers' queue
-    into it.  A ``progress`` message's reports go into the corpus as
-    they arrive, so an interrupted fleet keeps every bug streamed so
-    far (matching the corpus' append-on-add crash safety), and its
-    counters become the shard's live counters for the round.  After
-    every message the telemetry gets a fresh fleet snapshot, which sums
-    each shard's counters over every round it ran.
+    into it.  A ``progress`` message's trace lines go to the trace file
+    and its reports into the corpus as they arrive, so an interrupted
+    fleet keeps every record and bug streamed so far (matching the
+    corpus' append-on-add crash safety), and its counters become the
+    shard's live counters for the round.  After every message the
+    telemetry gets a fresh fleet snapshot, which sums each shard's
+    counters over every round it ran.
     """
 
     def __init__(
@@ -497,6 +489,7 @@ class _Collector:
         kind, shard, payload = message
         self.last_heard[shard] = time.monotonic()
         if kind == "progress":
+            self.telemetry.record(payload.pop("trace", []))
             self._absorb(shard, payload.pop("new_reports"))
             self.latest[shard] = payload
         else:
@@ -627,8 +620,8 @@ def run_fleet(
         )
     if telemetry is None:
         telemetry = FleetTelemetry()
-    telemetry.open(config)
     try:
+        telemetry.open(config)
         return _run_rounds(config, corpus, telemetry, coverage)
     finally:
         telemetry.close()

@@ -1,18 +1,21 @@
 """Fleet-side telemetry: one bundle for progress lines, the live
-status endpoint, and the orchestrator's half of the trace stream.
+status endpoint, and the trace file.
 
 The orchestrator's collector builds one
 :class:`~repro.obs.status.ProgressSnapshot` per progress message;
 :class:`FleetTelemetry` prints that record and publishes its
 :meth:`~repro.obs.status.ProgressSnapshot.to_status` form on a
 :class:`~repro.obs.status.StatusBoard` behind a stdlib HTTP server
-(``--status-port``), and keeps an orchestrator-side trace record list
-merged with the workers' part files at the end (``--trace``).  The
-final snapshot's counters also go into the trace's ``run_finish``
-record, so ``coddtest top`` of a finished trace shows what the
-endpoint showed.  Nothing here feeds back into campaign control flow,
-so a fleet with every surface enabled is bit-identical to a silent one
-(gated by ``tests/obs/test_fleet_obs.py`` and the obs-smoke CI job).
+(``--status-port``).  It is also the trace's one writer (``--trace``):
+it opens the file when the run starts, appends the trace lines each
+progress message carries plus its own events, flushes after every
+message, and closes the file at the end, so ``coddtest top --follow
+PATH`` can watch the run.  The final snapshot's counters also go into
+the trace's ``run_finish`` record, so ``coddtest top`` of a finished
+trace shows what the endpoint showed.  Nothing here feeds back into
+campaign control flow, so a fleet with every surface enabled is
+bit-identical to a silent one (gated by ``tests/obs/test_fleet_obs.py``
+and the obs-smoke CI job).
 
 Import direction: ``repro.fleet`` depends on ``repro.obs``, never the
 reverse -- the obs layer stays usable from serial campaigns and
@@ -21,17 +24,12 @@ offline tools alike.
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 
 from repro.fleet.progress import ProgressPrinter
 from repro.obs.status import ProgressSnapshot, StatusBoard, StatusServer
-from repro.obs.trace import (
-    format_record,
-    merge_trace_files,
-    shard_part_path,
-)
+from repro.obs.trace import format_record
 
 
 class FleetTelemetry:
@@ -41,11 +39,11 @@ class FleetTelemetry:
     status port are the fleet config's ``trace_path`` and
     ``status_port``, read by :meth:`open`.
 
-    Lifecycle: :meth:`open` (clear stale parts, start the server, emit
-    ``run_start``), then :meth:`progress` from the orchestrator's
-    collector, :meth:`finish` once with the final snapshot, and
-    :meth:`close` in a ``finally`` (idempotent; merges whatever part
-    files exist even when the run died mid-way).
+    Lifecycle: :meth:`open` (open the trace, start the server, emit
+    ``run_start``), then :meth:`record` and :meth:`progress` for each
+    progress message of the orchestrator's collector, :meth:`finish`
+    once with the final snapshot, and :meth:`close` in a ``finally``
+    (idempotent).
     """
 
     def __init__(self, printer: "ProgressPrinter | None" = None) -> None:
@@ -54,26 +52,19 @@ class FleetTelemetry:
         self.config = None
         self.board: "StatusBoard | None" = None
         self.server: "StatusServer | None" = None
-        #: Orchestrator-side records, already formatted; merged with the
-        #: worker part files by :meth:`close`.
-        self._lines: list[str] = []
-        self._closed = False
+        #: The open trace file; None untraced or once closed.
+        self._trace = None
 
     # -- lifecycle -----------------------------------------------------------
 
     def open(self, config) -> "FleetTelemetry":
-        """Bind to one fleet *config*: take its trace path and status
-        port, clear stale part files, start the status server, emit
+        """Bind to one fleet *config*: open its trace path for writing
+        (an earlier file is truncated, and an unwritable path fails
+        here, before any shard starts), start the status server, emit
         ``run_start``."""
         self.config = config
         if config.trace_path is not None:
-            # Part files are opened append-mode by the workers (guided
-            # rounds accumulate), so leftovers of a previous run with
-            # the same path must go first.
-            for index in range(config.workers):
-                part = shard_part_path(config.trace_path, index)
-                if os.path.exists(part):
-                    os.remove(part)
+            self._trace = open(config.trace_path, "w", encoding="utf-8")
         if config.status_port is not None:
             self.board = StatusBoard()
             self.server = StatusServer(self.board, port=config.status_port)
@@ -93,6 +84,7 @@ class FleetTelemetry:
             workers=config.workers,
             seed=config.seed,
         )
+        self._flush()
         return self
 
     @property
@@ -100,20 +92,30 @@ class FleetTelemetry:
         """The live status endpoint URL (None when disabled)."""
         return None if self.server is None else self.server.url
 
-    # -- orchestrator-side trace events --------------------------------------
+    # -- the trace -----------------------------------------------------------
 
     def emit(self, ev: str, **payload) -> None:
         """Record one orchestrator-side trace event (no-op untraced)."""
-        if self.config.trace_path is None:
-            return
-        self._lines.append(
-            format_record(ev, time.time(), None, payload) + "\n"
-        )
+        if self._trace is not None:
+            self._trace.write(
+                format_record(ev, time.time(), None, payload) + "\n"
+            )
+
+    def record(self, lines: "list[str]") -> None:
+        """Append the trace lines one shard message carried."""
+        if self._trace is not None:
+            self._trace.writelines(lines)
+
+    def _flush(self) -> None:
+        if self._trace is not None:
+            self._trace.flush()
 
     # -- snapshot fan-out ----------------------------------------------------
 
     def progress(self, snap: ProgressSnapshot) -> None:
-        """A live snapshot: rate-limited progress line, fresh status."""
+        """A live snapshot, one per progress message: the trace goes to
+        disk, then the rate-limited progress line and a fresh status."""
+        self._flush()
         if self.printer is not None:
             self.printer.maybe_print(snap)
         if self.board is not None:
@@ -140,19 +142,11 @@ class FleetTelemetry:
     # -- teardown ------------------------------------------------------------
 
     def close(self) -> None:
-        """Merge the trace (orchestrator lines + worker part files) and
-        stop the status server.  Idempotent, safe on error paths."""
-        if self._closed:
-            return
-        self._closed = True
-        trace_path = self.config.trace_path
-        if trace_path is not None:
-            parts = [
-                shard_part_path(trace_path, index)
-                for index in range(self.config.workers)
-            ]
-            merge_trace_files(trace_path, parts, self._lines)
-            self._lines.clear()
+        """Close the trace and stop the status server.  Idempotent,
+        safe on error paths."""
+        if self._trace is not None:
+            self._trace.close()
+            self._trace = None
         if self.server is not None:
             self.server.stop()
             self.server = None

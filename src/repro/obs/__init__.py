@@ -12,8 +12,9 @@ Three building blocks:
 
 * :mod:`repro.obs.phases`  -- :class:`PhaseProfiler`, scoped timers
   around the generate / parse / execute / compare hot-path phases;
-* :mod:`repro.obs.trace`   -- schema-versioned JSONL trace events with
-  per-worker non-blocking sinks and an orchestrator-side merge;
+* :mod:`repro.obs.trace`   -- schema-versioned JSONL trace events,
+  held in memory by each shard and written to one file by the fleet's
+  orchestrator as they arrive;
 * :mod:`repro.obs.status`  -- :class:`ProgressSnapshot`, the one
   fleet snapshot record, and the live JSON status endpoint that serves
   it (``coddtest fleet --status-port N``), plus
@@ -45,9 +46,7 @@ from repro.obs.trace import (
     TRACE_SCHEMA_VERSION,
     TraceWriter,
     format_record,
-    merge_trace_files,
     read_trace,
-    shard_part_path,
     validate_record,
 )
 
@@ -64,12 +63,10 @@ __all__ = [
     "format_phase_breakdown",
     "format_record",
     "merge_phase_totals",
-    "merge_trace_files",
     "read_trace",
     "render_phase_table",
     "render_top_frame",
     "render_trace_report",
-    "shard_part_path",
     "snapshot_from_trace",
     "summarize_trace",
     "validate_record",

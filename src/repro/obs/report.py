@@ -9,8 +9,9 @@ Two consumers of the same trace stream:
 * :func:`snapshot_from_trace` folds a trace into the
   :class:`~repro.obs.status.ProgressSnapshot` record the live status
   endpoint serves, so ``coddtest top`` renders one frame from either a
-  URL (live run) or a trace file (finished run) with the same code
-  path, and a finished trace shows the run's final status.
+  URL or a trace file with the same code path.  A trace is written
+  while the run goes, so it folds into the run's status so far, and a
+  finished trace into its final status.
 
 Determinism guarantee: both renderers are pure functions of the input
 records -- re-rendering the same trace file is byte-identical (pinned
@@ -33,7 +34,12 @@ _BAR_WIDTH = 32
 
 def summarize_trace(records: Iterable[dict]) -> dict:
     """Fold trace records into one summary dict (the shared backend of
-    the report and ``top`` renderers)."""
+    the report and ``top`` renderers).
+
+    A shard's finished rounds count from their ``shard_finish``
+    records; a round it has started and not finished (the trace of a
+    running or interrupted fleet) counts from its ``test_finish`` and
+    ``bug_found`` records."""
     summary: dict = {
         "run": {},
         "finish": None,
@@ -66,17 +72,24 @@ def summarize_trace(records: Iterable[dict]) -> dict:
             summary["last_ts"] = ts
         ev = record["ev"]
         shard = record["shard"]
+        # The orchestrator's records carry no shard.
+        slot = (
+            _shard_slot()
+            if shard is None
+            else summary["shards"].setdefault(shard, _shard_slot())
+        )
+        slot["last_ts"] = max(slot["last_ts"], ts)
         if ev in ("run_start", "run_finish"):
             summary["run" if ev == "run_start" else "finish"] = {
                 **{k: v for k, v in record.items() if k not in HEADER_FIELDS},
                 "ts": ts,
             }
         elif ev == "shard_start":
-            slot = summary["shards"].setdefault(shard, _shard_slot())
             slot["starts"].append(ts)
             slot["rounds"] = max(slot["rounds"], record["round"] + 1)
+            slot["open"] = {"tests": 0, "skipped": 0, "reports": 0}
         elif ev == "shard_finish":
-            slot = summary["shards"].setdefault(shard, _shard_slot())
+            slot["open"] = None
             slot["finishes"].append(ts)
             slot["tests"] += record["tests"]
             slot["skipped"] += record["skipped"]
@@ -102,12 +115,16 @@ def summarize_trace(records: Iterable[dict]) -> dict:
                 }
             )
         elif ev == "test_finish":
-            slot = summary["shards"].setdefault(shard, _shard_slot())
             slot["qok"] += record["qok"]
             slot["qerr"] += record["qerr"]
             summary["queries_ok"] += record["qok"]
             summary["queries_err"] += record["qerr"]
+            if slot["open"] is not None:
+                counted = record["status"] in ("ok", "bug")
+                slot["open"]["tests" if counted else "skipped"] += 1
         elif ev == "bug_found":
+            if slot["open"] is not None:
+                slot["open"]["reports"] += 1
             summary["bugs"].append(
                 {
                     "ts": ts,
@@ -120,6 +137,11 @@ def summarize_trace(records: Iterable[dict]) -> dict:
             summary["clusters_new"] += 1
         elif ev == "cluster_saturated":
             summary["clusters_saturated"] += 1
+    for slot in summary["shards"].values():
+        for key, value in (slot.pop("open") or {}).items():
+            slot[key] += value
+            if key != "reports":
+                summary[key] += value
     # A finished run's own totals win over the shard records' sums; a
     # trace written before run_finish carried the set-union of plans
     # falls back to the per-shard-round sum, an upper bound.
@@ -152,6 +174,9 @@ def _shard_slot() -> dict:
         "qok": 0,
         "qerr": 0,
         "unique_plans": 0,
+        "last_ts": float("-inf"),
+        # Counters of the round the shard has started and not finished.
+        "open": None,
     }
 
 
@@ -271,9 +296,9 @@ def snapshot_from_trace(records: Iterable[dict]) -> dict:
     ``tests_per_second`` and the shards' ``age_s`` are measured from
     the trace's timestamps instead.  A shard is ``done`` once it has
     finished every round it started, and its ``age_s`` counts from its
-    last ``shard_start`` or ``shard_finish``, so a trace cut mid-round
-    (an interrupted fleet leaves one) shows the round's shards
-    running.  Traces whose ``run_finish`` lacks
+    last record of any kind, so the trace of a running fleet, or one
+    cut mid-round, shows the round's shards running, with the tests
+    they have finished.  Traces whose ``run_finish`` lacks
     ``unique_plans``, ``unique_reports`` and ``clusters`` (or that have
     no ``run_finish``) show the summed shard plans and null counts."""
     s = summarize_trace(records)
@@ -305,11 +330,7 @@ def snapshot_from_trace(records: Iterable[dict]) -> dict:
                 "tests": slot["tests"],
                 "reports": slot["reports"],
                 "done": 0 < len(slot["finishes"]) == len(slot["starts"]),
-                "age_s": round(
-                    last
-                    - max(slot["starts"] + slot["finishes"], default=last),
-                    3,
-                ),
+                "age_s": round(last - slot["last_ts"], 3),
             }
             for shard, slot in s["shards"].items()
         },

@@ -32,12 +32,14 @@ Event taxonomy (``EVENT_SCHEMA`` below is the machine-readable form
 * ``bug_found``                    -- a report was filed,
 * ``cluster_new`` / ``cluster_saturated`` -- corpus triage transitions.
 
-Writers are per-worker and non-blocking on the hot path: ``emit``
-appends to an in-memory buffer that is flushed to disk in batches
-(one ``writelines`` per ``buffer_size`` events), never fsyncing and
-never taking locks shared with another process.  Each fleet worker
-writes its own part file; the orchestrator merges the parts into the
-final trace sorted by timestamp (:func:`merge_trace_files`).
+One process writes the trace file: the fleet's orchestrator.  A shard
+keeps its records in memory (:class:`TraceWriter`, whose ``emit`` only
+formats and appends a line, never touching disk or a lock) and hands
+them over with each progress message; the orchestrator appends each
+message's lines and its own events to the file and flushes after every
+message, so the file is a live record of the run from its first line.
+Records reach the file in batches, so :func:`read_trace` returns them
+sorted by timestamp.
 
 Schema versioning policy: ``TRACE_SCHEMA_VERSION`` bumps whenever a
 field is removed or changes meaning/type, or header ordering changes;
@@ -49,9 +51,7 @@ Golden tests in ``tests/obs/test_trace.py`` enforce the byte layout.
 from __future__ import annotations
 
 import json
-import os
 import time
-from typing import Iterable
 
 #: Bump on breaking layout changes only; see the module docstring.
 TRACE_SCHEMA_VERSION = 1
@@ -173,54 +173,38 @@ def validate_record(record: dict) -> "str | None":
 
 
 class TraceWriter:
-    """Buffered per-worker JSONL sink.
-
-    Never shared across processes: each worker opens its own part file
-    in append mode.  ``emit`` is non-blocking on the hot path -- it
-    appends a formatted line to a list; disk I/O happens once per
-    *buffer_size* events and on :meth:`close`.
+    """A shard's trace records, held in memory until :meth:`drain`
+    hands them on: ``emit`` formats one line and appends it to a list.
     """
 
-    def __init__(
-        self,
-        path: str,
-        shard: "int | None" = None,
-        buffer_size: int = 256,
-    ) -> None:
-        self.path = path
+    def __init__(self, shard: int) -> None:
         self.shard = shard
-        self.buffer_size = max(1, buffer_size)
         self._lines: list[str] = []
-        self._closed = False
 
     def emit(self, ev: str, **payload) -> None:
-        if self._closed:
-            raise ValueError(f"trace writer for {self.path} is closed")
         self._lines.append(
             format_record(ev, time.time(), self.shard, payload) + "\n"
         )
-        if len(self._lines) >= self.buffer_size:
-            self.flush()
 
-    def flush(self) -> None:
-        if not self._lines:
-            return
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.writelines(self._lines)
-        self._lines.clear()
-
-    def close(self) -> None:
-        self.flush()
-        self._closed = True
+    def drain(self) -> list[str]:
+        """The lines emitted since the last drain, oldest first."""
+        lines, self._lines = self._lines, []
+        return lines
 
 
 def read_trace(path: str) -> list[dict]:
-    """Records of a trace file, as a list so callers can fold it more
-    than once (malformed JSON raises ValueError with the offending
-    line number)."""
+    """Records of a trace file sorted by timestamp, records with equal
+    timestamps in file order, as a list so callers can fold it more
+    than once.
+
+    A last line with no newline yet is one the fleet is still writing,
+    and is left out; any other line that does not decode raises
+    ValueError with its line number."""
     records: list[dict] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.endswith("\n"):
+                break
             line = line.strip()
             if not line:
                 continue
@@ -230,51 +214,12 @@ def read_trace(path: str) -> list[dict]:
                 raise ValueError(
                     f"{path}:{lineno}: malformed trace record: {exc}"
                 ) from None
+    records.sort(key=_timestamp)
     return records
 
 
-def shard_part_path(trace_path: str, shard_index: int) -> str:
-    """Where shard *shard_index* of a fleet writes its part file."""
-    return f"{trace_path}.shard{shard_index}.part"
-
-
-def merge_trace_files(
-    out_path: str,
-    part_paths: Iterable[str],
-    extra_lines: "Iterable[str] | None" = None,
-) -> int:
-    """Merge per-worker part files (plus the orchestrator's own
-    already-formatted *extra_lines*) into one trace sorted by
-    timestamp, stably -- records with equal timestamps keep their
-    per-writer order, and remove the parts.  Returns the number of
-    records written.
-
-    A part line that does not decode is skipped: a worker killed in the
-    middle of a flush leaves its last line torn, and the fleet's own
-    error about that worker is the one worth reporting."""
-    records: list[tuple[float, int, str]] = []
-    seq = 0
-    for line in extra_lines or ():
-        records.append((json.loads(line)["ts"], seq, line))
-        seq += 1
-    for path in part_paths:
-        if not os.path.exists(path):
-            continue
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                try:
-                    ts = json.loads(line)["ts"]
-                except json.JSONDecodeError:
-                    continue
-                records.append((ts, seq, line))
-                seq += 1
-    records.sort(key=lambda rec: (rec[0], rec[1]))
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for _, _, line in records:
-            fh.write(line if line.endswith("\n") else line + "\n")
-    for path in part_paths:
-        if os.path.exists(path):
-            os.remove(path)
-    return len(records)
+def _timestamp(record) -> float:
+    """A record's ``ts``; a record without a numeric one sorts first
+    (the readers count it as invalid)."""
+    ts = record.get("ts") if isinstance(record, dict) else None
+    return ts if isinstance(ts, (int, float)) else float("-inf")

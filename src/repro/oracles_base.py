@@ -30,8 +30,9 @@ class TestReport:
     """One bug-inducing test case.
 
     Reports cross process boundaries (fleet workers pickle them onto a
-    result queue) and are persisted to JSONL corpora, so they must stay
-    plain data: strings, lists, and frozensets only.
+    result queue) and the bug corpus persists them as JSONL
+    ``CorpusEntry`` rows, so they must stay plain data: strings, lists,
+    and frozensets only.
     """
 
     oracle: str
@@ -49,34 +50,6 @@ class TestReport:
     #: The ddmin-reduced witness, when the fleet shard that found the
     #: bug reduced it (None otherwise, or when it was irreducible).
     reduced_statements: list[str] | None = None
-
-    def to_dict(self) -> dict:
-        """JSON-compatible form (used by the fleet bug corpus)."""
-        out = {
-            "oracle": self.oracle,
-            "kind": self.kind,
-            "statements": list(self.statements),
-            "description": self.description,
-            "fired_faults": sorted(self.fired_faults),
-        }
-        if self.backend_pair is not None:
-            out["backend_pair"] = list(self.backend_pair)
-        if self.plan_fingerprint is not None:
-            out["plan_fingerprint"] = self.plan_fingerprint
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TestReport":
-        pair = data.get("backend_pair")
-        return cls(
-            oracle=data["oracle"],
-            kind=data["kind"],
-            statements=list(data["statements"]),
-            description=data["description"],
-            fired_faults=frozenset(data.get("fired_faults", ())),
-            backend_pair=tuple(pair) if pair else None,
-            plan_fingerprint=data.get("plan_fingerprint"),
-        )
 
 
 @dataclass

@@ -15,6 +15,7 @@ from repro.differential import (
 from repro.dialects import make_engine
 from repro.dialects.catalog import FAULTS_BY_ID
 from repro.fleet import BugCorpus, FleetConfig, run_fleet
+from repro.fleet.corpus import iter_corpus_file
 from repro.runner.campaign import Campaign
 from repro.triage import replay_clusters
 
@@ -75,16 +76,20 @@ class TestFaultDetection:
             # Replayable program: state DDL precedes the query.
             assert report.statements[0].upper().startswith("CREATE TABLE")
 
-    def test_report_roundtrips_backend_pair(self):
+    def test_report_roundtrips_backend_pair(self, tmp_path):
+        # The corpus is where a report is persisted: a saved entry
+        # loads back with the pair and the witness.
         stats = Campaign(
             DifferentialOracle(), buggy_pair(), seed=7
         ).run(n_tests=300)
-        from repro.oracles_base import TestReport
-
         report = stats.reports[0]
-        clone = TestReport.from_dict(report.to_dict())
-        assert clone.backend_pair == report.backend_pair
-        assert clone.statements == report.statements
+        path = str(tmp_path / "bugs.jsonl")
+        corpus = BugCorpus(path)
+        assert corpus.add(report)
+        corpus.save()
+        [entry] = iter_corpus_file(path)
+        assert tuple(entry.backend_pair) == report.backend_pair
+        assert entry.statements == report.statements
 
     def test_engine_failures_carry_pair_and_replay_on_it(self):
         # Internal errors, crashes and hangs are reported by the base

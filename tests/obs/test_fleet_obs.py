@@ -294,8 +294,7 @@ class TestOneSnapshot:
         snap = snapshot_from_trace(records[:cut])
         assert snap["state"] == "running"
         assert snap["round"] == 3
-        # Each shard's age counts from its round-3 start, its last
-        # lifecycle record.
+        # Each shard's age counts from its last record of any kind.
         starts = {
             str(r["shard"]): r["ts"]
             for r in records[:cut]
@@ -303,9 +302,14 @@ class TestOneSnapshot:
         }
         assert set(snap["shards"]) == set(starts) == {"0", "1"}
         last = records[cut - 1]["ts"]
+        seen = {
+            str(r["shard"]): r["ts"]
+            for r in records[:cut]
+            if r["shard"] is not None
+        }
         for shard, row in snap["shards"].items():
             assert row["done"] is False
-            assert row["age_s"] == round(last - starts[shard], 3)
+            assert row["age_s"] == round(last - seen[shard], 3)
 
 
 class TestCampaignPhaseStats:

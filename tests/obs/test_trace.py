@@ -19,9 +19,7 @@ from repro.obs.trace import (
     TRACE_SCHEMA_VERSION,
     TraceWriter,
     format_record,
-    merge_trace_files,
     read_trace,
-    shard_part_path,
     validate_record,
 )
 
@@ -138,61 +136,55 @@ class TestValidateRecord:
 
 
 class TestWriterAndMerge:
-    def test_writer_buffers_and_flushes(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        writer = TraceWriter(path, shard=0, buffer_size=1000)
+    def test_writer_hands_its_lines_to_drain(self):
+        writer = TraceWriter(shard=0)
         writer.emit("test_start", n=1)
-        assert not (tmp_path / "t.jsonl").exists()
-        writer.close()
-        records = read_trace(path)
-        assert [r["ev"] for r in records] == ["test_start"]
-        assert records[0]["shard"] == 0
+        writer.emit("test_start", n=2)
+        lines = writer.drain()
+        assert all(line.endswith("\n") for line in lines)
+        records = [json.loads(line) for line in lines]
+        assert [r["n"] for r in records] == [1, 2]
+        assert {r["shard"] for r in records} == {0}
+        assert writer.drain() == []
 
-    def test_closed_writer_rejects_emit(self, tmp_path):
-        writer = TraceWriter(str(tmp_path / "t.jsonl"))
-        writer.close()
-        with pytest.raises(ValueError):
-            writer.emit("test_start", n=1)
-
-    def test_merge_sorts_by_timestamp_and_removes_parts(self, tmp_path):
-        out = str(tmp_path / "run.jsonl")
-        parts = [shard_part_path(out, i) for i in range(2)]
-        with open(parts[0], "w", encoding="utf-8") as fh:
-            fh.write(format_record("test_start", 3.0, 0, {"n": 1}) + "\n")
-        with open(parts[1], "w", encoding="utf-8") as fh:
-            fh.write(format_record("test_start", 2.0, 1, {"n": 1}) + "\n")
-        extra = [format_record("run_start", 1.0, None,
-                               {"oracle": "x", "workers": 2, "seed": 0}) + "\n"]
-        count = merge_trace_files(out, parts, extra)
-        assert count == 3
-        records = read_trace(out)
-        assert [r["ts"] for r in records] == [1.0, 2.0, 3.0]
-        assert not any(
-            (tmp_path / p).exists() for p in ("run.jsonl.shard0.part",
-                                              "run.jsonl.shard1.part")
+    def test_read_trace_returns_timestamp_order(self, tmp_path):
+        # A shard's records reach the file with its next progress
+        # message, after orchestrator events written in between.
+        path = tmp_path / "run.jsonl"
+        path.write_text(
+            format_record("test_start", 3.0, 0, {"n": 1}) + "\n"
+            + format_record("test_start", 2.0, 1, {"n": 1}) + "\n"
+            + format_record(
+                "run_start", 1.0, None,
+                {"oracle": "x", "workers": 2, "seed": 0},
+            ) + "\n",
+            encoding="utf-8",
         )
+        assert [r["ts"] for r in read_trace(str(path))] == [1.0, 2.0, 3.0]
 
-    def test_merge_is_stable_for_equal_timestamps(self, tmp_path):
-        out = str(tmp_path / "run.jsonl")
-        part = shard_part_path(out, 0)
-        with open(part, "w", encoding="utf-8") as fh:
-            for n in range(5):
-                fh.write(format_record("test_start", 1.0, 0, {"n": n}) + "\n")
-        merge_trace_files(out, [part])
-        assert [r["n"] for r in read_trace(out)] == list(range(5))
+    def test_read_trace_keeps_file_order_for_equal_timestamps(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        path.write_text(
+            "".join(
+                format_record("test_start", 1.0, 0, {"n": n}) + "\n"
+                for n in range(5)
+            ),
+            encoding="utf-8",
+        )
+        assert [r["n"] for r in read_trace(str(path))] == list(range(5))
 
-    def test_merge_skips_torn_last_line_of_killed_worker(self, tmp_path):
-        # A worker killed between two writes of one flush leaves a torn
-        # last line; the merge keeps the whole records and goes on.
-        out = str(tmp_path / "run.jsonl")
-        part = shard_part_path(out, 0)
-        with open(part, "w", encoding="utf-8") as fh:
-            for n in range(3):
-                fh.write(format_record("test_start", 1.0 + n, 0, {"n": n}) + "\n")
-            fh.write('{"v": 1, "ts": 17224700')
-        assert merge_trace_files(out, [part]) == 3
-        assert [r["n"] for r in read_trace(out)] == [0, 1, 2]
-        assert not (tmp_path / "run.jsonl.shard0.part").exists()
+    def test_read_trace_skips_last_line_without_newline(self, tmp_path):
+        # A running fleet's trace may end in a line it is still writing.
+        path = tmp_path / "run.jsonl"
+        path.write_text(
+            "".join(
+                format_record("test_start", 1.0 + n, 0, {"n": n}) + "\n"
+                for n in range(3)
+            )
+            + '{"v": 1, "ts": 17224700',
+            encoding="utf-8",
+        )
+        assert [r["n"] for r in read_trace(str(path))] == [0, 1, 2]
 
     def test_read_trace_raises_on_malformed_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"

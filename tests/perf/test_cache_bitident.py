@@ -46,9 +46,7 @@ def test_cache_on_matches_cache_off(name):
     off = _run(ORACLES[name], seed=5)
     on = _run(ORACLES[name], seed=5, cache=EvalCache())
     assert on.signature() == off.signature()
-    assert [r.to_dict() for r in on.reports] == [
-        r.to_dict() for r in off.reports
-    ]
+    assert on.reports == off.reports
 
 
 def test_differential_fleet_cache_on_matches_cache_off():
@@ -123,9 +121,7 @@ def test_any_interleaving_yields_identical_report_sequences(schedule, seed):
     baseline = _run_toggled(seed, [False])  # never cached
     toggled = _run_toggled(seed, schedule)
     assert toggled.signature() == baseline.signature()
-    assert [r.to_dict() for r in toggled.reports] == [
-        r.to_dict() for r in baseline.reports
-    ]
+    assert toggled.reports == baseline.reports
 
 
 # ---------------------------------------------------------------------------

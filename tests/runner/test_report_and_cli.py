@@ -145,6 +145,35 @@ class TestCli:
         assert rc == 0
         assert "real sqlite3" in capsys.readouterr().out
 
+    def test_sqlite3_subcommand_runs_the_serial_campaign(
+        self, capsys, monkeypatch
+    ):
+        # `coddtest sqlite3` is a 1-worker fleet; it runs exactly the
+        # campaign run_campaign runs on the real SQLite.
+        import repro.cli
+        from repro.adapters import Sqlite3Adapter
+        from repro.core import CoddTestOracle
+        from repro.runner import run_campaign
+
+        results = []
+        run_fleet = repro.cli.run_fleet
+
+        def recorded(config, **kwargs):
+            results.append(run_fleet(config, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(repro.cli, "run_fleet", recorded)
+        assert cli_main(["sqlite3", "--tests", "200", "--seed", "3"]) == 0
+        serial = run_campaign(
+            CoddTestOracle(relation_mode_prob=0.0),
+            Sqlite3Adapter(),
+            n_tests=200,
+            seed=3,
+        )
+        [result] = results
+        assert result.merged.signature() == serial.signature()
+        assert f"{serial.tests} tests" in capsys.readouterr().out
+
     def test_oracle_selection(self, capsys):
         rc = cli_main(["hunt", "--oracle", "norec", "--tests", "40"])
         assert rc == 0
@@ -426,6 +455,34 @@ class TestTraceCli:
         assert report.count("round barrier ") == len(barriers)
         assert cli_main(["top", trace]) == 0
         assert "done" in capsys.readouterr().out
+        # A finished trace reads done, so --follow returns at once.
+        assert cli_main(["top", "--follow", "--interval", "60", trace]) == 0
+        assert capsys.readouterr().out.count("coddtest top -- done") == 1
+
+    def test_unwritable_trace_fails_before_the_first_test(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.runner.campaign import Campaign
+
+        entered = tmp_path / "campaign-entered"
+        run = Campaign.run
+
+        def marked(self, *args, **kwargs):
+            entered.touch()  # a file, so forked workers leave it too
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Campaign, "run", marked)
+        trace = str(tmp_path / "missing" / "run.jsonl")
+        argv = [
+            "fleet", "--workers", "2", "--tests", "50", "--buggy",
+            "--quiet", "--trace", trace,
+        ]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("coddtest: error: ")
+        assert trace in captured.err
+        assert captured.out == ""
+        assert not entered.exists()
 
 
 class TestCorpusCli:

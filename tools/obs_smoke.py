@@ -12,8 +12,11 @@ from the outside, the way a user would hit it:
    :mod:`repro.obs`).  ``http.server`` must be absent from
    ``sys.modules`` until this run's endpoint starts, and present once
    it has served a poll: only a run that serves status loads the HTTP
-   stack.
-3. **Offline consumers** -- the merged trace must validate against the
+   stack.  The trace path holds an earlier run's trace, and at every
+   live progress snapshot the trace must be the only file in its
+   directory and fold into this run, running, with the tests and
+   reports the snapshot shows.
+3. **Offline consumers** -- the finished trace must validate against the
    event schema (``tools/trace_check.py``), render a deterministic
    ``coddtest trace report``, and fold into a ``top`` snapshot equal to
    the run's final status on every field not measured from wall-clock.
@@ -90,6 +93,38 @@ def _poll_status(telemetry: FleetTelemetry, snapshots: list) -> None:
         time.sleep(0.05)
 
 
+class _LiveTraceCheck(FleetTelemetry):
+    """Reads the trace back at every live progress snapshot and keeps
+    what disagrees with the run."""
+
+    def __init__(self, printer: ProgressPrinter) -> None:
+        super().__init__(printer)
+        self.reads = 0
+        self.problems: list[str] = []
+
+    def progress(self, snap) -> None:
+        super().progress(snap)
+        path = self.config.trace_path
+        self.reads += 1
+        files = os.listdir(os.path.dirname(path))
+        if files != [os.path.basename(path)]:
+            self.problems.append(f"trace directory holds {sorted(files)}")
+        try:
+            records = read_trace(path)
+        except OSError as exc:
+            self.problems.append(f"trace unreadable mid-run: {exc}")
+            return
+        live = snapshot_from_trace(records)
+        starts = [r["ev"] for r in records].count("run_start")
+        seen = (live["seed"], live["state"], live["tests"], live["reports"])
+        want = (self.config.seed, "running", snap.tests, snap.reports)
+        if starts != 1 or seen != want or not snap.tests > 0:
+            self.problems.append(
+                f"live trace reads (seed, state, tests, reports) = {seen} "
+                f"over {starts} run_start record(s), expected {want}"
+            )
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tests", type=int, default=600)
@@ -130,8 +165,12 @@ def main(argv: "list[str] | None" = None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="obs_smoke_") as tmp:
         trace_path = os.path.join(tmp, "run.trace.jsonl")
+        # An earlier run at the same path, which the next must replace.
+        run_fleet(
+            FleetConfig(seed=args.seed + 1, n_tests=50, trace_path=trace_path)
+        )
         traced_config = config(trace_path=trace_path, status_port=0)
-        telemetry = FleetTelemetry(printer=ProgressPrinter(interval=0.2))
+        telemetry = _LiveTraceCheck(ProgressPrinter(interval=0.2))
         snapshots: list[dict] = []
         poller = threading.Thread(
             target=_poll_status, args=(telemetry, snapshots), daemon=True
@@ -145,6 +184,13 @@ def main(argv: "list[str] | None" = None) -> int:
             "traced+status run bit-identical to silent run",
         )
         check(len(snapshots) > 0, f"live endpoint polled ({len(snapshots)} snapshots)")
+        for problem in telemetry.problems[:5]:
+            print(f"[obs-smoke]   {problem}", file=sys.stderr)
+        check(
+            telemetry.reads > 0 and not telemetry.problems,
+            "the trace is the live record of this run at each of "
+            f"{telemetry.reads} progress snapshots",
+        )
         check(
             "http.server" in sys.modules,
             "http.server loaded once the endpoint served a poll",
