@@ -98,15 +98,16 @@ def _unguided_fleet_witness() -> dict:
     }
 
 
-def _reducing_fleet_witness(workers: int) -> dict:
+def _reducing_fleet_witness(workers: int, n_tests: int = 200) -> dict:
     # ddmin runs on every first-seen report, so the reduced witnesses
     # and their replay verdicts are pinned along with the campaign.
+    # 200 tests on two workers is one round; 600 is four.
     config = FleetConfig(
         oracle="coddtest",
         buggy=True,
         workers=workers,
         seed=5,
-        n_tests=200,
+        n_tests=n_tests,
         guidance="plan-coverage",
     )
     corpus = BugCorpus(reduce_fn=make_replay_reducer(config))
@@ -135,6 +136,9 @@ CASES = {
     "unguided-fleet-2w": _unguided_fleet_witness,
     "reducing-fleet-2w": functools.partial(_reducing_fleet_witness, 2),
     "reducing-fleet-1w": functools.partial(_reducing_fleet_witness, 1),
+    "reducing-fleet-2w-4rounds": functools.partial(
+        _reducing_fleet_witness, 2, 600
+    ),
 }
 
 
