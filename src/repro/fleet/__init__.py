@@ -8,10 +8,10 @@ per hour ("Scaling Automated Database System Testing", Zhong & Rigger
 ``multiprocessing`` worker pool:
 
 * :mod:`repro.fleet.orchestrator` -- ``FleetConfig``, the one record
-  of a campaign's settings; the worker pool, the one collector both
-  shard paths stream progress and reports into, stats merging,
-  fleet-wide early stop, and each shard's ddmin reduction of the bugs
-  it finds first,
+  of a campaign's settings; the worker pool, forked once per fleet,
+  the one collector both shard paths stream progress and reports into,
+  stats merging, fleet-wide early stop, and the ddmin jobs of new bugs,
+  which go to whichever worker has finished its own tests,
 * :mod:`repro.fleet.sharding` -- deterministic per-shard seeds and
   budget splits (a 1-worker fleet bit-matches the serial campaign);
   each ``ShardSpec`` carries the fleet's ``FleetConfig`` plus its

@@ -5,10 +5,10 @@ superficially different test cases; what makes a fleet's output
 analyzable is the set of *distinct* bugs (QPG, Ba & Rigger 2023, make
 the same observation for query-plan corpora).  This module fingerprints
 each :class:`~repro.oracles_base.TestReport`, keeps one corpus entry per
-fingerprint, stores the first-seen witness with the ddmin-reduced one
-the fleet shard that found the bug made (the corpus never reduces), and
-persists everything as one JSON object per line so corpora can be
-appended to, merged, and resumed across fleet invocations.
+fingerprint, stores the first-seen witness with the ddmin-reduced one a
+fleet worker made of it (the corpus never reduces), and persists
+everything as one JSON object per line so corpora can be appended to,
+merged, and resumed across fleet invocations.
 
 Determinism guarantee: fingerprints are pure functions of the
 normalized witness, so the same campaign always produces the same
@@ -16,7 +16,9 @@ entries, and a fleet orders each round's new entries by shard, then
 by the shard's own report order, whatever the scheduling.
 The on-disk format is append-only and era-tolerant -- entries written
 before a field existed (e.g. PR-1 corpora without ``backend_pair``)
-load with that field defaulted, never rejected.
+load with that field defaulted, never rejected.  A reduced witness can
+arrive after its entry was appended; the entry is then appended again,
+and readers keep a fingerprint's last line.
 """
 
 from __future__ import annotations
@@ -158,8 +160,11 @@ class BugCorpus:
 
     ``add()`` appends newly fingerprinted entries to the backing file
     immediately, so even an interrupted fleet leaves a loadable corpus;
-    ``save()`` rewrites the file to also persist updated ``times_seen``
-    counters.  Fingerprints are monotonic: nothing is ever removed.
+    ``attach()`` appends an entry again once its reduced witness
+    arrives, so the file holds every witness that has; ``save()``
+    rewrites the file with one line per entry and the updated
+    ``times_seen`` counters.  Fingerprints are monotonic: nothing is
+    ever removed.
     """
 
     def __init__(
@@ -196,10 +201,10 @@ class BugCorpus:
     ) -> bool:
         """Record *report*; True iff its fingerprint is new.
 
-        First-seen bugs are persisted with *reduced*, the witness the
-        fleet shard that found the bug reduced on its own cache (None:
-        not reduced, or irreducible); duplicates just bump
-        ``times_seen``.  The other keyword arguments stamp fleet
+        First-seen bugs are persisted with *reduced*, the reduced
+        witness when it is already known (None: not reduced yet, not
+        reduced, or irreducible; see :meth:`attach`); duplicates just
+        bump ``times_seen``.  The other keyword arguments stamp fleet
         provenance (first-seen shard, fleet seed, dialect) onto
         first-seen entries for triage.
         """
@@ -227,10 +232,32 @@ class BugCorpus:
             reduced_statements=reduced,
         )
         self.entries[fp] = entry
+        self._append(entry)
+        return True
+
+    def attach(
+        self, fingerprint: str, shard: int, reduced: list[str] | None
+    ) -> None:
+        """Give the entry of *fingerprint* the witness *reduced* that
+        ddmin made of shard *shard*'s report, if that report made the
+        entry (its ``first_seen_shard``) and the entry has no witness
+        yet.  The entry is appended to the backing file again, so the
+        file's last line of the fingerprint carries the witness."""
+        entry = self.entries.get(fingerprint)
+        if (
+            reduced is None
+            or entry is None
+            or entry.first_seen_shard != shard
+            or entry.reduced_statements is not None
+        ):
+            return
+        entry.reduced_statements = reduced
+        self._append(entry)
+
+    def _append(self, entry: CorpusEntry) -> None:
         if self.path is not None:
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(entry.to_dict(), sort_keys=True) + "\n")
-        return True
 
     def merge(self, other: "BugCorpus | Iterable[CorpusEntry]") -> int:
         """Fold another corpus in; returns the number of new entries."""
@@ -282,12 +309,22 @@ class BugCorpus:
 
 
 def iter_corpus_file(path: str) -> Iterator[CorpusEntry]:
-    """Yield the entries of one JSONL corpus file in file order.
+    """Yield the entries of one JSONL corpus file, one per fingerprint,
+    in the order of each fingerprint's first line, with its last line's
+    fields: a fleet appends an entry again when its reduced witness
+    arrives (:meth:`BugCorpus.attach`).
 
     Raises :class:`ValueError` naming the file and line on malformed
     JSON or an entry missing its required fields, so a truncated write
     surfaces as a diagnosable error rather than a stack trace.
     """
+    entries: dict[str, CorpusEntry] = {}
+    for entry in _iter_lines(path):
+        entries[entry.fingerprint] = entry
+    yield from entries.values()
+
+
+def _iter_lines(path: str) -> Iterator[CorpusEntry]:
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()

@@ -8,12 +8,19 @@ orchestrator's one collector feeds every streamed report through the
 bug corpus for deduplication and builds the fleet snapshot.  The
 orchestrator merges shard stats (set-union of plans, max coverage, QPT
 recomputed from merged counters) and enforces the fleet-wide
-``max_reports`` bound via a shared stop event.  A shard ddmin-reduces
-each report new to the fleet as its campaign records it, on the
-shard's own cache, so reports reach the corpus with their reduced
-witness.
+``max_reports`` bound via a shared stop event.
 
-Every fleet runs one loop of rounds.  An unguided fleet is the
+A reducing fleet ddmin-reduces each report new to its shard as a job:
+the report plus the ASTs the shard's parse memo holds for it, run on a
+fresh cache primed with them, whose counters are credited to the
+finding shard.  A witness is a pure function of its job, so it does not
+matter where the job runs.  Under a test budget the shard queues its
+jobs, and the orchestrator hands each one to whichever worker has
+finished its own tests, until the round's last job is reduced; under a
+time budget the shard reduces each report as it records it.
+
+Every fleet runs one loop of rounds, a multi-worker fleet on one pool
+of workers forked when the fleet starts.  An unguided fleet is the
 one-round case: no policy, no coverage map, no barrier events.  A
 guided fleet splits its budget into several rounds and exchanges
 coverage snapshots at the barriers between them.
@@ -26,10 +33,12 @@ A 1-worker fleet runs in-process through the same shard code path, so
 from __future__ import annotations
 
 import multiprocessing
+import os
+import pickle
 import queue as queue_mod
 import time
 import traceback
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -53,9 +62,9 @@ from repro.guidance import (
     policy_seed,
 )
 from repro.obs.status import ProgressSnapshot
-from repro.obs.trace import TraceWriter
+from repro.obs.trace import TraceWriter, format_record
 from repro.oracles_base import Oracle, TestReport
-from repro.perf import EvalCache
+from repro.perf import CacheStats, EvalCache
 from repro.runner.campaign import Campaign, CampaignStats
 from repro.runner.reducer import reduce_statements, replay_witness
 
@@ -327,10 +336,49 @@ def _arm_prior(
     return prior
 
 
+@dataclass
+class _ReduceJob:
+    """One report for ddmin: everything a worker needs to reduce it."""
+
+    #: The shard that filed the report, credited with the job's work.
+    finder: int
+    #: The report's position in the finder's stats of the round.
+    index: int
+    fingerprint: str
+    report: TestReport
+    #: The ASTs the finder's parse memo held for the report's statements.
+    asts: dict
+
+
+def _reduce(
+    job: _ReduceJob, reducer: "ReplayReducer", cached: bool
+) -> tuple[list[str] | None, dict, dict]:
+    """Run *job* on a fresh cache primed with its ASTs (on none unless
+    *cached*).  Returns the reduced witness, the cache's counters and
+    the fields of the job's ``reduce`` trace record."""
+    cache = None
+    if cached:
+        cache = EvalCache()
+        for sql, ast in job.asts.items():
+            cache.prime_parse(sql, ast)
+    start = time.perf_counter()
+    witness, candidates = reducer.reduce(job.report, cache)
+    record = {
+        "finder": job.finder,
+        "fingerprint": job.fingerprint,
+        "statements": len(job.report.statements),
+        "reduced": None if witness is None else len(witness),
+        "candidates": candidates,
+        "seconds": round(time.perf_counter() - start, 6),
+    }
+    return witness, {} if cache is None else cache.stats.to_dict(), record
+
+
 def _run_shard(
     spec: ShardSpec,
     post: Callable[[tuple], None],
     should_stop: Callable[[], bool] | None = None,
+    next_job: Callable[[], bytes | None] | None = None,
 ) -> dict:
     """Run one shard to completion in the current process.
 
@@ -342,23 +390,22 @@ def _run_shard(
     ``{"stats": CampaignStats}`` plus, for guided shards, the serialized
     policy state (coverage map included) the orchestrator merges at the
     next round barrier.
+
+    A reducing shard makes a :class:`_ReduceJob` of each report new to
+    it and posts each job's outcome as ``("reduced", shard_index,
+    payload)``.  Under a time budget it reduces the report at once.
+    Under a test budget a pool worker (*next_job* given) posts the job,
+    pickled, as ``("job", ...)`` right after a progress message that
+    carries its report, and after its last test posts
+    ``("tests_done", ...)`` and reduces the pickled jobs *next_job*
+    returns, from any shard, until it returns None; the in-process
+    shard reduces its own jobs after its last test.  Either way the
+    reductions run inside ``Campaign.run``.
     """
     config = spec.config
     oracle = ORACLE_FACTORIES[config.oracle](**config.oracle_kwargs)
     policy = _build_policy(spec)
     cache = EvalCache() if config.use_cache else None
-    on_report = None
-    if spec.reducer is not None:
-        # Reduce each bug new to the fleet once, when the campaign
-        # records it: inside Campaign.run, so the reduction's cache
-        # lookups count in this shard's (deterministic) cache stats.
-        skip = set(spec.known_fingerprints)
-
-        def on_report(report: TestReport) -> None:
-            fingerprint = fingerprint_report(report)
-            if fingerprint not in skip:
-                skip.add(fingerprint)
-                report.reduced_statements = spec.reducer(report, cache)
     tracer = (
         None
         if config.trace_path is None
@@ -382,6 +429,68 @@ def _run_shard(
         }
         post(("progress", spec.shard_index, payload))
 
+    on_report = on_finish = None
+    if spec.reducer is not None:
+        skip = set(spec.known_fingerprints)
+        queued: deque[_ReduceJob] = deque()
+
+        def run_job(job: _ReduceJob) -> None:
+            witness, counters, record = _reduce(
+                job, spec.reducer, cache is not None
+            )
+            job.report.reduced_statements = witness
+            # The record rides this message alone: the tracer's other
+            # lines wait for the progress message their counters go in.
+            trace = []
+            if tracer is not None:
+                trace.append(
+                    format_record(
+                        "reduce", time.time(), spec.shard_index, record
+                    )
+                    + "\n"
+                )
+            payload = {
+                "finder": job.finder,
+                "index": job.index,
+                "fingerprint": job.fingerprint,
+                "witness": witness,
+                "cache": counters,
+                "trace": trace,
+            }
+            post(("reduced", spec.shard_index, payload))
+
+        def on_report(report: TestReport) -> None:
+            fingerprint = fingerprint_report(report)
+            if fingerprint in skip:
+                return
+            skip.add(fingerprint)
+            job = _ReduceJob(
+                spec.shard_index,
+                len(campaign.stats.reports) - 1,
+                fingerprint,
+                report,
+                {} if cache is None else cache.parsed(report.statements),
+            )
+            if spec.seconds is not None:
+                # Under a time budget no worker finishes early, so
+                # queueing would only move the work past the budget.
+                run_job(job)
+            elif next_job is None:
+                queued.append(job)
+            else:
+                # The collector must hold the report before its witness.
+                on_progress(campaign.stats, final=True)
+                # Pickled here: the orchestrator relays the job unread.
+                post(("job", spec.shard_index, pickle.dumps(job)))
+
+        def on_finish() -> None:
+            while queued:
+                run_job(queued.popleft())
+            if next_job is not None and spec.seconds is None:
+                post(("tests_done", spec.shard_index, None))
+                for blob in iter(next_job, None):
+                    run_job(pickle.loads(blob))
+
     if tracer is not None:
         tracer.emit("shard_start", seed=spec.seed, round=spec.round_index)
     campaign = Campaign(
@@ -393,23 +502,13 @@ def _run_shard(
         should_stop=should_stop,
         on_progress=on_progress,
         on_report=on_report,
+        on_finish=on_finish,
         policy=policy,
         cache=cache,
         tracer=tracer,
     )
     try:
         stats = campaign.run(n_tests=spec.n_tests, seconds=spec.seconds)
-        if tracer is not None:
-            tracer.emit(
-                "shard_finish",
-                tests=stats.tests,
-                skipped=stats.skipped,
-                reports=len(stats.reports),
-                round=spec.round_index,
-                phases=stats.phase_stats,
-                cache=stats.cache_stats,
-                unique_plans=len(stats.unique_plans),
-            )
     finally:
         # A campaign that raises still posts what it recorded.
         on_progress(campaign.stats, final=True)
@@ -419,15 +518,51 @@ def _run_shard(
     return payload
 
 
-def _worker_main(spec: ShardSpec, out_queue, stop_event) -> None:
-    """Worker process entry point: run the shard, posting its progress
-    and then its result (or its traceback) on *out_queue*."""
+#: How often (seconds) a waiting worker checks that its orchestrator
+#: still runs.
+_POLL_SECONDS = 0.5
+
+
+class _Orphaned(BaseException):
+    """The worker's orchestrator is gone.  Not an :class:`Exception`,
+    so no shard error handler catches it."""
+
+
+def _worker_main(inbox, out_queue, stop_event) -> None:
+    """Worker process entry point: run each :class:`ShardSpec` that
+    arrives on *inbox* (the read end of a pipe), posting the shard's
+    messages and then its result (or its traceback) on *out_queue*,
+    until the inbox brings None.  After its own tests, the shard
+    reduces the jobs the inbox brings until a None ends the round.
+
+    The worker notes its parent, the orchestrator, when it starts.  If
+    the orchestrator dies, the campaign stops at its next test, a wait
+    on the inbox ends within :data:`_POLL_SECONDS`, and the worker
+    exits without flushing *out_queue*, which nobody reads any more.
+    """
+    parent = os.getppid()
+
+    def receive():
+        while not inbox.poll(_POLL_SECONDS):
+            if os.getppid() != parent:
+                raise _Orphaned
+        return inbox.recv()
+
+    def should_stop() -> bool:
+        return stop_event.is_set() or os.getppid() != parent
+
     try:
-        payload = _run_shard(spec, out_queue.put, stop_event.is_set)
-    except Exception:
-        out_queue.put(("error", spec.shard_index, traceback.format_exc()))
-    else:
-        out_queue.put(("result", spec.shard_index, payload))
+        for spec in iter(receive, None):
+            try:
+                payload = _run_shard(spec, out_queue.put, should_stop, receive)
+            except Exception:
+                out_queue.put(
+                    ("error", spec.shard_index, traceback.format_exc())
+                )
+            else:
+                out_queue.put(("result", spec.shard_index, payload))
+    except _Orphaned:
+        out_queue.cancel_join_thread()
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +579,14 @@ class _Collector:
     and its reports into the corpus as they arrive, so an interrupted
     fleet keeps every record and bug streamed so far (matching the
     corpus' append-on-add crash safety), and its counters become the
-    shard's live counters for the round.  After every message the
-    telemetry gets a fresh fleet snapshot, which sums each shard's
-    counters over every round it ran.
+    shard's live counters for the round.  A ``reduced`` message's
+    witness goes to the corpus entry of its report, and the job's cache
+    counters are credited to the shard that found the bug, whichever
+    worker reduced it: in that shard's live counters, in its
+    ``result``, and in the ``shard_finish`` record the collector writes
+    from the result.  After every message the trace gets the live
+    counters of the shard it changed, and the telemetry a fresh fleet
+    snapshot, which sums each shard's counters over every round it ran.
     """
 
     def __init__(
@@ -462,10 +602,18 @@ class _Collector:
         #: Guided-fleet round progress (1-based); None when unguided.
         self.round: int | None = None
         self.rounds: int | None = None
+        #: The current round's index (0-based), for ``shard_finish``.
+        self.round_index = 0
         #: Per shard: the final counters of its finished rounds, summed.
         self.earlier = [Counter() for _ in range(config.workers)]
         #: Per shard: its latest counters in the current round.
         self.latest: dict[int, dict] = {}
+        #: Per shard: the cache counters of the jobs it found this
+        #: round, whichever worker ran them.
+        self.credit = [Counter() for _ in range(config.workers)]
+        #: Per shard: ``(report index, reduced witness)`` of the jobs
+        #: it found this round.
+        self.witnesses: dict[int, list[tuple[int, list[str] | None]]] = {}
         #: Per shard: when its last message arrived (liveness).
         self.last_heard: dict[int, float] = {}
         #: The current round's shard payloads, by shard index.
@@ -485,22 +633,76 @@ class _Collector:
         )
 
     def post(self, message: tuple) -> None:
-        """Take one ``progress`` or ``result`` message of a shard."""
+        """Take one ``progress``, ``reduced`` or ``result`` message of a
+        shard."""
         kind, shard, payload = message
         self.last_heard[shard] = time.monotonic()
         if kind == "progress":
             self.telemetry.record(payload.pop("trace", []))
             self._absorb(shard, payload.pop("new_reports"))
             self.latest[shard] = payload
+            self._trace_counters(shard)
+        elif kind == "reduced":
+            self.telemetry.record(payload["trace"])
+            finder = payload["finder"]
+            self.credit[finder].update(payload["cache"])
+            self.witnesses.setdefault(finder, []).append(
+                (payload["index"], payload["witness"])
+            )
+            if self.corpus is not None:
+                self.corpus.attach(
+                    payload["fingerprint"], finder, payload["witness"]
+                )
+            self._trace_counters(finder)
         else:
-            self.results[shard] = payload
+            self._finish_shard(shard, payload)
         self.telemetry.progress(self.snapshot())
+
+    def _live(self, shard: int) -> Counter:
+        """Shard *shard*'s counters in the current round, with the cache
+        counters of the jobs it found."""
+        counters = Counter(self.latest.get(shard))
+        credit = CacheStats(**self.credit[shard])
+        counters.update(cache_hits=credit.hits, cache_misses=credit.misses)
+        return counters
+
+    def _trace_counters(self, shard: int) -> None:
+        live = self._live(shard)
+        self.telemetry.emit(
+            "progress",
+            shard=shard,
+            tests=live["tests"],
+            unique_plans=live["unique_plans"],
+            cache_hits=live["cache_hits"],
+            cache_misses=live["cache_misses"],
+        )
+
+    def _finish_shard(self, shard: int, payload: dict) -> None:
+        """A shard's round result: credit it with its jobs' witnesses
+        and cache counters, then write its ``shard_finish`` record."""
+        stats: CampaignStats = payload["stats"]
+        for index, witness in self.witnesses.pop(shard, ()):
+            stats.reports[index].reduced_statements = witness
+        for key, value in self.credit[shard].items():
+            stats.cache_stats[key] = stats.cache_stats.get(key, 0) + value
+        self.telemetry.emit(
+            "shard_finish",
+            shard=shard,
+            tests=stats.tests,
+            skipped=stats.skipped,
+            reports=len(stats.reports),
+            round=self.round_index,
+            phases=stats.phase_stats,
+            cache=stats.cache_stats,
+            unique_plans=len(stats.unique_plans),
+        )
+        self.results[shard] = payload
 
     def _absorb(self, shard: int, reports: list[TestReport]) -> None:
         if self.corpus is None:
             return
         for report in reports:
-            # The shard that found a report new to the corpus reduced it.
+            # A report queued for ddmin gets its witness later (attach).
             added = self.corpus.add(
                 report,
                 shard_index=shard,
@@ -517,21 +719,25 @@ class _Collector:
             else:
                 self.duplicates += 1
 
-    def begin_round(self) -> None:
+    def begin_round(self, round_index: int) -> None:
         """A new round: no shard has finished it yet."""
+        self.round_index = round_index
         self.results.clear()
 
     def end_round(self) -> list[dict]:
         """Close the round; returns its shard payloads in spec order.
 
-        Each shard's final counters join its earlier rounds' sums.  The
-        round's new corpus entries are put in shard order, then in each
-        shard's own report order, so neither the corpus nor
-        ``new_fingerprints`` depends on how messages interleaved.
+        Each shard's final counters, its jobs' cache counters included,
+        join its earlier rounds' sums.  The round's new corpus entries
+        are put in shard order, then in each shard's own report order,
+        so neither the corpus nor ``new_fingerprints`` depends on how
+        messages interleaved.
         """
-        for shard, counters in self.latest.items():
-            self.earlier[shard].update(counters)
+        for shard in self.latest:
+            self.earlier[shard].update(self._live(shard))
         self.latest.clear()
+        for credit in self.credit:
+            credit.clear()
         for _, fingerprint in sorted(self.found, key=lambda f: f[0]):
             # The round's entries are the corpus' newest: re-inserting
             # them in order moves them to the end in that order.
@@ -550,7 +756,7 @@ class _Collector:
         totals: Counter = Counter()
         shards: dict[int, dict] = {}
         for shard in sorted(self.last_heard):
-            counters = self.earlier[shard] + Counter(self.latest.get(shard))
+            counters = self.earlier[shard] + self._live(shard)
             totals.update(counters)
             shards[shard] = {
                 "tests": counters["tests"],
@@ -605,9 +811,9 @@ def run_fleet(
     scheduling, so every deterministic output is identical with the
     surfaces on or off.
 
-    The shards reduce first-seen bugs, so the corpus' ``reduce_fn``
-    must be None or ``make_replay_reducer(config)``; anything else
-    raises ValueError.
+    The fleet reduces first-seen bugs itself, so the corpus'
+    ``reduce_fn`` must be None or ``make_replay_reducer(config)``;
+    anything else raises ValueError.
     """
     if (
         corpus is not None
@@ -620,10 +826,15 @@ def run_fleet(
         )
     if telemetry is None:
         telemetry = FleetTelemetry()
+    pool = None
     try:
         telemetry.open(config)
-        return _run_rounds(config, corpus, telemetry, coverage)
+        if config.workers > 1:
+            pool = _Pool(config.workers)
+        return _run_rounds(config, corpus, telemetry, coverage, pool)
     finally:
+        if pool is not None:
+            pool.close()
         telemetry.close()
 
 
@@ -724,9 +935,11 @@ def _run_rounds(
     corpus: BugCorpus | None,
     telemetry: FleetTelemetry,
     coverage: CoverageMap | None,
+    pool: _Pool | None,
 ) -> FleetResult:
     """The fleet loop: the budget is split into rounds, each round's
-    shards run to completion, then their results merge.
+    shards run to completion on *pool* (in this process for one
+    worker), then their results merge.
 
     An unguided fleet runs one round with no policy, no coverage map
     and no saturated faults, and emits no barrier events.  Between the
@@ -794,12 +1007,12 @@ def _run_rounds(
                 frozenset() if reducer is None else frozenset(corpus.entries)
             ),
         )
-        collector.begin_round()
-        if config.workers == 1:
+        collector.begin_round(round_index)
+        if pool is None:
             payload = _run_shard(specs[0], collector.post)
             collector.post(("result", 0, payload))
         else:
-            _run_pool(specs, collector)
+            pool.run_round(specs, collector)
         for i, payload in enumerate(collector.end_round()):
             per_shard[i].append(payload["stats"])
             policy_states[i] = payload.get("policy")
@@ -854,61 +1067,139 @@ def _run_rounds(
     return result
 
 
-def _run_pool(shards: list[ShardSpec], collector: _Collector) -> None:
-    """Run one round's *shards* in worker processes and drain their
-    messages into *collector*.  Reaching the fleet's report cap sets the
-    stop event."""
-    ctx = _mp_context()
-    out_queue = ctx.Queue()
-    stop_event = ctx.Event()
-    procs = [
-        ctx.Process(
-            target=_worker_main,
-            args=(spec, out_queue, stop_event),
-            daemon=True,
-            name=f"fleet-shard-{spec.shard_index}",
-        )
-        for spec in shards
-    ]
-    for proc in procs:
-        proc.start()
+class _Pool:
+    """The fleet's worker processes, forked once and used every round.
 
-    results = collector.results
-    errors: dict[int, str] = {}
-    dead_since: dict[int, float] = {}
-    try:
+    Worker *i* runs shard *i* of each round.  Each worker has an inbox,
+    a pipe only the orchestrator writes: a round's spec, then, once the
+    worker's own tests are done, the ddmin jobs the orchestrator hands
+    it, one at a time, and a None when the round's last job is reduced.
+    The orchestrator writes only to a worker that waits for the next
+    message, so a write never waits long, and a pipe needs no feeder
+    thread (a queue's raised the orchestrator's peak RSS by about 0.6
+    MiB).  All workers post on one queue, which :meth:`run_round`
+    drains into the collector.  Reaching the fleet's report cap sets
+    the stop event, which each round clears.
+    """
+
+    def __init__(self, workers: int) -> None:
+        ctx = _mp_context()
+        self.out_queue = ctx.Queue()
+        self.stop_event = ctx.Event()
+        self.inboxes = []
+        self.procs = []
+        for i in range(workers):
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(
+                target=_worker_main,
+                args=(reader, self.out_queue, self.stop_event),
+                daemon=True,
+                name=f"fleet-shard-{i}",
+            )
+            proc.start()
+            # Only the worker reads its inbox, so writing to a dead
+            # worker's fails at once instead of blocking.
+            reader.close()
+            self.inboxes.append(writer)
+            self.procs.append(proc)
+
+    def _send(self, worker: int, message) -> None:
+        try:
+            self.inboxes[worker].send(message)
+        except BrokenPipeError:
+            pass  # a dead worker; the liveness check reports its shard
+
+    def run_round(
+        self, shards: list[ShardSpec], collector: _Collector
+    ) -> None:
+        """Run one round's *shards* and drain the workers' messages into
+        *collector* until every shard has returned.
+
+        A ``job`` message joins the queue of jobs, and the job goes to
+        the worker that has waited longest with its tests done and no
+        job in hand.  Once every shard's tests are done and every job
+        has come back, each waiting worker gets the None that ends its
+        round.  A failed shard counts as done, so the other shards still
+        return, and then the round raises :class:`ReproError`.
+        """
+        self.stop_event.clear()
+        for i, spec in enumerate(shards):
+            self._send(i, spec)
+        results = collector.results
+        errors: dict[int, str] = {}
+        dead_since: dict[int, float] = {}
+        jobs: deque[bytes] = deque()
+        tests_done: set[int] = set()
+        waiting: deque[int] = deque()
+        holding: set[int] = set()
         while len(results) + len(errors) < len(shards):
             try:
-                message = out_queue.get(timeout=0.5)
+                message = self.out_queue.get(timeout=0.5)
             except queue_mod.Empty:
-                _check_liveness(procs, results, errors, dead_since)
-                continue
-            kind, shard_index, payload = message
+                _check_liveness(self.procs, results, errors, dead_since)
+                kind, shard, payload = None, None, None
+            else:
+                kind, shard, payload = message
             if kind == "error":
-                errors[shard_index] = payload
-                continue
-            collector.post(message)
-            if kind == "result":
-                # A result that raced the liveness check wins.
-                errors.pop(shard_index, None)
-                dead_since.pop(shard_index, None)
-            if collector.reports >= collector.config.max_reports:
-                stop_event.set()
-    finally:
-        stop_event.set()
-        for proc in procs:
+                errors[shard] = payload
+            elif kind == "job":
+                jobs.append(payload)
+            elif kind == "tests_done" or (
+                kind == "reduced" and shard in holding
+            ):
+                # The worker waits for a job (a shard under a time
+                # budget also posts "reduced", for its own reports).
+                tests_done.add(shard)
+                holding.discard(shard)
+                waiting.append(shard)
+            # Hand out work before the collector's bookkeeping, so no
+            # worker waits on it.
+            for worker in list(waiting):
+                if worker in errors:
+                    waiting.remove(worker)
+            holding -= set(errors)
+            while jobs and waiting:
+                worker = waiting.popleft()
+                holding.add(worker)
+                self._send(worker, jobs.popleft())
+            if (
+                not jobs
+                and not holding
+                and len(tests_done | set(errors)) == len(shards)
+            ):
+                while waiting:
+                    self._send(waiting.popleft(), None)
+            if kind in ("progress", "reduced", "result"):
+                collector.post(message)
+                if kind == "result":
+                    # A result that raced the liveness check wins.
+                    errors.pop(shard, None)
+                    dead_since.pop(shard, None)
+                if collector.reports >= collector.config.max_reports:
+                    self.stop_event.set()
+
+        if errors:
+            detail = "\n".join(
+                f"--- shard {idx} ---\n{tb}" for idx, tb in sorted(errors.items())
+            )
+            raise ReproError(
+                f"{len(errors)}/{len(shards)} fleet shards failed:\n{detail}"
+            )
+
+    def close(self) -> None:
+        """End every worker: a running campaign stops at its next test,
+        and a worker still in a round ends it and then exits."""
+        self.stop_event.set()
+        for worker in range(len(self.procs)):
+            self._send(worker, None)  # ends a round it may still drain
+            self._send(worker, None)  # ends the worker
+        for proc in self.procs:
             proc.join(timeout=10)
             if proc.is_alive():  # pragma: no cover - defensive
                 proc.terminate()
                 proc.join()
-
-    if errors:
-        detail = "\n".join(
-            f"--- shard {idx} ---\n{tb}" for idx, tb in sorted(errors.items())
-        )
-        raise ReproError(
-            f"{len(errors)}/{len(shards)} fleet shards failed:\n{detail}"
-        )
+        for inbox in self.inboxes:
+            inbox.close()
 
 
 def _mp_context():
@@ -974,8 +1265,8 @@ class ReplayReducer:
     :func:`~repro.runner.reducer.replay_witness`: the report's faults
     all fire again (logic bugs), or they raise the same failure class.
     The reducer names its engine configuration instead of holding an
-    engine, so it pickles into every :class:`ShardSpec` and each shard
-    reduces the bugs it finds.
+    engine, so it pickles into every :class:`ShardSpec` and any worker
+    can reduce any shard's report.
     """
 
     adapter: str
@@ -986,18 +1277,27 @@ class ReplayReducer:
         self, report: TestReport, cache: EvalCache | None = None
     ) -> list[str] | None:
         """The reduced witness of *report*, or None when replay cannot
-        check it.  Candidates replay on *cache*; None replays uncached.
+        check it: :meth:`reduce` without its count."""
+        return self.reduce(report, cache)[0]
 
-        A fleet shard passes its own cache, warm with the campaign that
-        found the bug, so the witness's statements are parse hits.  The
-        candidates also share its statement memo with each other, the
-        one traffic that repeats a SELECT after the same writes: they
-        are fresh adapters of one configuration, so equal write
-        prefixes reach equal state tokens.
+    def reduce(
+        self, report: TestReport, cache: EvalCache | None = None
+    ) -> tuple[list[str] | None, int]:
+        """The reduced witness of *report* (None when replay cannot
+        check it) and the number of distinct candidates replayed.
+        Candidates replay on *cache*; None replays uncached.
+
+        A fleet passes each job a fresh cache primed with the ASTs the
+        finding shard's parse memo held for the report, so the
+        witness's statements are parse hits as they were in that
+        shard.  The candidates also share its statement memo with each
+        other, the one traffic that repeats a SELECT after the same
+        writes: they are fresh adapters of one configuration, so equal
+        write prefixes reach equal state tokens.
         """
         target = set(report.fired_faults)
         if not target and report.kind == "logic":
-            return None  # nothing observable to check against
+            return None, 0  # nothing observable to check against
 
         # ddmin proposes some candidates more than once (the full
         # witness is checked here and again by reduce_statements), so
@@ -1018,8 +1318,10 @@ class ReplayReducer:
             return verdicts[key]
 
         if not still_fails(report.statements):
-            return None  # witness not reproducible by replay; keep as-is
-        return reduce_statements(list(report.statements), still_fails)
+            # Not reproducible by replay; keep the witness as it is.
+            return None, len(verdicts)
+        witness = reduce_statements(list(report.statements), still_fails)
+        return witness, len(verdicts)
 
 
 def make_replay_reducer(config: FleetConfig) -> ReplayReducer | None:

@@ -111,8 +111,8 @@ class ShardSpec:
     #: fleet seed, so re-running the same fleet merges idempotently).
     coverage_source: str = ""
     #: The fleet's replay reducer, or None when the fleet does not
-    #: reduce.  The shard reduces each report as its campaign records
-    #: it, on the shard's cache, unless the fingerprint is known.
+    #: reduce.  The shard makes a ddmin job of each report new to it
+    #: unless the fingerprint is known (see ``_run_shard``).
     reducer: "ReplayReducer | None" = None
     #: Fingerprints the corpus held at the start of the round; the
     #: shard does not reduce them again.

@@ -94,11 +94,12 @@ class FleetTelemetry:
 
     # -- the trace -----------------------------------------------------------
 
-    def emit(self, ev: str, **payload) -> None:
-        """Record one orchestrator-side trace event (no-op untraced)."""
+    def emit(self, ev: str, shard: "int | None" = None, **payload) -> None:
+        """Record one trace event of the orchestrator, about *shard* if
+        given (no-op untraced)."""
         if self._trace is not None:
             self._trace.write(
-                format_record(ev, time.time(), None, payload) + "\n"
+                format_record(ev, time.time(), shard, payload) + "\n"
             )
 
     def record(self, lines: "list[str]") -> None:

@@ -38,8 +38,9 @@ def summarize_trace(records: Iterable[dict]) -> dict:
 
     A shard's finished rounds count from their ``shard_finish``
     records; a round it has started and not finished (the trace of a
-    running or interrupted fleet) counts from its ``test_finish`` and
-    ``bug_found`` records."""
+    running or interrupted fleet) counts its tests and reports from its
+    ``test_finish`` and ``bug_found`` records, and its unique plans and
+    cache hits and misses from its latest ``progress`` record."""
     summary: dict = {
         "run": {},
         "finish": None,
@@ -57,9 +58,13 @@ def summarize_trace(records: Iterable[dict]) -> dict:
         "phases": {},
         "cache": {},
         "unique_plans": 0,
+        "reductions": {"jobs": 0, "elsewhere": 0, "seconds": 0.0},
         "invalid": 0,
         "records": 0,
     }
+    # Summed over the shards: the latest counters of the round each has
+    # started and not finished.
+    live = {"unique_plans": 0, "cache_hits": 0, "cache_misses": 0}
     for record in records:
         summary["records"] += 1
         if validate_record(record) is not None:
@@ -88,8 +93,16 @@ def summarize_trace(records: Iterable[dict]) -> dict:
             slot["starts"].append(ts)
             slot["rounds"] = max(slot["rounds"], record["round"] + 1)
             slot["open"] = {"tests": 0, "skipped": 0, "reports": 0}
+        elif ev == "progress":
+            if slot["open"] is not None:
+                slot["live"] = record
+        elif ev == "reduce":
+            reductions = summary["reductions"]
+            reductions["jobs"] += 1
+            reductions["elsewhere"] += shard != record["finder"]
+            reductions["seconds"] += record["seconds"]
         elif ev == "shard_finish":
-            slot["open"] = None
+            slot["open"] = slot["live"] = None
             slot["finishes"].append(ts)
             slot["tests"] += record["tests"]
             slot["skipped"] += record["skipped"]
@@ -142,6 +155,10 @@ def summarize_trace(records: Iterable[dict]) -> dict:
             slot[key] += value
             if key != "reports":
                 summary[key] += value
+        latest = slot.pop("live") or {}
+        for key in live:
+            live[key] += latest.get(key, 0)
+        slot["unique_plans"] += latest.get("unique_plans", 0)
     # A finished run's own totals win over the shard records' sums; a
     # trace written before run_finish carried the set-union of plans
     # falls back to the per-shard-round sum, an upper bound.
@@ -154,10 +171,10 @@ def summarize_trace(records: Iterable[dict]) -> dict:
         "unique_plans", sum(slot["unique_plans"] for slot in slots)
     )
     cache = summary["cache"]
-    summary["cache_hits"] = sum(
+    summary["cache_hits"] = live["cache_hits"] + sum(
         v for k, v in cache.items() if k.endswith("_hits")
     )
-    summary["cache_misses"] = sum(
+    summary["cache_misses"] = live["cache_misses"] + sum(
         v for k, v in cache.items() if k.endswith("_misses")
     )
     return summary
@@ -175,8 +192,10 @@ def _shard_slot() -> dict:
         "qerr": 0,
         "unique_plans": 0,
         "last_ts": float("-inf"),
-        # Counters of the round the shard has started and not finished.
+        # Counters of the round the shard has started and not finished:
+        # from its test records, and its latest progress record.
         "open": None,
+        "live": None,
     }
 
 
@@ -223,6 +242,13 @@ def render_trace_report(records: Iterable[dict]) -> str:
         rate = (100 * hits / total) if total else 0.0
         lines.append(
             f"cache {hits} hits / {misses} misses ({rate:.1f}% hit rate)"
+        )
+    reductions = s["reductions"]
+    if reductions["jobs"]:
+        lines.append(
+            f"ddmin {reductions['jobs']} jobs, {reductions['elsewhere']} "
+            "on a worker other than their finder's, "
+            f"{reductions['seconds']:.2f}s reducing"
         )
 
     lines.append("")

@@ -21,8 +21,18 @@ Event taxonomy (``EVENT_SCHEMA`` below is the machine-readable form
   report the shards filed), plus those a trace cannot rebuild from its
   shard records (``unique_plans``, the merged set-union;
   ``unique_reports`` and ``clusters``, null without a corpus),
-* ``shard_start`` / ``shard_finish`` -- worker lifecycle; the finish
-  record carries the shard's cache stats and per-phase time breakdown,
+* ``shard_start`` / ``shard_finish`` -- one shard's round; the
+  orchestrator writes the finish record when the shard's result
+  arrives, with the shard's cache stats (its ddmin jobs' included,
+  wherever they ran) and per-phase time breakdown,
+* ``progress``                     -- a shard's live counters in its
+  round (tests, unique plans, cache hits and misses, its ddmin jobs'
+  included), written by the orchestrator after each message that
+  changes them, so a running fleet's trace shows them,
+* ``reduce``                       -- one ddmin job: the ``finder``
+  shard that filed the report (the header's shard reduced it), its
+  fingerprint, statements before and after (``reduced``, null when
+  replay cannot check it), distinct ``candidates`` replayed, seconds,
 * ``round_barrier``                -- guided snapshot-exchange barrier,
 * ``state``                        -- one generated database state,
   carrying the *cumulative* cache hit/miss counters (per-lookup events
@@ -85,6 +95,20 @@ EVENT_SCHEMA: dict[str, dict[str, tuple]] = {
         "round": (int,),
         "phases": (dict,),
         "cache": (dict,),
+    },
+    "progress": {
+        "tests": (int,),
+        "unique_plans": (int,),
+        "cache_hits": (int,),
+        "cache_misses": (int,),
+    },
+    "reduce": {
+        "finder": (int,),
+        "fingerprint": (str,),
+        "statements": (int,),
+        "reduced": (int, type(None)),
+        "candidates": (int,),
+        "seconds": (float, int),
     },
     "round_barrier": {
         "round": (int,),

@@ -138,6 +138,13 @@ class EvalCache:
         building the parser-normal AST for statements seen before)."""
         return sql in self._parse
 
+    def parsed(self, statements: list[str]) -> dict[str, A.Statement]:
+        """The ASTs the parse memo holds for *statements*, read without
+        counting a lookup or moving an entry in the LRU order.  A fleet
+        shard hands them to the fresh cache its ddmin job runs on."""
+        memo = self._parse
+        return {sql: memo[sql] for sql in statements if sql in memo}
+
     def prime_parse(self, sql: str, stmt: A.Statement) -> None:
         """Pre-seed the parse memo with an AST known to be parser-normal
         (:func:`repro.perf.normalize.parser_normal`).  First writer wins:

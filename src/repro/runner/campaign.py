@@ -175,6 +175,7 @@ class Campaign:
         should_stop: Callable[[], bool] | None = None,
         on_progress: Callable[[CampaignStats], None] | None = None,
         on_report: Callable[[TestReport], None] | None = None,
+        on_finish: Callable[[], None] | None = None,
         policy=None,
         cache=None,
         tracer=None,
@@ -190,7 +191,7 @@ class Campaign:
         #: whose parse memo the adapter uses for the campaign's
         #: lifetime; None runs the historical uncached path.  A campaign
         #: runs almost every SELECT once, so it leaves the statement
-        #: memo to ddmin (``on_report``).  Campaign results are
+        #: memo to ddmin (see ``on_report``).  Campaign results are
         #: bit-identical either way (asserted by tests/perf and the
         #: perf-smoke CI gate); only wall-clock and the cache_stats
         #: counters differ.
@@ -212,9 +213,16 @@ class Campaign:
         #: mutate them.  Used by the fleet workers to stream progress.
         self.on_progress = on_progress
         #: Called with each report as it is recorded, before the next
-        #: test; may annotate the report (fleet shards reduce it here,
-        #: on the campaign's cache) but must not change control flow.
+        #: test; may annotate the report but must not change control
+        #: flow.  A fleet shard makes a ddmin job of each report new to
+        #: it here, from the ASTs in the campaign's parse memo, and
+        #: runs it now or queues it (see ``on_finish``).
         self.on_report = on_report
+        #: Called once after the last test, before the stats are
+        #: finished, so its time counts in this ``run``: a fleet shard
+        #: reduces its queued ddmin jobs here, and in a worker pool any
+        #: shard's jobs, until the round's last job is reduced.
+        self.on_finish = on_finish
         #: Optional generation policy (duck-typed, e.g.
         #: :class:`repro.guidance.GuidedPolicy`): ``begin_test()``
         #: returns an arm whose knobs are applied to the oracle before
@@ -245,13 +253,24 @@ class Campaign:
         if engine is not None:
             engine.coverage.reset()
         start = time.perf_counter()
+        self._run_tests(n_tests, seconds, start)
+        if self.on_finish is not None:
+            self.on_finish()
+        return self._finish(start)
+
+    # -- internals ---------------------------------------------------------------
+
+    def _run_tests(
+        self, n_tests: int | None, seconds: float | None, start: float
+    ) -> None:
+        """Generate states and run tests until the budget is done."""
         state_failures = 0
         while True:
             # Checked here too so that a seconds= budget terminates
             # promptly even when every state fails or every test skips
             # (skipped tests never advance stats.tests).
             if self._budget_done(n_tests, seconds, start):
-                return self._finish(start)
+                return
             if not self._new_state():
                 state_failures += 1
                 if state_failures >= self.max_state_failures:
@@ -264,7 +283,7 @@ class Campaign:
             state_failures = 0
             for _ in range(self.tests_per_state):
                 if self._budget_done(n_tests, seconds, start):
-                    return self._finish(start)
+                    return
                 self._one_test()
             if self.on_progress is not None:
                 if self.cache is not None:
@@ -273,10 +292,6 @@ class Campaign:
                     # status board between batches).
                     self.stats.cache_stats = self.cache.stats.to_dict()
                 self.on_progress(self.stats)
-            if self._budget_done(n_tests, seconds, start):
-                return self._finish(start)
-
-    # -- internals ---------------------------------------------------------------
 
     def _budget_done(
         self, n_tests: int | None, seconds: float | None, start: float

@@ -141,6 +141,7 @@ class TestMultiWorker:
         from repro.fleet import orchestrator as orch
 
         ctx = multiprocessing.get_context()
+        inbox, orchestrator_end = ctx.Pipe(duplex=False)
         q = ctx.Queue()
         ev = ctx.Event()
         config = FleetConfig(
@@ -158,7 +159,10 @@ class TestMultiWorker:
             seconds=None,
             max_reports=config.max_reports,
         )
-        orch._worker_main(spec, q, ev)
+        # The worker runs the spec, then the None closes it.
+        orchestrator_end.send(spec)
+        orchestrator_end.send(None)
+        orch._worker_main(inbox, q, ev)
         kind, idx, payload = q.get(timeout=5)
         assert kind == "error"
         assert idx == 0

@@ -17,7 +17,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.errors import ReproError
-from repro.fleet import FleetConfig, run_fleet
+from repro.fleet import BugCorpus, FleetConfig, make_replay_reducer, run_fleet
 from repro.fleet.telemetry import FleetTelemetry
 from repro.obs import read_trace, snapshot_from_trace
 from repro.runner.campaign import Campaign
@@ -65,6 +65,27 @@ class TestLiveTrace:
                 assert live["reports"] == snap.reports
                 assert [r["ev"] for r in records].count("run_start") == 1
             assert snapshot_from_trace(read_trace(path))["state"] == "done"
+
+    def test_running_trace_shows_cache_and_plans(self, tmp_path):
+        # The counters the collector holds after each message, credited
+        # ddmin jobs included, reach the trace with that message.
+        path = str(tmp_path / "run.jsonl")
+        config = _config(path, n_tests=600, guidance="plan-coverage")
+        telemetry = _TraceReader()
+        run_fleet(
+            config,
+            corpus=BugCorpus(reduce_fn=make_replay_reducer(config)),
+            telemetry=telemetry,
+        )
+        for _, records, snap in telemetry.views:
+            live = snapshot_from_trace(records)
+            assert live["state"] == "running"
+            assert live["unique_plans"] == snap.unique_plans
+            assert live["cache"]["hits"] == snap.cache_hits
+            assert live["cache"]["misses"] == snap.cache_misses
+        last = telemetry.views[-1][2]
+        assert last.cache_hits > 0 and last.unique_plans > 0
+        assert "reduce" in {r["ev"] for r in read_trace(path)}
 
     def test_top_follow_watches_a_running_trace(self, tmp_path, capsys):
         path = str(tmp_path / "run.jsonl")

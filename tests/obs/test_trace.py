@@ -91,6 +91,20 @@ class TestValidateRecord:
                 "phases": {},
                 "cache": {},
             },
+            "progress": {
+                "tests": 5,
+                "unique_plans": 4,
+                "cache_hits": 9,
+                "cache_misses": 1,
+            },
+            "reduce": {
+                "finder": 1,
+                "fingerprint": "ab12",
+                "statements": 12,
+                "reduced": None,
+                "candidates": 1,
+                "seconds": 0.01,
+            },
             "round_barrier": {
                 "round": 0,
                 "rounds": 2,

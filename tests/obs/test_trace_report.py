@@ -160,3 +160,38 @@ class TestTopFromTrace:
             "tests": 3, "reports": 0, "done": False, "age_s": 42.0,
         }
         assert "stalled? (42s silent)" in render_top_frame(snap)
+
+
+class TestPoolRecords:
+    def test_report_counts_ddmin_jobs_and_where_they_ran(self):
+        records = _finished_trace()
+        records[-1:-1] = [
+            _rec("reduce", 100.8, shard=0, finder=0, fingerprint="ab12",
+                 statements=12, reduced=3, candidates=9, seconds=0.25),
+            _rec("reduce", 100.9, shard=0, finder=1, fingerprint="cd34",
+                 statements=8, reduced=None, candidates=1, seconds=0.125),
+        ]
+        report = render_trace_report(records)
+        assert (
+            "ddmin 2 jobs, 1 on a worker other than their finder's, "
+            "0.38s reducing" in report.splitlines()
+        )
+        assert "ddmin" not in render_trace_report(_finished_trace())
+
+    def test_open_round_counts_cache_and_plans_from_latest_progress(self):
+        records = _fixture_trace()[:5] + [
+            _rec("progress", 100.35, shard=0, tests=1, unique_plans=3,
+                 cache_hits=4, cache_misses=2),
+            _rec("progress", 100.45, shard=0, tests=1, unique_plans=5,
+                 cache_hits=9, cache_misses=3),
+            _rec("progress", 100.46, shard=1, tests=0, unique_plans=1,
+                 cache_hits=1, cache_misses=1),
+        ]
+        snap = snapshot_from_trace(records)
+        assert snap["state"] == "running"
+        assert snap["unique_plans"] == 6
+        assert (snap["cache"]["hits"], snap["cache"]["misses"]) == (10, 4)
+        # A finished round counts from its shard_finish alone.
+        finished = snapshot_from_trace(_finished_trace()[:9] + records[5:6])
+        assert finished["cache"]["hits"] == 8
+

@@ -296,7 +296,7 @@ def stmt_lookups(monkeypatch):
     lookups: Counter = Counter()
     reducing = [0]
     lookup = EvalCache.lookup_statement
-    reduce = ReplayReducer.__call__
+    reduce = ReplayReducer.reduce
 
     def counted(cache, key):
         entry = lookup(cache, key)
@@ -311,7 +311,7 @@ def stmt_lookups(monkeypatch):
             reducing[0] -= 1
 
     monkeypatch.setattr(EvalCache, "lookup_statement", counted)
-    monkeypatch.setattr(ReplayReducer, "__call__", reducer)
+    monkeypatch.setattr(ReplayReducer, "reduce", reducer)
     return lookups
 
 

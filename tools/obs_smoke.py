@@ -20,6 +20,9 @@ from the outside, the way a user would hit it:
    event schema (``tools/trace_check.py``), render a deterministic
    ``coddtest trace report``, and fold into a ``top`` snapshot equal to
    the run's final status on every field not measured from wall-clock.
+4. **A killed orchestrator** -- ``coddtest fleet --seconds 8 --workers
+   2 --buggy --corpus ...`` is SIGKILLed 2 s in; its two workers must
+   be gone within 5 s, not run on against a queue nobody reads.
 
 Exit 1 on any violation.  CI runs this as the blocking obs-smoke
 job; it is also a useful local one-shot (``PYTHONPATH=src python
@@ -30,6 +33,8 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
+import subprocess
 import sys
 import tempfile
 import threading
@@ -123,6 +128,49 @@ class _LiveTraceCheck(FleetTelemetry):
                 f"live trace reads (seed, state, tests, reports) = {seen} "
                 f"over {starts} run_start record(s), expected {want}"
             )
+
+
+def _alive(pid: int) -> bool:
+    """Whether process *pid* runs (a zombie has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state not in ("Z", "X")
+
+
+def _orphans_after_kill(tmp: str) -> "tuple[list[int], list[int]]":
+    """SIGKILL a 2-worker CLI fleet's orchestrator 2 s in.  Returns its
+    worker pids and those still running 5 s after the kill."""
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.cli", "fleet", "--seconds", "8",
+            "--workers", "2", "--buggy", "--quiet",
+            "--corpus", os.path.join(tmp, "killed.jsonl"),
+        ],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    workers: list[int] = []
+    try:
+        time.sleep(2.0)
+        children = f"/proc/{proc.pid}/task/{proc.pid}/children"
+        with open(children, encoding="ascii") as fh:
+            workers = [int(pid) for pid in fh.read().split()]
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait()
+        deadline = time.monotonic() + 5.0
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        return workers, [pid for pid in workers if _alive(pid)]
+    finally:
+        for pid in [proc.pid, *workers]:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        proc.wait()
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -230,6 +278,14 @@ def main(argv: "list[str] | None" = None) -> int:
             top["state"] == "done" and _timeless(top) == _timeless(final),
             "top of the trace equals the final status "
             "(all fields but elapsed_s, tests_per_second, age_s)",
+        )
+
+    with tempfile.TemporaryDirectory(prefix="obs_smoke_") as tmp:
+        workers, alive = _orphans_after_kill(tmp)
+        check(
+            len(workers) == 2 and not alive,
+            f"workers {workers} of a SIGKILLed fleet exit within 5 s"
+            + (f" ({alive} still running)" if alive else ""),
         )
 
     if failures:
