@@ -14,10 +14,11 @@ A reducing fleet ddmin-reduces each report new to its shard as a job:
 the report plus the ASTs the shard's parse memo holds for it, run on a
 fresh cache primed with them, whose counters are credited to the
 finding shard.  A witness is a pure function of its job, so it does not
-matter where the job runs.  Under a test budget the shard queues its
+matter where the job runs.  Under a test budget a pool worker posts its
 jobs, and the orchestrator hands each one to whichever worker has
 finished its own tests, until the round's last job is reduced; under a
-time budget the shard reduces each report as it records it.
+time budget, and in a 1-worker fleet, the shard reduces each report as
+it records it.
 
 Every fleet runs one loop of rounds, a multi-worker fleet on one pool
 of workers forked when the fleet starts.  An unguided fleet is the
@@ -393,14 +394,13 @@ def _run_shard(
 
     A reducing shard makes a :class:`_ReduceJob` of each report new to
     it and posts each job's outcome as ``("reduced", shard_index,
-    payload)``.  Under a time budget it reduces the report at once.
-    Under a test budget a pool worker (*next_job* given) posts the job,
-    pickled, as ``("job", ...)`` right after a progress message that
-    carries its report, and after its last test posts
+    payload)``.  A pool worker (*next_job* given) under a test budget
+    posts the job, pickled, as ``("job", ...)`` right after a progress
+    message that carries its report, and after its last test posts
     ``("tests_done", ...)`` and reduces the pickled jobs *next_job*
-    returns, from any shard, until it returns None; the in-process
-    shard reduces its own jobs after its last test.  Either way the
-    reductions run inside ``Campaign.run``.
+    returns, from any shard, until it returns None.  Otherwise the
+    shard reduces the report at once.  Either way the reductions run
+    inside ``Campaign.run``.
     """
     config = spec.config
     oracle = ORACLE_FACTORIES[config.oracle](**config.oracle_kwargs)
@@ -432,7 +432,10 @@ def _run_shard(
     on_report = on_finish = None
     if spec.reducer is not None:
         skip = set(spec.known_fingerprints)
-        queued: deque[_ReduceJob] = deque()
+        # Under a time budget no worker finishes early, and the
+        # in-process shard has no other worker, so posting a job would
+        # only move its work past the shard's own tests.
+        posting = next_job is not None and spec.seconds is None
 
         def run_job(job: _ReduceJob) -> None:
             witness, counters, record = _reduce(
@@ -471,22 +474,17 @@ def _run_shard(
                 report,
                 {} if cache is None else cache.parsed(report.statements),
             )
-            if spec.seconds is not None:
-                # Under a time budget no worker finishes early, so
-                # queueing would only move the work past the budget.
+            if not posting:
                 run_job(job)
-            elif next_job is None:
-                queued.append(job)
-            else:
-                # The collector must hold the report before its witness.
-                on_progress(campaign.stats, final=True)
-                # Pickled here: the orchestrator relays the job unread.
-                post(("job", spec.shard_index, pickle.dumps(job)))
+                return
+            # The collector must hold the report before its witness.
+            on_progress(campaign.stats, final=True)
+            # Pickled here: the orchestrator relays the job unread.
+            post(("job", spec.shard_index, pickle.dumps(job)))
 
-        def on_finish() -> None:
-            while queued:
-                run_job(queued.popleft())
-            if next_job is not None and spec.seconds is None:
+        if posting:
+
+            def on_finish() -> None:
                 post(("tests_done", spec.shard_index, None))
                 for blob in iter(next_job, None):
                     run_job(pickle.loads(blob))
@@ -584,9 +582,11 @@ class _Collector:
     counters are credited to the shard that found the bug, whichever
     worker reduced it: in that shard's live counters, in its
     ``result``, and in the ``shard_finish`` record the collector writes
-    from the result.  After every message the trace gets the live
-    counters of the shard it changed, and the telemetry a fresh fleet
-    snapshot, which sums each shard's counters over every round it ran.
+    from the result.  After every message the trace gets a ``progress``
+    record of the live counters of the shard it changed (naming that
+    shard in its payload, so the record does not make the shard look
+    alive), and the telemetry a fresh fleet snapshot, which sums each
+    shard's counters over every round it ran.
     """
 
     def __init__(
@@ -670,7 +670,7 @@ class _Collector:
         live = self._live(shard)
         self.telemetry.emit(
             "progress",
-            shard=shard,
+            for_shard=shard,
             tests=live["tests"],
             unique_plans=live["unique_plans"],
             cache_hits=live["cache_hits"],
@@ -702,7 +702,8 @@ class _Collector:
         if self.corpus is None:
             return
         for report in reports:
-            # A report queued for ddmin gets its witness later (attach).
+            # A report posted as a ddmin job gets its witness later
+            # (attach).
             added = self.corpus.add(
                 report,
                 shard_index=shard,

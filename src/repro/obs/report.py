@@ -40,7 +40,11 @@ def summarize_trace(records: Iterable[dict]) -> dict:
     records; a round it has started and not finished (the trace of a
     running or interrupted fleet) counts its tests and reports from its
     ``test_finish`` and ``bug_found`` records, and its unique plans and
-    cache hits and misses from its latest ``progress`` record."""
+    cache hits and misses from the latest ``progress`` record for it.
+    The orchestrator writes those records, for the shard they name in
+    ``for_shard``, not in the header: it also writes one when another
+    worker reduced one of the shard's jobs, which says nothing of the
+    shard's own age."""
     summary: dict = {
         "run": {},
         "finish": None,
@@ -62,9 +66,9 @@ def summarize_trace(records: Iterable[dict]) -> dict:
         "invalid": 0,
         "records": 0,
     }
-    # Summed over the shards: the latest counters of the round each has
-    # started and not finished.
-    live = {"unique_plans": 0, "cache_hits": 0, "cache_misses": 0}
+    # Summed over the shards: the latest cache counters of the round
+    # each has started and not finished.
+    live = {"cache_hits": 0, "cache_misses": 0}
     for record in records:
         summary["records"] += 1
         if validate_record(record) is not None:
@@ -94,8 +98,10 @@ def summarize_trace(records: Iterable[dict]) -> dict:
             slot["rounds"] = max(slot["rounds"], record["round"] + 1)
             slot["open"] = {"tests": 0, "skipped": 0, "reports": 0}
         elif ev == "progress":
-            if slot["open"] is not None:
-                slot["live"] = record
+            # The orchestrator's record of one shard's counters.
+            counted = summary["shards"].get(record["for_shard"])
+            if counted is not None and counted["open"] is not None:
+                counted["live"] = record
         elif ev == "reduce":
             reductions = summary["reductions"]
             reductions["jobs"] += 1

@@ -25,10 +25,12 @@ Event taxonomy (``EVENT_SCHEMA`` below is the machine-readable form
   orchestrator writes the finish record when the shard's result
   arrives, with the shard's cache stats (its ddmin jobs' included,
   wherever they ran) and per-phase time breakdown,
-* ``progress``                     -- a shard's live counters in its
-  round (tests, unique plans, cache hits and misses, its ddmin jobs'
-  included), written by the orchestrator after each message that
-  changes them, so a running fleet's trace shows them,
+* ``progress``                     -- the live counters of shard
+  ``for_shard`` in its round (tests, unique plans, cache hits and
+  misses, its ddmin jobs' included), written by the orchestrator after
+  each message that changes them, so a running fleet's trace shows
+  them; the header names no shard, since a job another worker reduced
+  changes them too,
 * ``reduce``                       -- one ddmin job: the ``finder``
   shard that filed the report (the header's shard reduced it), its
   fingerprint, statements before and after (``reduced``, null when
@@ -97,6 +99,7 @@ EVENT_SCHEMA: dict[str, dict[str, tuple]] = {
         "cache": (dict,),
     },
     "progress": {
+        "for_shard": (int,),
         "tests": (int,),
         "unique_plans": (int,),
         "cache_hits": (int,),

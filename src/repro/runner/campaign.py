@@ -216,12 +216,13 @@ class Campaign:
         #: test; may annotate the report but must not change control
         #: flow.  A fleet shard makes a ddmin job of each report new to
         #: it here, from the ASTs in the campaign's parse memo, and
-        #: runs it now or queues it (see ``on_finish``).
+        #: runs it now or, in a worker pool, posts it (see
+        #: ``on_finish``).
         self.on_report = on_report
         #: Called once after the last test, before the stats are
-        #: finished, so its time counts in this ``run``: a fleet shard
-        #: reduces its queued ddmin jobs here, and in a worker pool any
-        #: shard's jobs, until the round's last job is reduced.
+        #: finished, so its time counts in this ``run``: a pool worker
+        #: reduces posted ddmin jobs of any shard here, until the
+        #: round's last job is reduced.
         self.on_finish = on_finish
         #: Optional generation policy (duck-typed, e.g.
         #: :class:`repro.guidance.GuidedPolicy`): ``begin_test()``

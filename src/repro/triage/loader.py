@@ -8,10 +8,15 @@ and both PR-1 and PR-2 entries predate the provenance fields
 ``backend_pair`` means a single-engine finding, missing provenance
 renders as unknown -- so one report can span a whole corpus lineage.
 
-Determinism guarantee: loading preserves file order and argument order;
-merging dedupes by fingerprint and writes entries sorted by
-fingerprint, so merging the same inputs always produces a byte-identical
-output file.
+Within one file a fingerprint's last line wins: a fleet appends an
+entry again when its reduced witness arrives, so the later line is the
+entry's newer state (two corpora concatenated into one file therefore
+keep only the later one's count; merge them as separate files).
+
+Determinism guarantee: loading preserves argument order and, within a
+file, the order of each fingerprint's first line; merging dedupes by
+fingerprint and writes entries sorted by fingerprint, so merging the
+same inputs always produces a byte-identical output file.
 """
 
 from __future__ import annotations
@@ -26,8 +31,10 @@ def load_corpus(paths: "str | Iterable[str]") -> list[CorpusEntry]:
 
     Order is file-argument order, then file order -- the fleet appends
     in discovery order, so the first occurrence of a fingerprint is its
-    first sighting.  Duplicate fingerprints across files are *kept*
-    (use :func:`merge_corpora` or clustering to collapse them).
+    first sighting.  Each file gives one entry per fingerprint, with
+    the fields of its last line there; duplicate fingerprints across
+    files are *kept* (use :func:`merge_corpora` or clustering to
+    collapse them).
     """
     if isinstance(paths, str):
         paths = [paths]
@@ -43,8 +50,10 @@ def merge_corpora(
     """Fold many corpus files into one deduplicated corpus.
 
     Entries are deduplicated by fingerprint; the first-seen entry (in
-    path order) wins and later sightings accumulate into its
-    ``times_seen``.  When *out_path* is given the merged corpus is
+    path order) wins and later files' sightings accumulate into its
+    ``times_seen`` (within a file a fingerprint's last line counts,
+    see :func:`~repro.fleet.corpus.iter_corpus_file`).  When *out_path*
+    is given the merged corpus is
     written there with entries sorted by fingerprint (deterministic
     regardless of input order).
     """

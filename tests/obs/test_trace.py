@@ -92,6 +92,7 @@ class TestValidateRecord:
                 "cache": {},
             },
             "progress": {
+                "for_shard": 0,
                 "tests": 5,
                 "unique_plans": 4,
                 "cache_hits": 9,

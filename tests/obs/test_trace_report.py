@@ -180,11 +180,11 @@ class TestPoolRecords:
 
     def test_open_round_counts_cache_and_plans_from_latest_progress(self):
         records = _fixture_trace()[:5] + [
-            _rec("progress", 100.35, shard=0, tests=1, unique_plans=3,
+            _rec("progress", 100.35, for_shard=0, tests=1, unique_plans=3,
                  cache_hits=4, cache_misses=2),
-            _rec("progress", 100.45, shard=0, tests=1, unique_plans=5,
+            _rec("progress", 100.45, for_shard=0, tests=1, unique_plans=5,
                  cache_hits=9, cache_misses=3),
-            _rec("progress", 100.46, shard=1, tests=0, unique_plans=1,
+            _rec("progress", 100.46, for_shard=1, tests=0, unique_plans=1,
                  cache_hits=1, cache_misses=1),
         ]
         snap = snapshot_from_trace(records)
@@ -195,3 +195,19 @@ class TestPoolRecords:
         finished = snapshot_from_trace(_finished_trace()[:9] + records[5:6])
         assert finished["cache"]["hits"] == 8
 
+
+    def test_progress_record_leaves_the_shard_age_alone(self):
+        # Shard 1's last own record is its bug at 100.4; the progress
+        # record at 100.9 credits it with a job another worker reduced.
+        records = _fixture_trace()[:5] + [
+            _rec("bug_found", 100.4, shard=1, kind="logic",
+                 oracle="coddtest", faults=["sqlite_x"]),
+            _rec("reduce", 100.9, shard=0, finder=1, fingerprint="ab12",
+                 statements=12, reduced=3, candidates=9, seconds=0.25),
+            _rec("progress", 100.9, for_shard=1, tests=0, unique_plans=1,
+                 cache_hits=5, cache_misses=2),
+        ]
+        snap = snapshot_from_trace(records)
+        assert snap["shards"]["1"]["age_s"] == 0.5
+        assert snap["shards"]["0"]["age_s"] == 0.0
+        assert snap["cache"]["hits"] == 5

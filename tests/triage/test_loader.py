@@ -102,6 +102,25 @@ class TestLoadOrder:
         fps = [e.fingerprint for e in load_corpus([b, a])]
         assert fps == ["feed000000000002", "feed000000000001"]
 
+    def test_a_fingerprints_last_line_in_a_file_wins(self, tmp_path):
+        # The fleet re-appends an entry once its witness arrives.
+        reduced = dict(MODERN_ENTRY, reduced_statements=["SELECT 1"],
+                       times_seen=4)
+        path = write_jsonl(
+            tmp_path / "c.jsonl", [MODERN_ENTRY, PR1_ENTRY, reduced]
+        )
+        entries = load_corpus(path)
+        assert [e.fingerprint for e in entries] == [
+            "feed000000000001", "feed000000000002",
+        ]
+        assert entries[0].reduced_statements == ["SELECT 1"]
+        assert entries[0].times_seen == 4
+        # Across files sightings still accumulate.
+        other = write_jsonl(tmp_path / "d.jsonl", [MODERN_ENTRY])
+        assert len(load_corpus([path, other])) == 3
+        merged = merge_corpora([path, other])
+        assert merged.entries["feed000000000001"].times_seen == 6
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "gaps.jsonl"
         path.write_text("\n" + json.dumps(PR1_ENTRY) + "\n\n")
